@@ -104,10 +104,15 @@ class ConsensusMessage:
     proposal: Optional[Block] = None
 
 
+def message_payload(kind: MsgKind, height: int, round_: int,
+                    block_hash_: Hash256) -> bytes:
+    """The bytes message_digest() hashes."""
+    return _u(_KIND_TAG[kind], 1) + _u(height, 8) + _u(round_, 8) + block_hash_
+
+
 def message_digest(kind: MsgKind, height: int, round_: int,
                    block_hash_: Hash256) -> Hash256:
-    payload = _u(_KIND_TAG[kind], 1) + _u(height, 8) + _u(round_, 8) + block_hash_
-    return Hash256(keccak256(payload))
+    return Hash256(keccak256(message_payload(kind, height, round_, block_hash_)))
 
 
 def make_message(key: KeyPair, kind: MsgKind, height: int, round_: int,

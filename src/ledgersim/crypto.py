@@ -31,10 +31,15 @@ class KeyPair:
         return cls(secret, public_id, address)
 
 
-def sign(key: KeyPair, digest: bytes) -> Signature:
+def signing_input(key: KeyPair, digest: bytes) -> bytes:
+    """The bytes sign() hashes, for callers that hash many at once."""
     if len(digest) != 32:
         raise ValueError("digest must be 32 bytes")
-    return Signature(keccak256(key.secret + digest))
+    return key.secret + digest
+
+
+def sign(key: KeyPair, digest: bytes) -> Signature:
+    return Signature(keccak256(signing_input(key, digest)))
 
 
 class Registry:

@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ledgersim.keccak import keccak256
+from ledgersim import keccak
+from ledgersim.keccak import keccak256, keccak256_many
 from keccak_reference import keccak256_reference
 
 # The first two are the widely published Keccak-256 anchors; the rest
@@ -56,3 +58,59 @@ def test_no_collisions_at_desk_scale():
 
 def test_digest_is_32_bytes():
     assert len(keccak256(b"x")) == 32
+
+
+# --- many messages at once ---------------------------------------------------
+
+# around the 136-byte rate: empty, one byte, one short of a block, exactly
+# one block, one over, exactly two blocks, and several blocks
+BATCH_LENGTHS = (0, 1, 135, 136, 137, 272, 700)
+
+
+@pytest.fixture()
+def cold_memo():
+    keccak._memo.clear()
+    yield
+    keccak._memo.clear()
+
+
+def _scalar(messages):
+    keccak._memo.clear()
+    return [keccak256(m) for m in messages]
+
+
+def test_many_matches_oracle_across_rate_boundaries(cold_memo):
+    rng = random.Random(7)
+    messages = [rng.randbytes(n) for n in BATCH_LENGTHS]
+    assert keccak256_many(messages) == [keccak256_reference(m) for m in messages]
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 255, 256, 257])
+def test_many_matches_scalar_on_mixed_lengths(cold_memo, count):
+    rng = random.Random(count)
+    messages = [rng.randbytes(rng.choice(BATCH_LENGTHS)) for _ in range(count)]
+    assert keccak256_many(messages) == _scalar(messages)
+
+
+def test_many_keeps_order_and_duplicates(cold_memo):
+    rng = random.Random(3)
+    distinct = [rng.randbytes(n) for n in BATCH_LENGTHS]
+    messages = [distinct[i % 3] for i in range(300)] + distinct + distinct[::-1]
+    digests = keccak256_many(messages)
+    assert digests == _scalar(messages)
+    assert len(set(digests)) == len(distinct)
+
+
+def test_many_memoizes_what_it_computes(cold_memo):
+    messages = [bytes([i]) * i for i in range(40)]
+    digests = keccak256_many(messages)
+    assert all(keccak._memo[m] == d for m, d in zip(messages, digests))
+    assert keccak256_many(messages) == digests
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.binary(max_size=300), max_size=40))
+def test_many_equals_keccak256_per_message(messages):
+    keccak._memo.clear()
+    digests = keccak256_many(messages)
+    assert digests == _scalar(messages)

@@ -242,6 +242,16 @@ class TestReplay:
         assert proc.returncode == 4
         assert "CORRUPT" in proc.stdout
 
+    @pytest.mark.parametrize("command", ["replay", "receipt"])
+    def test_cli_non_utf8_dump_exits_4(self, tmp_path, command):
+        bad = tmp_path / "chain.jsonl"
+        bad.write_bytes(b"\xff\xfe{}\n")
+        tx = ["--tx", "0x" + "ab" * 32] if command == "receipt" else []
+        proc = cli(command, "--chain", str(bad), "--genesis", str(GENESIS), *tx)
+        assert proc.returncode == 4
+        assert "CORRUPT" in proc.stdout
+        assert "Traceback" not in proc.stderr
+
 
 class TestReceiptQuery:
     def test_receipt_by_tx_hash(self, tmp_path):
