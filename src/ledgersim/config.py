@@ -54,9 +54,6 @@ class GenesisConfig:
     def validator_keys(self) -> list[KeyPair]:
         return [KeyPair.from_seed(seed) for seed in self.validators]
 
-    def validator_addresses(self) -> list[Address]:
-        return [k.address for k in self.validator_keys()]
-
 
 def active_keys(provider: KeyProvider) -> list[KeyPair]:
     """Keys at indices [min, max], both inclusive."""

@@ -134,7 +134,6 @@ def verify_message(msg: ConsensusMessage, registry: Registry) -> bool:
 class Phase(enum.Enum):
     AWAITING_PROPOSAL = "AWAITING_PROPOSAL"
     PREPARED = "PREPARED"
-    COMMITTED = "COMMITTED"
     FINALIZED = "FINALIZED"
 
 
@@ -411,7 +410,6 @@ class Engine:
                   seals: dict[Address, Signature]) -> None:
         assert self._result is not None
         block = self._known_blocks[bh]
-        self.phase = Phase.COMMITTED
         sealed = replace(
             block, round=round_,
             commit_seals=tuple(sorted(seals.items())))

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .errors import NotDeployed
+from .crypto import Registry
+from .errors import InternalInvariantViolation, NotDeployed, UnknownPublicId
 from .keccak import keccak256
 from .model import (
     Address, AddFunds, AddRecipient, Amount, Block, Deploy, ErrorCode, Event,
@@ -235,11 +236,35 @@ def state_to_json(state: ContractState) -> dict:
     }
 
 
-def execute_block_txs(ledger: LedgerState,
-                      block: Block) -> tuple[LedgerState, list[Receipt]]:
+# --- blocks, as validators and the replay audit execute and check them -----
+
+def execute_block_txs(ledger: LedgerState, txs: tuple[Transaction, ...]
+                      ) -> tuple[LedgerState, list[Receipt]]:
     """Sequentially apply a block's transactions."""
     receipts = []
-    for tx in block.txs:
+    for tx in txs:
+        before = ledger.contract
         ledger, receipt = apply_transaction(ledger, tx)
+        if receipt.status is not TxStatus.SUCCESS and ledger.contract is not before:
+            raise InternalInvariantViolation(
+                f"failed transaction {hx(receipt.tx_hash)} changed contract state")
         receipts.append(receipt)
     return ledger, receipts
+
+
+def block_content_error(block: Block, ledger: LedgerState, registry: Registry,
+                        gas_limit: int) -> Optional[str]:
+    """Why a block's content is invalid, or None. `ledger` is the block
+    executed on its parent's ledger. Checks gas, then transaction
+    signatures, then the state root."""
+    if sum(t.gas_limit for t in block.txs) > gas_limit:
+        return "block gas limit exceeded"
+    for tx in block.txs:
+        try:
+            if not registry.verify_by_address(tx.sender, tx_hash(tx), tx.signature):
+                return "bad transaction signature"
+        except UnknownPublicId:
+            return "transaction from unknown sender"
+    if state_root(ledger.contract) != block.state_root:
+        return "state root mismatch"
+    return None

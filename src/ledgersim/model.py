@@ -167,9 +167,6 @@ class BankAccountRegistered:
 
 Event = Union[FundsAdded, AllowanceSent, BankAccountRegistered]
 
-_EVENT_TAGS = (FundsAdded, AllowanceSent, BankAccountRegistered)
-_EVENT_TAG_BY_TYPE = {cls: i for i, cls in enumerate(_EVENT_TAGS)}
-
 
 @dataclass(frozen=True, slots=True)
 class Receipt:
@@ -242,23 +239,6 @@ def serialize_tx(tx: Transaction, *, with_signature: bool = True) -> bytes:
 
 def tx_hash(tx: Transaction) -> Hash256:
     return Hash256(keccak256(serialize_tx(tx, with_signature=False)))
-
-
-def serialize_event(ev: Event) -> bytes:
-    tag = _u(_EVENT_TAG_BY_TYPE[type(ev)], 1)
-    if isinstance(ev, FundsAdded):
-        return tag + _u(ev.value, 16)
-    if isinstance(ev, AllowanceSent):
-        return tag + ev.recipient + _u(ev.amount, 16)
-    return tag + ev.recipient + ev.account_hash
-
-
-def serialize_receipt(r: Receipt) -> bytes:
-    status = _u(0 if r.status is TxStatus.SUCCESS else 1, 1)
-    error = _u(0, 1) if r.error is None else \
-        _u(1 + list(ErrorCode).index(r.error), 1)
-    events = _u(len(r.events), 4) + b"".join(serialize_event(e) for e in r.events)
-    return r.tx_hash + status + error + _u(r.gas_used, 8) + events
 
 
 def serialize_block(block: Block, *, for_hash: bool = False) -> bytes:
@@ -459,18 +439,6 @@ def event_to_json(ev: Event) -> dict:
                 "amount": str(int(ev.amount))}
     return {"kind": "BankAccountRegistered", "recipient": hx(ev.recipient),
             "accountHash": hx(ev.account_hash)}
-
-
-def event_from_json(obj: dict) -> Event:
-    kind = obj["kind"]
-    if kind == "FundsAdded":
-        return FundsAdded(Amount(int(obj["value"])))
-    if kind == "AllowanceSent":
-        return AllowanceSent(Address(unhx(obj["recipient"])), Amount(int(obj["amount"])))
-    if kind == "BankAccountRegistered":
-        return BankAccountRegistered(Address(unhx(obj["recipient"])),
-                                     Hash256(unhx(obj["accountHash"])))
-    raise ValueError(f"unknown event kind {kind!r}")
 
 
 def receipt_to_json(r: Receipt) -> dict:

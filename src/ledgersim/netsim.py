@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .crypto import KeyPair
-from .errors import EmptyQueue
+from .errors import EmptyQueue, InternalInvariantViolation
 from .keccak import keccak256
 from .model import Address, Block, hx
 from .consensus import ConsensusMessage, MsgKind, make_message, block_hash
@@ -107,7 +107,9 @@ class EventQueue:
         if not self._heap:
             raise EmptyQueue("no scheduled events")
         time, _, ev = heapq.heappop(self._heap)
-        assert time >= self.now
+        if time < self.now:
+            raise InternalInvariantViolation(
+                f"event at {time} comes after the clock reached {self.now}")
         self.now = time
         return ev
 
@@ -163,7 +165,6 @@ def payload_kind(payload: object) -> str:
 def byzantine_transform(
     spec: Optional[ByzantineSpec],
     outbound: list[ConsensusMessage],
-    rng: random.Random,
     *,
     key: KeyPair,
     peers: list[Address],

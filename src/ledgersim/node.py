@@ -1,5 +1,9 @@
 """Validator node: mempool, chain storage, execution and consensus glue.
 
+Every block, whether a proposal, an announced sealed block or this
+node's own finalized block, is executed by `contract.execute_block_txs`
+and checked by `contract.block_content_error`, as the replay audit does.
+
 Finality is instant and the chain is append-only; there are no forks or
 reorgs. A node that falls behind (for example the odd victim of an
 equivocating proposer) is rescued out-of-band: whenever a peer receives
@@ -19,7 +23,7 @@ from .consensus import (
     validate_finalized_block,
 )
 from .crypto import KeyPair, Registry
-from .errors import UnknownPublicId
+from .errors import InternalInvariantViolation, UnknownPublicId
 from .model import (
     Address, Block, Event, Hash256, Receipt, Transaction, block_hash, tx_hash,
 )
@@ -84,11 +88,12 @@ class Mempool:
 
 
 class Chain:
-    """Append-only finalized chain plus per-height execution snapshots."""
+    """Append-only finalized chain, its receipts and events, and the ledger
+    after its head."""
 
     def __init__(self, genesis: Block, genesis_ledger: contract.LedgerState) -> None:
         self.blocks: list[Block] = [genesis]
-        self.ledgers: list[contract.LedgerState] = [genesis_ledger]
+        self.head_ledger = genesis_ledger
         self.receipts: dict[Hash256, Receipt] = {}
         self.receipts_by_height: list[list[Receipt]] = [[]]
         self.events: list[EventRecord] = []
@@ -101,16 +106,14 @@ class Chain:
     def head_height(self) -> int:
         return len(self.blocks) - 1
 
-    @property
-    def head_ledger(self) -> contract.LedgerState:
-        return self.ledgers[-1]
-
     def append(self, block: Block, ledger: contract.LedgerState,
                receipts: list[Receipt]) -> None:
-        assert block.height == self.head_height + 1
-        assert block.parent_hash == block_hash(self.head)
+        if (block.height != self.head_height + 1
+                or block.parent_hash != block_hash(self.head)):
+            raise InternalInvariantViolation(
+                f"block {block.height} does not extend the head at {self.head_height}")
         self.blocks.append(block)
-        self.ledgers.append(ledger)
+        self.head_ledger = ledger
         self.receipts_by_height.append(receipts)
         for tx_index, receipt in enumerate(receipts):
             self.receipts[receipt.tx_hash] = receipt
@@ -142,8 +145,8 @@ class ValidatorNode:
         self.engine = Engine(config, key, registry,
                              build_block=self.build_block,
                              validate_block=self.validate_block)
-        # execution results for proposals validated at the current height,
-        # keyed by block hash, so finalization does not re-execute
+        # execution results for blocks built or validated at the current
+        # height, keyed by block hash, so finalization does not re-execute
         self._exec_cache: dict[Hash256, tuple[contract.LedgerState, list[Receipt]]] = {}
 
     # -- lifecycle -------------------------------------------------------------
@@ -163,25 +166,11 @@ class ValidatorNode:
                 break
             txs.append(tx)
             total_gas += tx.gas_limit
-        ledger, receipts = self._execute(self.chain.head_ledger, tuple(txs))
+        ledger, receipts = contract.execute_block_txs(self.chain.head_ledger, tuple(txs))
         block = Block(height, round_, block_hash(parent), self.address,
                       tuple(txs), contract.state_root(ledger.contract), ())
         self._exec_cache[block_hash(block)] = (ledger, receipts)
         return block
-
-    def _execute(self, ledger: contract.LedgerState,
-                 txs: tuple[Transaction, ...]) -> tuple[contract.LedgerState, list[Receipt]]:
-        if not txs:
-            return ledger, []
-        new_ledger = ledger
-        receipts: list[Receipt] = []
-        for tx in txs:
-            before = new_ledger.contract
-            new_ledger, receipt = contract.apply_transaction(new_ledger, tx)
-            # failed transactions must leave contract state untouched
-            assert receipt.status.value == "SUCCESS" or new_ledger.contract is before
-            receipts.append(receipt)
-        return new_ledger, receipts
 
     def validate_block(self, block: Block) -> bool:
         parent = self.chain.head
@@ -191,20 +180,7 @@ class ValidatorNode:
             return False
         if block.proposer not in self.config.validators:
             return False
-        if sum(t.gas_limit for t in block.txs) > self.block_gas_limit:
-            return False
-        for tx in block.txs:
-            try:
-                if not self.registry.verify_by_address(tx.sender, tx_hash(tx),
-                                                       tx.signature):
-                    return False
-            except UnknownPublicId:
-                return False
-        ledger, receipts = self._execute(self.chain.head_ledger, block.txs)
-        if contract.state_root(ledger.contract) != block.state_root:
-            return False  # StateRootMismatch: refuse to prepare
-        self._exec_cache[block_hash(block)] = (ledger, receipts)
-        return True
+        return self._checked_execution(block) is not None
 
     # -- transaction intake ------------------------------------------------------
 
@@ -258,15 +234,10 @@ class ValidatorNode:
         if not validate_finalized_block(block, self.config, self.registry,
                                         parent=self.chain.head):
             return NodeResult()
-        cached = self._exec_cache.get(block_hash(block))
-        if cached is None:
-            ledger, receipts = self._execute(self.chain.head_ledger, block.txs)
-            if contract.state_root(ledger.contract) != block.state_root:
-                return NodeResult()
-        else:
-            ledger, receipts = cached
+        executed = self._checked_execution(block)
         result = NodeResult()
-        self._adopt(block, ledger, receipts, result)
+        if executed is not None:
+            self._adopt(block, *executed, result)
         return result
 
     # -- internals ------------------------------------------------------------------
@@ -277,15 +248,28 @@ class ValidatorNode:
         for msg in step.outbound:
             result.outbound.append((msg, None))
         if step.finalized is not None:
-            ledger_receipts = self._exec_cache.get(block_hash(step.finalized))
-            if ledger_receipts is None:
-                ledger, receipts = self._execute(self.chain.head_ledger,
-                                                 step.finalized.txs)
-            else:
-                ledger, receipts = ledger_receipts
-            assert contract.state_root(ledger.contract) == step.finalized.state_root
-            self._adopt(step.finalized, ledger, receipts, result)
+            executed = self._checked_execution(step.finalized)
+            if executed is None:
+                raise InternalInvariantViolation(
+                    f"finalized block {step.finalized.height} fails the content check")
+            self._adopt(step.finalized, *executed, result)
         return result
+
+    def _checked_execution(self, block: Block
+                           ) -> Optional[tuple[contract.LedgerState, list[Receipt]]]:
+        """The ledger and receipts after `block` on the head, or None if it
+        fails the content check. Blocks built or checked at this height
+        come from the cache, which `_adopt` clears."""
+        bh = block_hash(block)
+        cached = self._exec_cache.get(bh)
+        if cached is not None:
+            return cached
+        ledger, receipts = contract.execute_block_txs(self.chain.head_ledger, block.txs)
+        if contract.block_content_error(block, ledger, self.registry,
+                                        self.block_gas_limit) is not None:
+            return None
+        self._exec_cache[bh] = (ledger, receipts)
+        return ledger, receipts
 
     def _adopt(self, block: Block, ledger: contract.LedgerState,
                receipts: list[Receipt], result: NodeResult) -> None:

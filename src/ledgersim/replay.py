@@ -1,8 +1,10 @@
 """Offline integrity audit of a chain dump.
 
 Re-executes every block from genesis and re-verifies parent links,
-heights, commit seals and state roots. The verdict names the first
-diverging height so corrupted dumps are easy to localize.
+heights, commit seals and block content, executing and checking blocks
+as validators do (`contract.execute_block_txs`, `block_content_error`).
+The verdict names the first diverging height so corrupted dumps are easy
+to localize.
 
 The dump is processed in windows of blocks. Before a window's checks run
 in chain order, every digest they will ask for is hashed in a few
@@ -17,15 +19,15 @@ from typing import Optional
 
 from . import contract
 from .config import GenesisConfig
-from .consensus import ConsensusConfig, MsgKind, message_payload, validate_finalized_block
-from .crypto import KeyPair, Registry, signing_input
-from .errors import CorruptDump, UnknownPublicId
+from .consensus import MsgKind, message_payload, validate_finalized_block
+from .crypto import Registry, signing_input
+from .errors import CorruptDump
 from .keccak import keccak256_many
 from .model import (
     Block, RegisterBankAccount, block_from_json, block_hash, hx, receipt_to_json,
-    serialize_block, serialize_tx, tx_hash,
+    serialize_block, serialize_tx,
 )
-from .simulation import make_genesis_block
+from .simulation import genesis_setup, make_genesis_block
 
 # Blocks executed and hashed together. Bounds the ledgers and inputs held
 # at once; larger windows fill wider batches.
@@ -66,8 +68,8 @@ def _load_blocks(data: bytes) -> list[tuple[Block, object]]:
     return blocks
 
 
-def _execute(window: list[tuple[Block, object]], ledger: contract.LedgerState,
-             registry: Registry) -> list[tuple[contract.LedgerState, list]]:
+def _execute_window(window: list[tuple[Block, object]], ledger: contract.LedgerState,
+                    registry: Registry) -> list[tuple[contract.LedgerState, list]]:
     """Apply each block of the window; return the ledger after it and its
     receipts.
 
@@ -88,7 +90,7 @@ def _execute(window: list[tuple[Block, object]], ledger: contract.LedgerState,
 
     executed = []
     for block in blocks:
-        ledger, receipts = contract.execute_block_txs(ledger, block)
+        ledger, receipts = contract.execute_block_txs(ledger, block.txs)
         executed.append((ledger, receipts))
 
     key = registry.key_for_address
@@ -109,14 +111,7 @@ def _replay(genesis_cfg: GenesisConfig, dump: bytes,
             wanted_tx_hash: Optional[bytes] = None) -> tuple[ReplayVerdict, Optional[dict]]:
     """One verified pass: the verdict, and the receipt of the first
     transaction hashing to `wanted_tx_hash`, annotated with its height."""
-    registry = Registry()
-    for raw in genesis_cfg.key_provider.private_keys:
-        registry.register(KeyPair.from_seed(raw))
-    validator_keys = genesis_cfg.validator_keys()
-    for key in validator_keys:
-        registry.register(key)
-    config = ConsensusConfig(tuple(k.address for k in validator_keys),
-                             genesis_cfg.base_round_timeout)
+    _, registry, config = genesis_setup(genesis_cfg)
 
     blocks = _load_blocks(dump)
     expected_genesis = make_genesis_block()
@@ -131,24 +126,17 @@ def _replay(genesis_cfg: GenesisConfig, dump: bytes,
     found = None
     for start in range(1, len(blocks), _WINDOW):
         window = blocks[start:start + _WINDOW]
-        executed = _execute(window, ledger, registry)
+        executed = _execute_window(window, ledger, registry)
         for (block, declared), (ledger, receipts) in zip(window, executed):
             h = block.height
             if declared != hx(block_hash(block)):
                 return ReplayVerdict(False, h, "declared hash mismatch"), None
             if not validate_finalized_block(block, config, registry, parent=parent):
                 return ReplayVerdict(False, h, "seal or linkage check failed"), None
-            if sum(t.gas_limit for t in block.txs) > genesis_cfg.block_gas_limit:
-                return ReplayVerdict(False, h, "block gas limit exceeded"), None
-            for tx in block.txs:
-                try:
-                    if not registry.verify_by_address(tx.sender, tx_hash(tx),
-                                                      tx.signature):
-                        return ReplayVerdict(False, h, "bad transaction signature"), None
-                except UnknownPublicId:
-                    return ReplayVerdict(False, h, "transaction from unknown sender"), None
-            if contract.state_root(ledger.contract) != block.state_root:
-                return ReplayVerdict(False, h, "state root mismatch"), None
+            reason = contract.block_content_error(block, ledger, registry,
+                                                  genesis_cfg.block_gas_limit)
+            if reason is not None:
+                return ReplayVerdict(False, h, reason), None
             if found is None:
                 for receipt in receipts:
                     if receipt.tx_hash == wanted_tx_hash:

@@ -66,6 +66,13 @@ class Scenario:
     horizon: int
 
 
+def _int(value: object, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise MalformedScenario(f"{what} must be an integer, got {value!r}") from None
+
+
 def parse_scenario(data: bytes) -> Scenario:
     try:
         obj = json.loads(data.decode("utf-8"))
@@ -80,6 +87,8 @@ def parse_scenario(data: bytes) -> Scenario:
     if unknown:
         raise MalformedScenario(f"unknown fields {sorted(unknown)}")
 
+    if not isinstance(obj["commands"], list):
+        raise MalformedScenario("commands must be a list")
     commands = []
     last_time = 0
     for i, raw in enumerate(obj["commands"]):
@@ -94,16 +103,20 @@ def parse_scenario(data: bytes) -> Scenario:
         action = action_obj["type"]
         if action not in _ACTIONS:
             raise MalformedScenario(f"command {i}: unknown action {action!r}")
-        at_time = int(raw["atTime"])
+        at_time = _int(raw["atTime"], f"command {i}: atTime")
         if at_time < last_time:
             raise MalformedScenario("command times must be non-decreasing")
         last_time = at_time
         params = {k: v for k, v in action_obj.items() if k != "type"}
-        commands.append(Command(at_time, int(raw["actor"]), action, params))
+        actor = _int(raw["actor"], f"command {i}: actor")
+        commands.append(Command(at_time, actor, action, params))
 
-    horizon = int(obj.get("horizon", DEFAULT_HORIZON))
-    expectations = tuple(obj.get("expectations", ()))
-    return Scenario(str(obj["name"]), tuple(commands), expectations, horizon)
+    horizon = _int(obj.get("horizon", DEFAULT_HORIZON), "horizon")
+    expectations = obj.get("expectations", [])
+    if not isinstance(expectations, list) or \
+            not all(isinstance(exp, dict) for exp in expectations):
+        raise MalformedScenario("expectations must be a list of objects")
+    return Scenario(str(obj["name"]), tuple(commands), tuple(expectations), horizon)
 
 
 class _Runner:
@@ -135,8 +148,9 @@ class _Runner:
         if action == "removeRecipient":
             return RemoveRecipient(self._resolve_address(p["recipient"]))
         if action == "registerBankAccount":
-            return RegisterBankAccount(self._resolve_address(p["recipient"]),
-                                       str(p["account"]))
+            account = str(p["account"])
+            account.encode("utf-8")  # a lone surrogate has no encoding
+            return RegisterBankAccount(self._resolve_address(p["recipient"]), account)
         if action == "addFunds":
             return AddFunds(Amount(int(p["amt"])))
         if action == "sendAllowance":
@@ -146,30 +160,34 @@ class _Runner:
 
     def schedule_all(self) -> None:
         for index, command in enumerate(self.scenario.commands):
-            if command.action in _TX_ACTIONS:
-                key = self._resolve_key(command.actor)
-                self.sim.schedule_tx(command.at_time, key,
-                                     self._payload(command), label=index)
-            elif command.action == "getBalance":
-                target = command.params.get("address", command.actor)
-                self.sim.schedule_query(command.at_time,
-                                        self._resolve_address(target),
-                                        label=index)
-            elif command.action == "injectFault":
-                node_index = int(command.params["node"])
-                validators = self.sim.config.validators
-                if not 0 <= node_index < len(validators):
-                    raise MalformedScenario(f"fault node {node_index} out of range")
-                try:
-                    behavior = Behavior(command.params["behavior"])
-                except ValueError:
-                    raise MalformedScenario(
-                        f"unknown behavior {command.params['behavior']!r}") from None
-                self.sim.schedule_fault(
-                    command.at_time,
-                    ByzantineSpec(validators[node_index], behavior))
-            else:
-                self.sim.schedule_set_gst(command.at_time)
+            try:
+                self._schedule(index, command)
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise MalformedScenario(
+                    f"command {index} ({command.action}): bad parameters: {exc!r}"
+                ) from None
+
+    def _schedule(self, index: int, command: Command) -> None:
+        if command.action in _TX_ACTIONS:
+            key = self._resolve_key(command.actor)
+            self.sim.schedule_tx(command.at_time, key,
+                                 self._payload(command), label=index)
+        elif command.action == "getBalance":
+            target = command.params.get("address", command.actor)
+            self.sim.schedule_query(command.at_time,
+                                    self._resolve_address(target),
+                                    label=index)
+        elif command.action == "injectFault":
+            node_index = int(command.params["node"])
+            validators = self.sim.config.validators
+            if not 0 <= node_index < len(validators):
+                raise MalformedScenario(f"fault node {node_index} out of range")
+            behavior = Behavior(command.params["behavior"])
+            self.sim.schedule_fault(
+                command.at_time,
+                ByzantineSpec(validators[node_index], behavior))
+        else:
+            self.sim.schedule_set_gst(command.at_time)
 
     def run(self) -> None:
         self.schedule_all()

@@ -28,12 +28,12 @@ from .crypto import KeyPair, Registry, sign
 from .errors import NotDeployed
 from .keccak import keccak256
 from .model import (
-    Address, Block, Hash256, Transaction, TxPayload, Signature,
-    ZERO_ADDRESS, ZERO_HASH, block_hash, hx, tx_hash,
+    Address, AllowanceSent, Block, FundsAdded, Hash256, Transaction, TxPayload,
+    TxStatus, Signature, ZERO_ADDRESS, ZERO_HASH, block_hash, hx, tx_hash,
 )
 from .netsim import (
     Behavior, ByzantineSpec, EvKind, EventQueue, Network, byzantine_transform,
-    payload_kind, rng_stream,
+    payload_kind,
 )
 from .node import HeightStart, NodeResult, TimerFire, ValidatorNode
 
@@ -67,6 +67,21 @@ def make_genesis_block() -> Block:
                  contract.state_root(state), ())
 
 
+def genesis_setup(genesis: GenesisConfig
+                  ) -> tuple[list[KeyPair], Registry, ConsensusConfig]:
+    """The validator keys, the registry of every genesis key, and the
+    consensus configuration that a genesis file defines."""
+    registry = Registry()
+    for raw in genesis.key_provider.private_keys:
+        registry.register(KeyPair.from_seed(raw))
+    validator_keys = genesis.validator_keys()
+    for key in validator_keys:
+        registry.register(key)
+    config = ConsensusConfig(tuple(k.address for k in validator_keys),
+                             genesis.base_round_timeout)
+    return validator_keys, registry, config
+
+
 class Simulation:
     def __init__(self, genesis: GenesisConfig, *, seed: Optional[int] = None,
                  horizon: int = 2000, collect_traces: bool = True) -> None:
@@ -74,17 +89,7 @@ class Simulation:
         self.horizon = horizon
         self.seed = genesis.seed if seed is None else seed
 
-        self.registry = Registry()
-        for raw in genesis.key_provider.private_keys:
-            self.registry.register(KeyPair.from_seed(raw))
-        self.validator_keys = genesis.validator_keys()
-        for key in self.validator_keys:
-            self.registry.register(key)
-
-        self.config = ConsensusConfig(
-            validators=tuple(k.address for k in self.validator_keys),
-            base_round_timeout=genesis.base_round_timeout,
-        )
+        self.validator_keys, self.registry, self.config = genesis_setup(genesis)
         genesis_block = make_genesis_block()
         self.nodes: dict[Address, ValidatorNode] = {}
         for key in self.validator_keys:
@@ -100,10 +105,6 @@ class Simulation:
 
         self.byzantine: dict[Address, ByzantineSpec] = {}
         self._ever_byzantine: set[Address] = set()
-        self._node_rngs = {
-            key.address: rng_stream(self.seed, f"node:{i}")
-            for i, key in enumerate(self.validator_keys)
-        }
         self._byz_round_seen: dict[Address, tuple[int, int]] = {}
 
         self.client_nonces: dict[Address, int] = {}
@@ -254,8 +255,7 @@ class Simulation:
             directed = [(p, to) for p, to in result.outbound
                         if not (isinstance(p, ConsensusMessage) and to is None)]
             transformed = byzantine_transform(
-                spec, broadcast_consensus, self._node_rngs[node.address],
-                key=node.key, peers=node.peers,
+                spec, broadcast_consensus, key=node.key, peers=node.peers,
                 variant_factory=lambda b: self._equivocation_variant(node, b))
             directed = transformed + directed
 
@@ -308,15 +308,12 @@ class Simulation:
             self.network.send(forged, node.address, peer, now)
 
     def _equivocation_variant(self, node: ValidatorNode, block: Block) -> Block:
-        parent_ledger = node.chain.head_ledger
-        if len(block.txs) >= 2:
-            txs = tuple(reversed(block.txs))
-            ledger, _ = node._execute(parent_ledger, txs)
+        if block.txs:
+            # reorder the transactions, or drop a lone one
+            txs = tuple(reversed(block.txs)) if len(block.txs) >= 2 else ()
+            ledger, _ = contract.execute_block_txs(node.chain.head_ledger, txs)
             return replace(block, txs=txs,
                            state_root=contract.state_root(ledger.contract))
-        if len(block.txs) == 1:
-            return replace(block, txs=(),
-                           state_root=contract.state_root(parent_ledger.contract))
         # nothing to reorder in an empty block: present a tampered state
         # root instead, which honest validators will refuse to prepare
         return replace(block, state_root=Hash256(keccak256(block.state_root)))
@@ -351,13 +348,12 @@ class Simulation:
         total = 0
         for receipts in node.chain.receipts_by_height:
             for receipt in receipts:
-                if receipt.status.value != "SUCCESS":
+                if receipt.status is not TxStatus.SUCCESS:
                     continue
                 for event in receipt.events:
-                    name = type(event).__name__
-                    if name == "FundsAdded":
+                    if isinstance(event, FundsAdded):
                         total += int(event.value)
-                    elif name == "AllowanceSent":
+                    elif isinstance(event, AllowanceSent):
                         total -= int(event.amount)
         state = node.chain.head_ledger.contract
         org_balance = int(state.balances.get(state.organization, 0))

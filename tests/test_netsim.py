@@ -139,14 +139,14 @@ class TestByzantineTransform:
         spec = ByzantineSpec(key.address, Behavior.SILENT)
         msgs = [make_message(key, MsgKind.PREPARE, 1, 0, ZERO_HASH)
                 for _ in range(3)]
-        out = byzantine_transform(spec, msgs, random.Random(0), key=key,
+        out = byzantine_transform(spec, msgs, key=key,
                                   peers=[k.address for k in keys[1:4]])
         assert out == []
 
     def test_no_spec_is_identity_broadcast(self, keys):
         key = keys[0]
         msgs = [make_message(key, MsgKind.COMMIT, 1, 0, ZERO_HASH)]
-        out = byzantine_transform(None, msgs, random.Random(0), key=key,
+        out = byzantine_transform(None, msgs, key=key,
                                   peers=[k.address for k in keys[1:4]])
         assert out == [(msgs[0], None)]
 
@@ -161,7 +161,7 @@ class TestByzantineTransform:
                          block.proposer, block.txs,
                          Hash256(b"\x77" * 32), block.commit_seals)
 
-        out = byzantine_transform(spec, [msg], random.Random(0), key=key,
+        out = byzantine_transform(spec, [msg], key=key,
                                   peers=peers, variant_factory=tampered_variant)
         assert len(out) == 3
         recipients = [to for _, to in out]
@@ -173,6 +173,6 @@ class TestByzantineTransform:
         key = keys[0]
         spec = ByzantineSpec(key.address, Behavior.EQUIVOCATE)
         msg = _proposal(key)
-        out = byzantine_transform(spec, [msg], random.Random(0), key=key,
+        out = byzantine_transform(spec, [msg], key=key,
                                   peers=[k.address for k in keys[1:4]])
         assert out == [(msg, None)]

@@ -104,6 +104,24 @@ class TestValidateBlock:
         fat = replace(base, txs=txs)
         assert not node.validate_block(fat)
 
+    def test_flipped_tx_signature_refused(self, node, keys):
+        tx = _tx(keys[0], 0, Deploy())
+        node.submit_transaction(tx)
+        block = node.build_block(1, 0)
+        from dataclasses import replace
+        sig = tx.signature
+        forged = replace(tx, signature=Signature(bytes([sig[0] ^ 1]) + sig[1:]))
+        # execution ignores the signature, so the state root still matches
+        assert not node.validate_block(replace(block, txs=(forged,)))
+
+    def test_tx_from_unknown_sender_refused(self, node):
+        tx = _tx(KeyPair.from_seed(b"\x99" * 32), 0, Deploy())
+        ledger, _ = contract.execute_block_txs(node.chain.head_ledger, (tx,))
+        from dataclasses import replace
+        block = replace(node.build_block(1, 0), txs=(tx,),
+                        state_root=contract.state_root(ledger.contract))
+        assert not node.validate_block(block)
+
 
 def run_paper_flow_sim(seed=11, gst=0, horizon=600):
     genesis = make_genesis(seed=seed, gst=gst)

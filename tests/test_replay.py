@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ledgersim import replay
+from ledgersim import contract, replay
 from ledgersim.config import parse_genesis
 from ledgersim.consensus import MsgKind, message_digest
 from ledgersim.crypto import sign
@@ -18,6 +18,7 @@ from ledgersim.model import (
 )
 from ledgersim.replay import receipt_from_dump, replay_chain
 from ledgersim.scenario import parse_scenario, run_scenario
+from ledgersim.simulation import genesis_setup
 
 ROOT = Path(__file__).resolve().parent.parent
 GENESIS = parse_genesis((ROOT / "scenarios" / "genesis_paper.json").read_bytes())
@@ -119,6 +120,25 @@ CORRUPTIONS = [
     (state_root_changed, "state root mismatch"),
 ]
 IDS = [make.__name__ for make, _ in CORRUPTIONS]
+
+
+def intact(chain, height):
+    return emit(chain)
+
+
+@pytest.mark.parametrize("make,reason", [(intact, None)] + CORRUPTIONS[2:],
+                         ids=["intact"] + IDS[2:])
+def test_the_content_check_gives_the_replay_reason(chain, make, reason):
+    """Validators and replay share `block_content_error`; fed the block
+    and the ledger after it, it names what replay names."""
+    blocks = [block_from_json(json.loads(line))
+              for line in make(chain, MID).decode().splitlines()]
+    ledger = contract.genesis_ledger()
+    for block in blocks[1:MID + 1]:
+        ledger, _ = contract.execute_block_txs(ledger, block.txs)
+    _, registry, _ = genesis_setup(GENESIS)
+    assert contract.block_content_error(blocks[MID], ledger, registry,
+                                        GENESIS.block_gas_limit) == reason
 
 
 def verdict(dump):

@@ -163,6 +163,60 @@ class TestCli:
         proc = cli("run", "--genesis", str(bad), "--scenario", str(PAPER_FLOW))
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("edit", [
+        lambda s: s["commands"][0].update(atTime="soon"),
+        lambda s: s.update(commands=5),
+        lambda s: s["commands"][3]["action"].update(amt=-5),  # addFunds
+        lambda s: s["commands"][1]["action"].pop("recipient"),  # addRecipient
+        lambda s: s.update(horizon="long"),
+        lambda s: s["commands"][0].update(actor="me"),
+        lambda s: s["commands"].append(
+            {"atTime": 500, "actor": 0, "action": {"type": "injectFault", "node": 1}}),
+        lambda s: s.update(expectations=5),
+        lambda s: s.update(expectations=[5]),
+        lambda s: s["commands"][2]["action"].update(account="\ud800"),
+    ], ids=["atTime", "commands", "amt", "recipient", "horizon", "actor",
+            "behavior", "expectations", "expectation", "account"])
+    def test_malformed_scenario_exits_2(self, tmp_path, edit):
+        obj = json.loads(PAPER_FLOW.read_text())
+        edit(obj)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        proc = cli("run", "--genesis", str(GENESIS), "--scenario", str(bad))
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_invariant_violation_exits_4_under_python_O(self):
+        """A deploy that changes state but reports failure breaks
+        failed-tx isolation; the check must survive `python -O`."""
+        script = (
+            "import sys\n"
+            "from dataclasses import replace\n"
+            "from pathlib import Path\n"
+            "from ledgersim import contract\n"
+            "from ledgersim.config import parse_genesis\n"
+            "from ledgersim.model import Deploy, ErrorCode, TxStatus\n"
+            "from ledgersim.scenario import parse_scenario, run_scenario\n"
+            "apply = contract.apply_transaction\n"
+            "def leaky(ledger, tx):\n"
+            "    ledger, receipt = apply(ledger, tx)\n"
+            "    if isinstance(tx.payload, Deploy):\n"
+            "        receipt = replace(receipt, status=TxStatus.FAILED,\n"
+            "                          error=ErrorCode.ALREADY_DEPLOYED)\n"
+            "    return ledger, receipt\n"
+            "contract.apply_transaction = leaky\n"
+            "code, report = run_scenario(parse_genesis(Path(sys.argv[1]).read_bytes()),\n"
+            "                            parse_scenario(Path(sys.argv[2]).read_bytes()))\n"
+            "print(sys.flags.optimize, code, report.get('internalError'))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script, str(GENESIS), str(PAPER_FLOW)],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        optimize, code, error = proc.stdout.split(" ", 2)
+        assert (optimize, code) == ("1", "4")
+        assert "changed contract state" in error
+
     def test_same_seed_twice_byte_identical_artifacts(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
