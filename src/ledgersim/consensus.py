@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from .crypto import KeyPair, Registry, sign
-from .errors import UnknownPublicId
+from .errors import InternalInvariantViolation, UnknownPublicId
 from .keccak import keccak256
 from .model import (
     Address, Block, Hash256, Signature, ZERO_HASH, _u, block_hash,
@@ -241,23 +241,28 @@ class Engine:
         self._result = None
         return result
 
+    def _step(self) -> StepResult:
+        """The result of the entry point being handled."""
+        if self._result is None:
+            raise InternalInvariantViolation("engine step outside an entry point")
+        return self._result
+
     def _timeout(self, round_: int) -> int:
         return self.config.base_round_timeout * (2 ** round_)
 
     def _broadcast(self, msg: ConsensusMessage, now: int) -> None:
-        assert self._result is not None
-        self._result.outbound.append(msg)
+        self._step().outbound.append(msg)
         # a validator counts its own vote immediately
         self._process(msg, now)
 
     def _enter_round(self, round_: int, now: int) -> None:
-        assert self._result is not None
+        result = self._step()
         self.round = round_
         self.phase = Phase.AWAITING_PROPOSAL
         self.accepted = None
         self.rc_target = max(self.rc_target, round_)
         self.timer_epoch += 1
-        self._result.timer = (now + self._timeout(round_), self.timer_epoch)
+        result.timer = (now + self._timeout(round_), self.timer_epoch)
         if proposer_for(self.height, round_, self.config) == self.key.address:
             block = self.locked_block
             if block is None:
@@ -287,8 +292,7 @@ class Engine:
             self._on_round_change(msg, now)
 
     def _discard(self, reason: str) -> None:
-        assert self._result is not None
-        self._result.discards.append(reason)
+        self._step().discards.append(reason)
 
     def _on_pre_prepare(self, msg: ConsensusMessage, now: int) -> None:
         if msg.round < self.round:
@@ -408,13 +412,13 @@ class Engine:
 
     def _finalize(self, round_: int, bh: Hash256,
                   seals: dict[Address, Signature]) -> None:
-        assert self._result is not None
+        result = self._step()
         block = self._known_blocks[bh]
         sealed = replace(
             block, round=round_,
             commit_seals=tuple(sorted(seals.items())))
         self.phase = Phase.FINALIZED
-        self._result.finalized = sealed
+        result.finalized = sealed
 
 
 def validate_finalized_block(block: Block, config: ConsensusConfig,

@@ -7,12 +7,17 @@ hashes. Deliberately not RLP or any wire-compatible encoding.
 
 Widths: amounts are u128, heights/rounds/nonces/gas are u64, lengths are
 u32, enum tags and booleans are u8.
+
+A transaction keeps its hash and its full encoding, and a block its hash,
+in private slots filled on first use. The values are immutable, so a
+digest never goes stale; the slots take no part in equality, `hash()` or
+`repr`, and `dataclasses.replace` starts the copy with them empty.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .keccak import keccak256
@@ -68,7 +73,7 @@ def hx(data: bytes) -> str:
 
 
 def unhx(text: str) -> bytes:
-    if not text.startswith("0x"):
+    if not isinstance(text, str) or not text.startswith("0x"):
         raise ValueError(f"expected 0x prefix: {text!r}")
     return bytes.fromhex(text[2:])
 
@@ -130,6 +135,8 @@ class Transaction:
     gas_limit: int
     gas_price: int
     signature: Signature
+    _hash: Optional[Hash256] = field(default=None, init=False, repr=False, compare=False)
+    _wire: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
 
 class TxStatus(enum.Enum):
@@ -193,6 +200,7 @@ class Block:
     txs: tuple[Transaction, ...]
     state_root: Hash256
     commit_seals: tuple[tuple[Address, Signature], ...]
+    _hash: Optional[Hash256] = field(default=None, init=False, repr=False, compare=False)
 
 
 # --- canonical serialization ---------------------------------------------
@@ -230,15 +238,22 @@ def serialize_payload(p: TxPayload) -> bytes:
 
 
 def serialize_tx(tx: Transaction, *, with_signature: bool = True) -> bytes:
+    if with_signature and tx._wire is not None:
+        return tx._wire
     out = (tx.sender + _u(tx.nonce, 8) + serialize_payload(tx.payload)
            + _u(tx.gas_limit, 8) + _u(tx.gas_price, 8))
     if with_signature:
         out += _var_bytes(tx.signature)
+        object.__setattr__(tx, "_wire", out)
     return out
 
 
 def tx_hash(tx: Transaction) -> Hash256:
-    return Hash256(keccak256(serialize_tx(tx, with_signature=False)))
+    h = tx._hash
+    if h is None:
+        h = Hash256(keccak256(serialize_tx(tx, with_signature=False)))
+        object.__setattr__(tx, "_hash", h)
+    return h
 
 
 def serialize_block(block: Block, *, for_hash: bool = False) -> bytes:
@@ -265,7 +280,11 @@ def serialize_block(block: Block, *, for_hash: bool = False) -> bytes:
 
 
 def block_hash(block: Block) -> Hash256:
-    return Hash256(keccak256(serialize_block(block, for_hash=True)))
+    h = block._hash
+    if h is None:
+        h = Hash256(keccak256(serialize_block(block, for_hash=True)))
+        object.__setattr__(block, "_hash", h)
+    return h
 
 
 # --- deserialization ------------------------------------------------------
@@ -365,10 +384,24 @@ def payload_to_json(p: TxPayload) -> dict:
     return obj
 
 
+def _json_int(value: object) -> int:
+    """A JSON integer; a bool, float or numeric string is not one."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _json_amount(value: object) -> Amount:
+    """An amount, written as its canonical decimal string."""
+    if type(value) is not str or str(int(value)) != value:
+        raise ValueError(f"expected a decimal amount string, got {value!r}")
+    return Amount(int(value))
+
+
 def payload_from_json(obj: dict) -> TxPayload:
-    cls = _PAYLOAD_BY_NAME.get(obj.get("type", ""))
+    cls = _PAYLOAD_BY_NAME.get(obj["type"])
     if cls is None:
-        raise ValueError(f"unknown payload type {obj.get('type')!r}")
+        raise ValueError(f"unknown payload type {obj['type']!r}")
     if cls is Deploy:
         return Deploy()
     if cls is AddRecipient:
@@ -376,10 +409,13 @@ def payload_from_json(obj: dict) -> TxPayload:
     if cls is RemoveRecipient:
         return RemoveRecipient(Address(unhx(obj["recipient"])))
     if cls is RegisterBankAccount:
-        return RegisterBankAccount(Address(unhx(obj["recipient"])), obj["account"])
+        account = obj["account"]
+        if type(account) is not str:
+            raise ValueError(f"expected an account string, got {account!r}")
+        return RegisterBankAccount(Address(unhx(obj["recipient"])), account)
     if cls is AddFunds:
-        return AddFunds(Amount(int(obj["amt"])))
-    return SendAllowance(Address(unhx(obj["recipient"])), Amount(int(obj["amount"])))
+        return AddFunds(_json_amount(obj["amt"]))
+    return SendAllowance(Address(unhx(obj["recipient"])), _json_amount(obj["amount"]))
 
 
 def tx_to_json(tx: Transaction) -> dict:
@@ -397,10 +433,10 @@ def tx_to_json(tx: Transaction) -> dict:
 def tx_from_json(obj: dict) -> Transaction:
     return Transaction(
         sender=Address(unhx(obj["sender"])),
-        nonce=int(obj["nonce"]),
+        nonce=_json_int(obj["nonce"]),
         payload=payload_from_json(obj["payload"]),
-        gas_limit=int(obj["gasLimit"]),
-        gas_price=int(obj["gasPrice"]),
+        gas_limit=_json_int(obj["gasLimit"]),
+        gas_price=_json_int(obj["gasPrice"]),
         signature=Signature(unhx(obj["signature"])),
     )
 
@@ -420,8 +456,8 @@ def block_to_json(block: Block) -> dict:
 
 def block_from_json(obj: dict) -> Block:
     return Block(
-        height=int(obj["height"]),
-        round=int(obj["round"]),
+        height=_json_int(obj["height"]),
+        round=_json_int(obj["round"]),
         parent_hash=Hash256(unhx(obj["parentHash"])),
         proposer=Address(unhx(obj["proposer"])),
         txs=tuple(tx_from_json(t) for t in obj["txs"]),

@@ -136,7 +136,9 @@ class Network:
             delay = self.rng.randint(1, max(1, self.params.pre_gst_max_delay))
         else:
             delay = self.rng.randint(1, self.params.delta)
-            assert delay <= self.params.delta
+            if delay > self.params.delta:
+                raise InternalInvariantViolation(
+                    f"post-GST delay {delay} exceeds delta {self.params.delta}")
         ev = self.queue.schedule(now + delay, EvKind.DELIVER, to, payload)
         self._record(now, ev.seq, frm, to, payload, dropped=False)
         return ev

@@ -158,7 +158,9 @@ class ValidatorNode:
 
     def build_block(self, height: int, round_: int) -> Block:
         parent = self.chain.head
-        assert height == parent.height + 1
+        if height != parent.height + 1:
+            raise InternalInvariantViolation(
+                f"asked to build height {height} on the head at {parent.height}")
         txs: list[Transaction] = []
         total_gas = 0
         for tx in self.mempool.pending:

@@ -2,7 +2,8 @@
 
 Re-executes every block from genesis and re-verifies parent links,
 heights, commit seals and block content, executing and checking blocks
-as validators do (`contract.execute_block_txs`, `block_content_error`).
+as validators do (`contract.execute_block_txs`, `block_content_error`),
+and the block and transaction hashes each line declares.
 The verdict names the first diverging height so corrupted dumps are easy
 to localize.
 
@@ -25,7 +26,7 @@ from .errors import CorruptDump
 from .keccak import keccak256_many
 from .model import (
     Block, RegisterBankAccount, block_from_json, block_hash, hx, receipt_to_json,
-    serialize_block, serialize_tx,
+    serialize_block, serialize_tx, tx_hash,
 )
 from .simulation import genesis_setup, make_genesis_block
 
@@ -46,8 +47,9 @@ class ReplayVerdict:
         return f"CORRUPT at height {self.height}: {self.reason}"
 
 
-def _load_blocks(data: bytes) -> list[tuple[Block, object]]:
-    """Each block with the hash its line declares."""
+def _load_blocks(data: bytes) -> list[tuple[Block, object, list]]:
+    """Each block with the hash its line declares and the hashes its
+    transactions declare."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -62,13 +64,13 @@ def _load_blocks(data: bytes) -> list[tuple[Block, object]]:
             serialize_block(block)  # a field its encoding cannot hold
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise CorruptDump(f"line {lineno}: {exc}") from None
-        blocks.append((block, obj.get("hash")))
+        blocks.append((block, obj.get("hash"), [tx.get("hash") for tx in obj["txs"]]))
     if not blocks:
         raise CorruptDump("empty chain dump")
     return blocks
 
 
-def _execute_window(window: list[tuple[Block, object]], ledger: contract.LedgerState,
+def _execute_window(window: list[tuple[Block, object, list]], ledger: contract.LedgerState,
                     registry: Registry) -> list[tuple[contract.LedgerState, list]]:
     """Apply each block of the window; return the ledger after it and its
     receipts.
@@ -78,7 +80,7 @@ def _execute_window(window: list[tuple[Block, object]], ledger: contract.LedgerS
     transactions and the bank-account strings; then transaction
     signatures and commit digests; then commit seals and state roots.
     """
-    blocks = [block for block, _ in window]
+    blocks = [block for block, _, _ in window]
     txs = [tx for block in blocks for tx in block.txs]
     digests = keccak256_many(
         [serialize_block(block, for_hash=True) for block in blocks]
@@ -115,7 +117,7 @@ def _replay(genesis_cfg: GenesisConfig, dump: bytes,
 
     blocks = _load_blocks(dump)
     expected_genesis = make_genesis_block()
-    first, first_declared = blocks[0]
+    first, first_declared, _ = blocks[0]
     if first != expected_genesis:
         return ReplayVerdict(False, 0, "genesis block mismatch"), None
     if first_declared != hx(block_hash(expected_genesis)):
@@ -127,7 +129,7 @@ def _replay(genesis_cfg: GenesisConfig, dump: bytes,
     for start in range(1, len(blocks), _WINDOW):
         window = blocks[start:start + _WINDOW]
         executed = _execute_window(window, ledger, registry)
-        for (block, declared), (ledger, receipts) in zip(window, executed):
+        for (block, declared, declared_txs), (ledger, receipts) in zip(window, executed):
             h = block.height
             if declared != hx(block_hash(block)):
                 return ReplayVerdict(False, h, "declared hash mismatch"), None
@@ -137,6 +139,8 @@ def _replay(genesis_cfg: GenesisConfig, dump: bytes,
                                                   genesis_cfg.block_gas_limit)
             if reason is not None:
                 return ReplayVerdict(False, h, reason), None
+            if declared_txs != [hx(tx_hash(tx)) for tx in block.txs]:
+                return ReplayVerdict(False, h, "declared tx hash mismatch"), None
             if found is None:
                 for receipt in receipts:
                     if receipt.tx_hash == wanted_tx_hash:

@@ -228,6 +228,9 @@ def _evaluate_expectations(runner: _Runner) -> list[dict]:
             elif kind == "events":
                 got = [event_to_json(rec.event) for rec in ref.chain.events]
                 want = exp["value"]
+                if not isinstance(want, list) or \
+                        not all(isinstance(w, dict) for w in want):
+                    raise ValueError("events value must be a list of objects")
                 ok = len(got) == len(want) and all(
                     all(g.get(k) == v for k, v in w.items())
                     for g, w in zip(got, want))
@@ -328,7 +331,7 @@ def run_scenario(genesis: GenesisConfig, scenario: Scenario, *,
     runner = _Runner(genesis, scenario, seed)
     try:
         runner.run()
-    except (InternalInvariantViolation, AssertionError) as exc:
+    except InternalInvariantViolation as exc:
         report = {"scenario": scenario.name, "internalError": str(exc)}
         if out_dir is not None:
             out_dir.mkdir(parents=True, exist_ok=True)

@@ -10,6 +10,7 @@ from ledgersim.consensus import (
     make_message, message_digest, proposer_for, quorum_size,
     validate_finalized_block, verify_message,
 )
+from ledgersim.errors import InternalInvariantViolation
 from ledgersim.model import Address, Block, Hash256, ZERO_HASH, block_hash
 from ledgersim.simulation import make_genesis_block
 
@@ -87,6 +88,25 @@ def _make_engine(key, config, registry):
         return Block(height, round_, block_hash(GENESIS), key.address, (),
                      root, ())
     return Engine(config, key, registry, build_block, lambda b: True)
+
+
+class TestStepOutsideAnEntryPoint:
+    """Engine internals need the result of the entry point being handled;
+    without one they raise rather than assert, so `python -O` keeps the
+    check."""
+
+    @pytest.mark.parametrize("call", [
+        lambda e: e._discard("StaleRound"),
+        lambda e: e._enter_round(1, 0),
+        lambda e: e._broadcast(make_message(e.key, MsgKind.PREPARE, 1, 0, ZERO_HASH), 0),
+        lambda e: e._finalize(0, ZERO_HASH, {}),
+    ], ids=["discard", "enter_round", "broadcast", "finalize"])
+    def test_raises_an_invariant_violation(self, keys, registry, call):
+        config = ConsensusConfig(tuple(k.address for k in keys[:4]), 30)
+        engine = _make_engine(keys[0], config, registry)
+        engine.start_height(1, 0)
+        with pytest.raises(InternalInvariantViolation):
+            call(engine)
 
 
 class Pump:

@@ -1,17 +1,19 @@
 """Canonical serialization: round trips, injectivity, hash discipline."""
 
 import random
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
 
+from ledgersim.keccak import keccak256
 from ledgersim.model import (
     Address, AddFunds, AddRecipient, Amount, Block, Deploy, ErrorCode,
     FundsAdded, Hash256, Receipt, RegisterBankAccount, RemoveRecipient,
     SendAllowance, Signature, Transaction, TxStatus, ZERO_HASH,
     block_from_json, block_hash, block_to_json, deserialize_block,
     deserialize_tx, hx, serialize_block, serialize_payload, serialize_tx,
-    tx_from_json, tx_to_json, unhx, _u,
+    tx_from_json, tx_hash, tx_to_json, unhx, _u,
 )
 from keccak_reference import keccak256_reference
 
@@ -183,6 +185,123 @@ class TestBlockHash:
 def _empty_block() -> Block:
     return Block(1, 0, ZERO_HASH, Address(b"\x01" * 20), (),
                  Hash256(b"\x02" * 32), ())
+
+
+def _cold(value):
+    """An equal copy built from the init fields, so no digest slot of it
+    or of its transactions has been filled."""
+    args = {f.name: getattr(value, f.name) for f in fields(value) if f.init}
+    if isinstance(value, Block):
+        args["txs"] = tuple(_cold(tx) for tx in value.txs)
+    return type(value)(**args)
+
+
+class TestDigestSlots:
+    """Digests kept on the values match a from-scratch computation, and
+    never leak into equality, hashing, repr or `replace` copies."""
+
+    @given(tx=transactions)
+    def test_tx_hash_and_encoding_match_a_cold_copy(self, tx):
+        want_view = serialize_tx(_cold(tx), with_signature=False)
+        want_hash = Hash256(keccak256(want_view))
+        want_wire = serialize_tx(_cold(tx))
+        assert tx._hash is None and tx._wire is None
+        assert serialize_tx(tx) == want_wire  # the full encoding first
+        for _ in range(2):
+            assert tx_hash(tx) == want_hash
+            assert serialize_tx(tx, with_signature=False) == want_view
+            assert serialize_tx(tx) == want_wire
+        assert tx._hash == want_hash and tx._wire == want_wire
+
+    @given(block=blocks)
+    def test_block_hash_matches_a_cold_copy(self, block):
+        want = Hash256(keccak256(serialize_block(_cold(block), for_hash=True)))
+        assert block._hash is None
+        for _ in range(2):
+            assert block_hash(block) == want
+        assert block._hash == want
+        assert serialize_block(block) == serialize_block(_cold(block))
+
+    @given(block=blocks)
+    def test_filled_slots_change_no_equality_hash_or_repr(self, block):
+        fresh = _cold(block)
+        text = repr(block)
+        block_hash(block)
+        for tx in block.txs:
+            tx_hash(tx)
+            serialize_tx(tx)
+        assert block == fresh and hash(block) == hash(fresh)
+        assert repr(block) == text == repr(fresh)
+        for tx, cold in zip(block.txs, fresh.txs):
+            assert tx == cold and hash(tx) == hash(cold) and repr(tx) == repr(cold)
+
+    def test_replace_keeps_the_hash_only_if_the_hashing_view_is_kept(self):
+        rng = random.Random(5)
+        block = Block(3, 0, ZERO_HASH, Address(b"\x01" * 20),
+                      (_random_tx(rng), _random_tx(rng)), Hash256(b"\x02" * 32), ())
+        h = block_hash(block)
+        sealed = replace(block, round=4,
+                         commit_seals=((Address(b"\x07" * 20), Signature(b"\x01" * 32)),))
+        assert block_hash(sealed) == h
+        for other in (replace(block, txs=block.txs[:1]),
+                      replace(block, state_root=Hash256(b"\x03" * 32))):
+            assert block_hash(other) != h
+            assert block_hash(other) == block_hash(_cold(other))
+
+    def test_replace_of_a_transaction_re_encodes_it(self):
+        tx = _random_tx(random.Random(6))
+        h, wire = tx_hash(tx), serialize_tx(tx)
+        resigned = replace(tx, signature=Signature(b"\x05" * 32))
+        assert tx_hash(resigned) == h  # the signature is not hashed
+        assert serialize_tx(resigned) != wire
+        assert serialize_tx(resigned) == serialize_tx(_cold(resigned))
+        renonced = replace(tx, nonce=tx.nonce + 1)
+        assert tx_hash(renonced) != h
+
+
+class TestJsonNumbers:
+    """Dump fields are JSON integers, and amounts canonical decimal
+    strings; nothing else is coerced."""
+
+    def _tx_json(self):
+        tx = Transaction(Address(b"\x01" * 20), 3, AddFunds(Amount(700)), 21000, 0,
+                         Signature(b"\x02" * 32))
+        return tx_to_json(tx)
+
+    @pytest.mark.parametrize("key,value", [
+        ("nonce", "3"), ("nonce", 3.0), ("nonce", True), ("nonce", None),
+        ("gasLimit", 21000.0), ("gasLimit", "21000"), ("gasPrice", False),
+    ])
+    def test_tx_integer_fields_must_be_json_integers(self, key, value):
+        obj = self._tx_json()
+        obj[key] = value
+        with pytest.raises(ValueError):
+            tx_from_json(obj)
+
+    @pytest.mark.parametrize("value", [
+        700, 700.0, "0700", "+700", " 700", "7_00", "700.0", "", "0x2bc",
+    ])
+    def test_amounts_must_be_canonical_decimal_strings(self, value):
+        obj = self._tx_json()
+        obj["payload"]["amt"] = value
+        with pytest.raises(ValueError):
+            tx_from_json(obj)
+
+    @pytest.mark.parametrize("key,value", [
+        ("height", 1.7), ("height", "1"), ("round", 0.0), ("round", False),
+    ])
+    def test_block_integer_fields_must_be_json_integers(self, key, value):
+        obj = block_to_json(_empty_block())
+        obj[key] = value
+        with pytest.raises(ValueError):
+            block_from_json(obj)
+
+    def test_canonical_values_are_accepted(self):
+        obj = self._tx_json()
+        assert obj["payload"]["amt"] == "700"
+        assert tx_to_json(tx_from_json(obj)) == obj
+        obj["payload"]["amt"] = "0"
+        assert tx_from_json(obj).payload.amt == 0
 
 
 class TestReceiptInvariants:

@@ -6,7 +6,7 @@ import pytest
 
 from ledgersim import contract
 from ledgersim.consensus import MsgKind, make_message
-from ledgersim.errors import EmptyQueue
+from ledgersim.errors import EmptyQueue, InternalInvariantViolation
 from ledgersim.model import Address, Block, Hash256, ZERO_HASH, block_hash
 from ledgersim.netsim import (
     Behavior, ByzantineSpec, EvKind, EventQueue, Network, NetworkParams,
@@ -82,6 +82,13 @@ class TestDelayRegimes:
             ev = net.send("m", A, B, now=50)
             assert ev is not None
             assert 50 < ev.time <= 55
+
+    def test_post_gst_delay_over_delta_is_an_invariant_violation(self, monkeypatch):
+        """Raised, not asserted, so `python -O` keeps the bound."""
+        net = Network(params(gst=0), EventQueue())
+        monkeypatch.setattr(net.rng, "randint", lambda lo, hi: hi + 1)
+        with pytest.raises(InternalInvariantViolation, match="exceeds delta 5"):
+            net.send("m", A, B, now=50)
 
     def test_pre_gst_loss_probability_one_always_drops(self):
         net = Network(params(pre_gst_loss_prob=1.0), EventQueue())

@@ -5,6 +5,7 @@ import pytest
 from ledgersim import contract
 from ledgersim.consensus import ConsensusConfig
 from ledgersim.crypto import KeyPair, sign
+from ledgersim.errors import InternalInvariantViolation
 from ledgersim.model import (
     AddFunds, AddRecipient, Amount, Deploy, Hash256, SendAllowance,
     Signature, Transaction, block_hash, tx_hash,
@@ -78,6 +79,11 @@ class TestBuildBlock:
         block = node.build_block(1, 0)
         assert block.txs == ()
         assert block.state_root == node.chain.head.state_root
+
+    def test_a_height_off_the_head_is_an_invariant_violation(self, node):
+        """Raised, not asserted, so `python -O` keeps the check."""
+        with pytest.raises(InternalInvariantViolation, match="height 2"):
+            node.build_block(2, 0)
 
 
 class TestValidateBlock:

@@ -198,7 +198,11 @@ def test_receipt_of_an_absent_transaction_is_none(chain):
     (MID, 0, lambda tx: tx.update(nonce=-1)),
     (MID, 0, lambda tx: tx.update(gasLimit=1 << 64)),
     (2, 2, lambda tx: tx["payload"].update(account="\ud800")),  # registerBankAccount
-], ids=["negative_nonce", "gas_limit_over_u64", "lone_surrogate_account"])
+    (2, 2, lambda tx: tx["payload"].update(account=None)),
+    (MID, 0, lambda tx: tx.update(sender=int(tx["sender"], 16))),
+    (MID, 0, lambda tx: tx.update(payload="addFunds")),
+], ids=["negative_nonce", "gas_limit_over_u64", "lone_surrogate_account",
+        "null_account", "integer_sender", "string_payload"])
 def test_a_field_its_encoding_cannot_hold_is_a_corrupt_dump(chain, height, index, edit):
     lines = emit(chain).decode().splitlines()
     obj = json.loads(lines[height])
@@ -206,3 +210,56 @@ def test_a_field_its_encoding_cannot_hold_is_a_corrupt_dump(chain, height, index
     lines[height] = json.dumps(obj, sort_keys=True)
     with pytest.raises(CorruptDump, match=f"line {height + 1}"):
         replay_chain(GENESIS, "\n".join(lines).encode())
+
+
+def tx_hash_rewritten(chain, height):
+    """The dump with the first transaction of `height` declaring a wrong
+    hash; every field that is hashed or signed is intact."""
+    return rewrite_line(emit(chain), height,
+                        lambda obj: obj["txs"][0].update(hash="0x" + "ab" * 32))
+
+
+def rewrite_line(dump, height, edit):
+    lines = dump.decode().splitlines()
+    obj = json.loads(lines[height])
+    edit(obj)
+    lines[height] = json.dumps(obj, sort_keys=True)
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_a_declared_tx_hash_is_checked_on_the_paper_flow_dump(paper_blocks):
+    deploy_height = 2
+    dump = tx_hash_rewritten(paper_blocks, deploy_height)
+    assert verdict(dump) == (False, deploy_height, "declared tx hash mismatch")
+
+
+@pytest.mark.parametrize("window", [1, 3, 64])
+def test_a_declared_tx_hash_is_named_at_its_height(chain, monkeypatch, window):
+    monkeypatch.setattr(replay, "_WINDOW", window)
+    assert verdict(tx_hash_rewritten(chain, MID)) == (False, MID, "declared tx hash mismatch")
+
+
+@pytest.mark.parametrize("make,reason", CORRUPTIONS, ids=IDS)
+def test_the_declared_tx_hash_is_checked_last(chain, make, reason):
+    """At one height, every other corruption still gives its own reason."""
+    dump = rewrite_line(make(chain, MID), MID,
+                        lambda obj: obj["txs"][0].update(hash="0x" + "ab" * 32))
+    assert verdict(dump) == (False, MID, reason)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda obj: obj.update(height=MID + 0.7),
+    lambda obj: obj.update(height=float(MID)),
+    lambda obj: obj.update(round=str(obj["round"])),
+    lambda obj: obj["txs"][0].update(nonce=str(obj["txs"][0]["nonce"])),
+    lambda obj: obj["txs"][0].update(gasLimit=float(obj["txs"][0]["gasLimit"])),
+    lambda obj: obj["txs"][0].update(gasPrice=True),
+    lambda obj: obj["txs"][0]["payload"].update(amt="0" + obj["txs"][0]["payload"]["amt"]),
+    lambda obj: obj["txs"][0]["payload"].update(amt=int(obj["txs"][0]["payload"]["amt"])),
+], ids=["height_float", "height_integral_float", "round_str", "nonce_str",
+        "gas_limit_float", "gas_price_bool", "amount_leading_zero", "amount_int"])
+def test_a_number_that_is_not_a_json_integer_is_a_corrupt_dump(chain, edit):
+    """Block MID's transaction is an addFunds; at the parent each of these
+    was coerced and the dump replayed OK."""
+    with pytest.raises(CorruptDump, match=f"line {MID + 1}"):
+        replay_chain(GENESIS, rewrite_line(emit(chain), MID, edit))

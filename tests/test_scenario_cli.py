@@ -83,6 +83,17 @@ class TestPaperFlow:
         assert code == 3
         assert not report["expectations"][0]["ok"]
 
+    @pytest.mark.parametrize("value", [None, 3, "FundsAdded", [None], [["kind"]]])
+    def test_unevaluable_events_expectation_exits_3(self, value):
+        """Found by tests/test_fuzz.py: an `events` value that is not a
+        list of objects raised AttributeError out of the run."""
+        genesis = parse_genesis(GENESIS.read_bytes())
+        obj = json.loads(PAPER_FLOW.read_text())
+        obj["expectations"] = [{"kind": "events", "value": value}]
+        code, report = run_scenario(genesis, parse_scenario(json.dumps(obj).encode()))
+        assert code == 3
+        assert report["expectations"][0]["detail"].startswith("unevaluable")
+
     def test_non_org_allowance_expected_success_exits_3(self):
         genesis = parse_genesis(GENESIS.read_bytes())
         obj = {
