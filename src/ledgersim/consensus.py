@@ -28,14 +28,14 @@ makes the degenerate single-validator network finalize in one step.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .crypto import KeyPair, Registry, sign
 from .errors import InternalInvariantViolation, UnknownPublicId
 from .keccak import keccak256
 from .model import (
-    Address, Block, Hash256, Signature, ZERO_HASH, _u, block_hash,
+    Address, Block, Hash256, Signature, ZERO_HASH, _u, block_hash, replace_unhashed,
 )
 
 
@@ -414,7 +414,7 @@ class Engine:
                   seals: dict[Address, Signature]) -> None:
         result = self._step()
         block = self._known_blocks[bh]
-        sealed = replace(
+        sealed = replace_unhashed(
             block, round=round_,
             commit_seals=tuple(sorted(seals.items())))
         self.phase = Phase.FINALIZED

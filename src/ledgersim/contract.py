@@ -9,16 +9,33 @@ recipient membership, then funds or account-string checks.
 
 The transition function is pure: apply_transaction returns a new
 LedgerState and never mutates its input.
+
+The state root is a two-level Keccak tree. Each account is one record:
+its address, a flags byte saying which of recipient, recipient-active,
+bank hash and balance it has, then the bank hash (32 bytes) and the
+balance (u128) if present. The records sit in 256 buckets by the first
+byte of the address, in address order; a bucket's digest is the Keccak
+of its joined records. Each run of 16 bucket digests is hashed into a
+group digest, and the root is
+
+    Keccak(organization ‖ deployed ‖ 16 group digests)
+
+`state_roots` takes states 16 at a time and hashes their buckets in one
+`keccak256_many` batch, their groups in a second and their roots in a
+third, so an unchanged bucket or group is a memo hit. Groups and roots
+are memoized under the tuple of their parts, which the memo holds
+anyway, rather than under their joined bytes. A state keeps its root in
+a slot once computed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .crypto import Registry
 from .errors import InternalInvariantViolation, NotDeployed, UnknownPublicId
-from .keccak import keccak256
+from .keccak import keccak256, keccak256_many
 from .model import (
     Address, AddFunds, AddRecipient, Amount, Block, Deploy, ErrorCode, Event,
     AllowanceSent, BankAccountRegistered, FundsAdded, Hash256, Receipt,
@@ -41,6 +58,7 @@ class ContractState:
     bank_accounts: dict[Address, Hash256]
     balances: dict[Address, Amount]
     deployed: bool
+    _root: Optional[Hash256] = field(default=None, init=False, repr=False, compare=False)
 
 
 def fresh_state() -> ContractState:
@@ -201,28 +219,61 @@ def apply_transaction(ledger: LedgerState, tx: Transaction) -> tuple[LedgerState
     return new_ledger, receipt
 
 
-# --- canonical state encoding ----------------------------------------------
+# --- state commitment --------------------------------------------------------
 
-def serialize_state(state: ContractState) -> bytes:
-    parts = [state.organization]
-    parts.append(_u(len(state.recipients), 4))
-    for addr in sorted(state.recipients):
-        parts.append(addr)
-        parts.append(_u(1 if state.recipients[addr] else 0, 1))
-    parts.append(_u(len(state.bank_accounts), 4))
-    for addr in sorted(state.bank_accounts):
-        parts.append(addr)
-        parts.append(state.bank_accounts[addr])
-    parts.append(_u(len(state.balances), 4))
-    for addr in sorted(state.balances):
-        parts.append(addr)
-        parts.append(_u(state.balances[addr], 16))
-    parts.append(_u(1 if state.deployed else 0, 1))
-    return b"".join(parts)
+_RECIPIENT, _ACTIVE, _BANK, _BALANCE = 1, 2, 4, 8  # record flags
+_FLAGS = [bytes([f]) for f in range(16)]
+_GROUP = 16  # bucket digests per group
+# the digest of an empty bucket, keccak256(b""), a published test vector
+_EMPTY = bytes.fromhex("c5d2460186f7233c927e7db2dcc703c0e500b653ca82273b7bfad8045d85a470")
+
+
+def _buckets(state: ContractState) -> dict[int, bytes]:
+    """The leaves of the non-empty buckets: their account records, in
+    address order, by bucket."""
+    recipients, banks, balances = state.recipients, state.bank_accounts, state.balances
+    buckets: dict[int, list[bytes]] = {}
+    for addr in sorted(recipients.keys() | banks.keys() | balances.keys()):
+        active = recipients.get(addr)
+        bank = banks.get(addr)
+        balance = balances.get(addr)
+        flags = ((0 if active is None else _RECIPIENT | (_ACTIVE if active else 0))
+                 | (0 if bank is None else _BANK) | (0 if balance is None else _BALANCE))
+        buckets.setdefault(addr[0], []).append(
+            addr + _FLAGS[flags] + (bank or b"") + (b"" if balance is None else _u(balance, 16)))
+    return {i: b"".join(records) for i, records in buckets.items()}
+
+
+def state_roots(states: list[ContractState]) -> list[Hash256]:
+    """The root of every state, filling its slot. States already rooted are
+    slot reads; the rest are taken 16 at a time, whose 256 groups fill one
+    batch, and share one batch of buckets, one of groups and one of roots."""
+    todo = [s for s in states if s._root is None]
+    for start in range(0, len(todo), _GROUP):
+        chunk = todo[start:start + _GROUP]
+        leaves: dict[bytes, int] = {}  # each distinct bucket, by first position
+        per_state = [{i: leaves.setdefault(leaf, len(leaves)) for i, leaf in _buckets(s).items()}
+                     for s in chunk]
+        digests = keccak256_many(list(leaves))
+        groups = []
+        for positions in per_state:
+            row = [_EMPTY] * 256
+            for i, p in positions.items():
+                row[i] = digests[p]
+            groups += [tuple(row[i:i + _GROUP]) for i in range(0, 256, _GROUP)]
+        group_digests = keccak256_many(groups)
+        heads = [(s.organization, _FLAGS[s.deployed],  # deployed as one byte
+                  *group_digests[k * _GROUP:(k + 1) * _GROUP]) for k, s in enumerate(chunk)]
+        for s, root in zip(chunk, keccak256_many(heads)):
+            object.__setattr__(s, "_root", Hash256(root))
+    return [s._root for s in states]
 
 
 def state_root(state: ContractState) -> Hash256:
-    return Hash256(keccak256(serialize_state(state)))
+    root = state._root
+    if root is None:
+        root = state_roots([state])[0]
+    return root
 
 
 def state_to_json(state: ContractState) -> dict:

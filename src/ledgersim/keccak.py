@@ -257,12 +257,8 @@ def _remember(data: bytes, digest: bytes) -> None:
     _memo[data] = digest
 
 
-def keccak256(data: bytes) -> bytes:
-    """Digest `data` to 32 bytes."""
-    cached = _memo.get(data)
-    if cached is not None:
-        return cached
-
+def _sponge(data: bytes) -> bytes:
+    """Digest `data` with the scalar kernel, bypassing the memo."""
     padded = _pad(data)
     state = [0] * 25
     from_bytes = int.from_bytes
@@ -271,8 +267,15 @@ def keccak256(data: bytes) -> bytes:
             j = off + i * 8
             state[i] ^= from_bytes(padded[j:j + 8], "little")
         state = _f1600(state)
+    return b"".join(state[i].to_bytes(8, "little") for i in range(4))
 
-    digest = b"".join(state[i].to_bytes(8, "little") for i in range(4))
+
+def keccak256(data: bytes) -> bytes:
+    """Digest `data` to 32 bytes."""
+    cached = _memo.get(data)
+    if cached is not None:
+        return cached
+    digest = _sponge(data)
     _remember(data, digest)
     return digest
 
@@ -302,8 +305,11 @@ def _digest_batch(batch: list) -> list:
     Message k is absorbed into state k of packed lane ints. Once the
     shorter messages are squeezed, the width drops to the next power of
     two that holds the messages still absorbing; at width 1 the scalar
-    kernel runs, which is faster than the packed one there.
+    kernel runs, which is faster than the packed one there. A lone
+    message skips the packing altogether.
     """
+    if len(batch) == 1:
+        return [_sponge(batch[0])]
     # Each message's blocks are slices of it, except the last, padded one.
     tails = [_pad(m[len(m) - len(m) % _RATE:]) for m in batch]
     digests = []
@@ -341,17 +347,22 @@ def _digest_batch(batch: list) -> list:
     return digests
 
 
-def keccak256_many(messages: list[bytes]) -> list[bytes]:
+def keccak256_many(messages: list[bytes | tuple[bytes, ...]]) -> list[bytes]:
     """Digest every message; equal to [keccak256(m) for m in messages].
 
-    Digests not in the memo are computed up to _MAX_WIDTH at a time by
-    the packed kernel, longest messages first, and memoized.
+    A message may also be a tuple of byte strings. It is digested as their
+    concatenation and memoized under the tuple, so a caller whose parts
+    are held anyway (the child digests of a tree node) keeps no joined
+    copy. Digests not in the memo are computed up to _MAX_WIDTH at a time
+    by the packed kernel, longest messages first, and memoized.
     """
     found = {m: _memo.get(m) for m in messages}
-    todo = sorted((m for m, d in found.items() if d is None), key=len, reverse=True)
+    todo = sorted(((b"".join(m) if type(m) is tuple else m, m)
+                   for m, d in found.items() if d is None),
+                  key=lambda pair: len(pair[0]), reverse=True)
     for start in range(0, len(todo), _MAX_WIDTH):
         batch = todo[start:start + _MAX_WIDTH]
-        for m, digest in zip(batch, _digest_batch(batch)):
+        for (_, m), digest in zip(batch, _digest_batch([data for data, _ in batch])):
             found[m] = digest
             _remember(m, digest)
     return [found[m] for m in messages]

@@ -8,19 +8,33 @@ hashes. Deliberately not RLP or any wire-compatible encoding.
 Widths: amounts are u128, heights/rounds/nonces/gas are u64, lengths are
 u32, enum tags and booleans are u8.
 
+A block hash is the root of a two-level Keccak tree. Its transactions,
+in block order, form groups of up to 16 entries, each entry the
+transaction hash followed by the length-prefixed signature; a group's
+digest is the Keccak of its joined entries. The hashing view is then
+
+    height ‖ parent hash ‖ proposer ‖ tx count ‖ group digests ‖ state root
+
+The round and the commit seals are left out, so a proposal keeps its
+identity when it is re-proposed and sealed in a later round. The nodes
+of many blocks are hashed together by `block_hashes`, level by level,
+in `keccak256_many` batches; an unchanged group is a memo hit.
+
 A transaction keeps its hash and its full encoding, and a block its hash,
 in private slots filled on first use. The values are immutable, so a
 digest never goes stale; the slots take no part in equality, `hash()` or
-`repr`, and `dataclasses.replace` starts the copy with them empty.
+`repr`. `dataclasses.replace` starts the copy with them empty;
+`replace_unhashed` changes only fields outside the hashing view and so
+keeps the hash.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
-from .keccak import keccak256
+from .keccak import keccak256, keccak256_many
 
 AMOUNT_MAX = (1 << 128) - 1
 
@@ -256,35 +270,68 @@ def tx_hash(tx: Transaction) -> Hash256:
     return h
 
 
-def serialize_block(block: Block, *, for_hash: bool = False) -> bytes:
-    """Full encoding, or the hashing view that drops commit seals and round.
-
-    The round is excluded from the hashing view so a proposal keeps its
-    identity when it is re-proposed (and eventually sealed) in a later
-    round; the seals are excluded so adding them never changes the hash.
-    """
-    parts = [_u(block.height, 8)]
-    if not for_hash:
-        parts.append(_u(block.round, 8))
-    parts.append(block.parent_hash)
-    parts.append(block.proposer)
-    parts.append(_u(len(block.txs), 4))
+def serialize_block(block: Block) -> bytes:
+    """Full encoding, seals and round included."""
+    parts = [_u(block.height, 8), _u(block.round, 8), block.parent_hash,
+             block.proposer, _u(len(block.txs), 4)]
     parts.extend(serialize_tx(t) for t in block.txs)
     parts.append(block.state_root)
-    if not for_hash:
-        parts.append(_u(len(block.commit_seals), 4))
-        for addr, sig in block.commit_seals:
-            parts.append(addr)
-            parts.append(_var_bytes(sig))
+    parts.append(_u(len(block.commit_seals), 4))
+    for addr, sig in block.commit_seals:
+        parts.append(addr)
+        parts.append(_var_bytes(sig))
     return b"".join(parts)
+
+
+_TX_GROUP = 16  # transactions per group of the block hash tree
+
+
+def block_hashes(blocks: list[Block]) -> list[Hash256]:
+    """The hash of every block, filling its slot. Blocks already hashed
+    are slot reads; the rest share three batches: hashes of transactions
+    not yet hashed, then tx groups, then hashing views."""
+    todo = [b for b in blocks if b._hash is None]
+    if todo:
+        cold = [tx for b in todo for tx in b.txs if tx._hash is None]
+        hashes = keccak256_many([serialize_tx(tx, with_signature=False) for tx in cold])
+        for tx, h in zip(cold, hashes):
+            object.__setattr__(tx, "_hash", Hash256(h))
+        groups = []
+        for b in todo:
+            entries = [tx._hash + _var_bytes(tx.signature) for tx in b.txs]
+            groups += [b"".join(entries[i:i + _TX_GROUP])
+                       for i in range(0, len(entries), _TX_GROUP)]
+        digests = iter(keccak256_many(groups))
+        views = []
+        for b in todo:
+            joined = b"".join(next(digests) for _ in range(0, len(b.txs), _TX_GROUP))
+            views.append(_u(b.height, 8) + b.parent_hash + b.proposer
+                         + _u(len(b.txs), 4) + joined + b.state_root)
+        for b, h in zip(todo, keccak256_many(views)):
+            object.__setattr__(b, "_hash", Hash256(h))
+    return [b._hash for b in blocks]
 
 
 def block_hash(block: Block) -> Hash256:
     h = block._hash
     if h is None:
-        h = Hash256(keccak256(serialize_block(block, for_hash=True)))
-        object.__setattr__(block, "_hash", h)
+        h = block_hashes([block])[0]
     return h
+
+
+# Fields outside each type's hashing view.
+_UNHASHED = {Transaction: {"signature"}, Block: {"round", "commit_seals"}}
+
+
+def replace_unhashed(value, **changes):
+    """`dataclasses.replace` of fields outside the hashing view (a
+    transaction's signature, a block's round and seals); the copy keeps
+    the hash slot of `value`, and every other slot starts empty."""
+    if not changes.keys() <= _UNHASHED[type(value)]:
+        raise ValueError(f"{sorted(changes)} are hashed fields of {type(value).__name__}")
+    copy = replace(value, **changes)
+    object.__setattr__(copy, "_hash", value._hash)
+    return copy
 
 
 # --- deserialization ------------------------------------------------------

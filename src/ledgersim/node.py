@@ -63,7 +63,7 @@ class Mempool:
 
     def __init__(self, registry: Registry) -> None:
         self.registry = registry
-        self.pending: list[Transaction] = []
+        self.pending: dict[Hash256, Transaction] = {}  # by tx hash, in arrival order
         self.seen: set[Hash256] = set()
 
     def add(self, tx: Transaction, executed_nonce: int) -> tuple[bool, Optional[str]]:
@@ -78,13 +78,12 @@ class Mempool:
         if tx.nonce < executed_nonce:
             return False, "StaleNonce"
         self.seen.add(h)
-        self.pending.append(tx)
+        self.pending[h] = tx
         return True, None
 
     def remove_included(self, txs: tuple[Transaction, ...]) -> None:
-        included = {tx_hash(t) for t in txs}
-        if included:
-            self.pending = [t for t in self.pending if tx_hash(t) not in included]
+        for tx in txs:
+            self.pending.pop(tx_hash(tx), None)
 
 
 class Chain:
@@ -163,7 +162,7 @@ class ValidatorNode:
                 f"asked to build height {height} on the head at {parent.height}")
         txs: list[Transaction] = []
         total_gas = 0
-        for tx in self.mempool.pending:
+        for tx in self.mempool.pending.values():
             if total_gas + tx.gas_limit > self.block_gas_limit:
                 break
             txs.append(tx)

@@ -25,8 +25,8 @@ from .crypto import Registry, signing_input
 from .errors import CorruptDump
 from .keccak import keccak256_many
 from .model import (
-    Block, RegisterBankAccount, block_from_json, block_hash, hx, receipt_to_json,
-    serialize_block, serialize_tx, tx_hash,
+    Block, RegisterBankAccount, block_from_json, block_hash, block_hashes, hx,
+    receipt_to_json, serialize_block, tx_hash,
 )
 from .simulation import genesis_setup, make_genesis_block
 
@@ -76,36 +76,32 @@ def _execute_window(window: list[tuple[Block, object, list]], ledger: contract.L
     receipts.
 
     Around the execution, batch-hash every digest the window's checks
-    will ask for, in dependent stages: the hashing views of blocks and
-    transactions and the bank-account strings; then transaction
-    signatures and commit digests; then commit seals and state roots.
+    will ask for, in dependent stages: block and transaction hashes; then
+    transaction signatures, commit digests and bank-account strings; then
+    commit seals and state roots.
     """
     blocks = [block for block, _, _ in window]
     txs = [tx for block in blocks for tx in block.txs]
-    digests = keccak256_many(
-        [serialize_block(block, for_hash=True) for block in blocks]
-        + [serialize_tx(tx, with_signature=False) for tx in txs]
+    hashes = block_hashes(blocks)  # hashes the transactions too
+    key = registry.key_for_address
+    signers = [(key(tx.sender), tx_hash(tx)) for tx in txs]
+    commits = keccak256_many(
+        [message_payload(MsgKind.COMMIT, block.height, block.round, digest)
+         for block, digest in zip(blocks, hashes)]
+        + [signing_input(k, digest) for k, digest in signers if k is not None]
         + [tx.payload.account.encode("utf-8") for tx in txs  # as the contract hashes it
-           if isinstance(tx.payload, RegisterBankAccount)])
-    block_hashes = digests[:len(blocks)]
-    tx_hashes = digests[len(blocks):len(blocks) + len(txs)]
+           if isinstance(tx.payload, RegisterBankAccount)]
+    )[:len(blocks)]
 
     executed = []
     for block in blocks:
         ledger, receipts = contract.execute_block_txs(ledger, block.txs)
         executed.append((ledger, receipts))
 
-    key = registry.key_for_address
-    signers = [(key(tx.sender), digest) for tx, digest in zip(txs, tx_hashes)]
-    commits = keccak256_many(
-        [message_payload(MsgKind.COMMIT, block.height, block.round, digest)
-         for block, digest in zip(blocks, block_hashes)]
-        + [signing_input(k, digest) for k, digest in signers if k is not None]
-    )[:len(blocks)]
     seals = [(key(addr), digest) for block, digest in zip(blocks, commits)
              for addr, _ in block.commit_seals]
-    keccak256_many([signing_input(k, digest) for k, digest in seals if k is not None]
-                   + [contract.serialize_state(after.contract) for after, _ in executed])
+    keccak256_many([signing_input(k, digest) for k, digest in seals if k is not None])
+    contract.state_roots([after.contract for after, _ in executed])
     return executed
 
 

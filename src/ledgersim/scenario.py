@@ -67,10 +67,10 @@ class Scenario:
 
 
 def _int(value: object, what: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise MalformedScenario(f"{what} must be an integer, got {value!r}") from None
+    """A JSON integer; a bool, float or numeric string is not one."""
+    if type(value) is not int:
+        raise MalformedScenario(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def parse_scenario(data: bytes) -> Scenario:

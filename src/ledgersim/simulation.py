@@ -29,7 +29,8 @@ from .errors import NotDeployed
 from .keccak import keccak256
 from .model import (
     Address, AllowanceSent, Block, FundsAdded, Hash256, Transaction, TxPayload,
-    TxStatus, Signature, ZERO_ADDRESS, ZERO_HASH, block_hash, hx, tx_hash,
+    TxStatus, Signature, ZERO_ADDRESS, ZERO_HASH, block_hash, hx, replace_unhashed,
+    tx_hash,
 )
 from .netsim import (
     Behavior, ByzantineSpec, EvKind, EventQueue, Network, byzantine_transform,
@@ -205,7 +206,7 @@ class Simulation:
         unsigned = Transaction(key.address, nonce, payload,
                                contract.gas_for(payload),
                                self.genesis.gas_price, Signature(b""))
-        return replace(unsigned, signature=sign(key, tx_hash(unsigned)))
+        return replace_unhashed(unsigned, signature=sign(key, tx_hash(unsigned)))
 
     def submit_to_all(self, tx: Transaction, now: int, label: int = -1) -> dict:
         record = {"label": label, "txHash": hx(tx_hash(tx)), "accepted": []}

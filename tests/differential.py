@@ -158,7 +158,7 @@ def bfs_equivalence(org, symbols, max_depth):
     """
     start_impl = impl_initial(org)
     start_ref = ref_initial(org)
-    start_key = contract.serialize_state(start_impl)
+    start_key = contract.state_root(start_impl)
     frontier = [(start_impl, start_ref)]
     visited = {start_key}
     transitions = 0
@@ -171,7 +171,7 @@ def bfs_equivalence(org, symbols, max_depth):
                 assert impl_result == ref_result, (sym, impl_result, ref_result)
                 assert impl_comparable(new_impl) == ref_comparable(new_ref), sym
                 transitions += 1
-                key = contract.serialize_state(new_impl)
+                key = contract.state_root(new_impl)
                 if key not in visited:
                     visited.add(key)
                     next_frontier.append((new_impl, new_ref))

@@ -1,0 +1,180 @@
+"""State roots: the two-level Keccak tree over address buckets, its
+batched entry point and its slot; and pinned golden values of both
+commitments. Block-hash trees are tested in test_model.py."""
+
+import json
+from pathlib import Path
+
+from hypothesis import given, strategies as st
+
+from ledgersim import contract, keccak
+from ledgersim.config import parse_genesis
+from ledgersim.contract import ContractState, state_root, state_roots
+from ledgersim.keccak import keccak256
+from ledgersim.model import Address, Amount, Hash256, ZERO_HASH, hx
+from ledgersim.scenario import parse_scenario, run_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# first address bytes 0x00 and 0xff are the edge buckets
+first_bytes = st.one_of(st.sampled_from([0x00, 0xFF]), st.integers(0, 255))
+addresses = st.builds(lambda first, rest: Address(bytes([first]) + rest),
+                      first_bytes, st.binary(min_size=19, max_size=19))
+hashes = st.binary(min_size=32, max_size=32).map(Hash256)
+amounts = st.integers(min_value=0, max_value=(1 << 128) - 1).map(Amount)
+
+
+def _states(pool):
+    keys = st.sampled_from(pool)
+    return st.builds(
+        ContractState,
+        organization=addresses,
+        recipients=st.dictionaries(keys, st.booleans()),
+        bank_accounts=st.dictionaries(keys, hashes),
+        balances=st.dictionaries(keys, amounts),
+        deployed=st.booleans(),
+    )
+
+
+# accounts drawn from a small pool, so they share buckets and dicts
+states = st.lists(addresses, min_size=1, max_size=12, unique=True).flatmap(_states)
+
+
+def _root_oracle(state: ContractState) -> bytes:
+    """The state root, computed from the fields alone with scalar Keccak."""
+    buckets = [b""] * 256
+    accounts = set(state.recipients) | set(state.bank_accounts) | set(state.balances)
+    for addr in sorted(accounts):
+        flags, values = 0, b""
+        if addr in state.recipients:
+            flags |= 1 | (2 if state.recipients[addr] else 0)
+        if addr in state.bank_accounts:
+            flags |= 4
+            values += state.bank_accounts[addr]
+        if addr in state.balances:
+            flags |= 8
+            values += int(state.balances[addr]).to_bytes(16, "big")
+        buckets[addr[0]] += addr + bytes([flags]) + values
+    digests = [keccak256(b) for b in buckets]
+    groups = [keccak256(b"".join(digests[i:i + 16])) for i in range(0, 256, 16)]
+    return keccak256(state.organization + bytes([state.deployed]) + b"".join(groups))
+
+
+def _copy(state: ContractState, **changes) -> ContractState:
+    """A cold copy, its dicts rebuilt in reverse insertion order."""
+    args = {"organization": state.organization, "deployed": state.deployed}
+    for name in ("recipients", "bank_accounts", "balances"):
+        args[name] = dict(reversed(list(getattr(state, name).items())))
+    args.update(changes)
+    return ContractState(**args)
+
+
+def _flip(data: bytes) -> bytes:
+    return bytes([data[0] ^ 1]) + data[1:]
+
+
+class TestStateRoot:
+    @given(state=states)
+    def test_root_matches_the_oracle(self, state):
+        assert state_root(state) == _root_oracle(state)
+
+    @given(state=states)
+    def test_root_ignores_dict_insertion_order(self, state):
+        assert state_root(_copy(state)) == state_root(state)
+
+    @given(state=states, data=st.data())
+    def test_any_single_change_alters_the_root(self, state, data):
+        present = sorted(set(state.recipients) | set(state.bank_accounts)
+                         | set(state.balances))
+        kinds = ["organization", "deployed", "added key"]
+        if state.recipients:
+            kinds.append("recipient flag")
+        if state.bank_accounts:
+            kinds.append("bank hash")
+        if state.balances:
+            kinds.append("balance")
+        if present:
+            kinds.append("removed key")
+        kind = data.draw(st.sampled_from(kinds))
+        if kind == "organization":
+            changed = _copy(state, organization=Address(_flip(state.organization)))
+        elif kind == "deployed":
+            changed = _copy(state, deployed=not state.deployed)
+        elif kind == "recipient flag":
+            addr = data.draw(st.sampled_from(sorted(state.recipients)))
+            changed = _copy(state, recipients={**state.recipients,
+                                               addr: not state.recipients[addr]})
+        elif kind == "bank hash":
+            addr = data.draw(st.sampled_from(sorted(state.bank_accounts)))
+            changed = _copy(state, bank_accounts={
+                **state.bank_accounts, addr: Hash256(_flip(state.bank_accounts[addr]))})
+        elif kind == "balance":
+            addr = data.draw(st.sampled_from(sorted(state.balances)))
+            old = int(state.balances[addr])
+            changed = _copy(state, balances={
+                **state.balances, addr: Amount(old - 1 if old else 1)})
+        elif kind == "added key":
+            addr = data.draw(addresses.filter(lambda a: a not in present))
+            name = data.draw(st.sampled_from(["recipients", "bank_accounts", "balances"]))
+            value = {"recipients": False, "bank_accounts": ZERO_HASH,
+                     "balances": Amount(0)}[name]
+            changed = _copy(state, **{name: {**getattr(state, name), addr: value}})
+        else:
+            name = data.draw(st.sampled_from(
+                [n for n in ("recipients", "bank_accounts", "balances")
+                 if getattr(state, n)]))
+            addr = data.draw(st.sampled_from(sorted(getattr(state, name))))
+            rest = {a: v for a, v in getattr(state, name).items() if a != addr}
+            changed = _copy(state, **{name: rest})
+        assert state_root(changed) != state_root(state)
+
+    def test_edge_buckets(self):
+        low, high = Address(b"\x00" * 20), Address(b"\xff" * 20)
+        base = contract.fresh_state()
+        at_low = _copy(base, balances={low: Amount(5)})
+        at_high = _copy(base, balances={high: Amount(5)})
+        both = _copy(base, balances={low: Amount(5), high: Amount(5)})
+        roots = {state_root(s) for s in (base, at_low, at_high, both)}
+        assert len(roots) == 4
+        for s in (at_low, at_high, both):
+            assert state_root(_copy(s)) == _root_oracle(s)
+
+    @given(batch=st.lists(states, max_size=20))
+    def test_batched_and_singular_agree_on_a_cold_memo(self, batch):
+        keccak._memo.clear()
+        together = state_roots(batch)
+        for state, root in zip(batch, together):
+            keccak._memo.clear()
+            assert state_root(_copy(state)) == root
+            assert state._root == root
+
+    def test_state_keeps_its_root_and_copies_do_not(self):
+        state = _copy(contract.fresh_state(), balances={Address(b"\x01" * 20): Amount(1)})
+        assert state._root is None
+        root = state_root(state)
+        assert state._root == root
+        changed, _ = contract.add_funds(_copy(state, deployed=True,
+                                              organization=Address(b"\x01" * 20)),
+                                        Address(b"\x01" * 20), Amount(2))
+        assert changed._root is None
+        assert state_root(changed) == _root_oracle(changed)
+
+
+class TestGoldenValues:
+    """Pinned commitments; a change here is a deliberate encoding change."""
+
+    def test_fresh_state_root(self):
+        assert hx(state_root(contract.fresh_state())) == (
+            "0xa5af9989a5493862f7344174b4e4207ec559fac1cbabbcacae70e26269982313")
+
+    def test_paper_flow_head(self, tmp_path):
+        genesis = parse_genesis((ROOT / "scenarios" / "genesis_paper.json").read_bytes())
+        scenario = parse_scenario((ROOT / "scenarios" / "paper_flow.json").read_bytes())
+        code, _ = run_scenario(genesis, scenario, out_dir=tmp_path)
+        assert code == 0
+        head = json.loads((tmp_path / "chain.jsonl").read_text().splitlines()[-1])
+        assert head["height"] == 19
+        assert head["hash"] == (
+            "0xb23f8542f353b4e94a0fac06d91392c577cbe7edc0238234187520170000bceb")
+        assert head["stateRoot"] == (
+            "0xaa15e9e1087de94efd22767880cc864f060fc08ddf9eb9091d88f2aed6649d69")

@@ -114,3 +114,13 @@ def test_many_equals_keccak256_per_message(messages):
     keccak._memo.clear()
     digests = keccak256_many(messages)
     assert digests == _scalar(messages)
+
+
+def test_many_digests_a_tuple_as_its_concatenation(cold_memo):
+    rng = random.Random(11)
+    parts = [tuple(rng.randbytes(rng.choice(BATCH_LENGTHS)) for _ in range(k))
+             for k in range(5)]
+    messages = parts + [b"".join(p) for p in parts] + parts[::-1]
+    digests = keccak256_many(messages)
+    assert all(keccak._memo[p] == d for p, d in zip(parts, digests))
+    assert digests == _scalar([b"".join(m) if type(m) is tuple else m for m in messages])

@@ -6,14 +6,15 @@ from dataclasses import fields, replace
 import pytest
 from hypothesis import given, strategies as st
 
+from ledgersim import keccak
 from ledgersim.keccak import keccak256
 from ledgersim.model import (
     Address, AddFunds, AddRecipient, Amount, Block, Deploy, ErrorCode,
     FundsAdded, Hash256, Receipt, RegisterBankAccount, RemoveRecipient,
     SendAllowance, Signature, Transaction, TxStatus, ZERO_HASH,
-    block_from_json, block_hash, block_to_json, deserialize_block,
-    deserialize_tx, hx, serialize_block, serialize_payload, serialize_tx,
-    tx_from_json, tx_hash, tx_to_json, unhx, _u,
+    block_from_json, block_hash, block_hashes, block_to_json, deserialize_block,
+    deserialize_tx, hx, replace_unhashed, serialize_block, serialize_payload,
+    serialize_tx, tx_from_json, tx_hash, tx_to_json, unhx, _u,
 )
 from keccak_reference import keccak256_reference
 
@@ -178,8 +179,24 @@ class TestBlockHash:
     def test_genesis_hash_matches_independent_keccak_oracle(self):
         from ledgersim.simulation import make_genesis_block
         genesis = make_genesis_block()
-        expected = keccak256_reference(serialize_block(genesis, for_hash=True))
+        expected = keccak256_reference(_hashing_view(genesis, keccak256_reference))
         assert block_hash(genesis) == Hash256(expected)
+
+
+def _hashing_view(block: Block, digest) -> bytes:
+    """The block hashing view, built from the fields alone: height,
+    parent, proposer, tx count, the digests of 16-tx groups of
+    (tx hash, length-prefixed signature) entries, and the state root.
+    `digest` is the Keccak implementation to use."""
+    groups = b""
+    for start in range(0, len(block.txs), 16):
+        entries = b"".join(
+            digest(serialize_tx(tx, with_signature=False))
+            + len(tx.signature).to_bytes(4, "big") + tx.signature
+            for tx in block.txs[start:start + 16])
+        groups += digest(entries)
+    return (block.height.to_bytes(8, "big") + block.parent_hash + block.proposer
+            + len(block.txs).to_bytes(4, "big") + groups + block.state_root)
 
 
 def _empty_block() -> Block:
@@ -215,7 +232,7 @@ class TestDigestSlots:
 
     @given(block=blocks)
     def test_block_hash_matches_a_cold_copy(self, block):
-        want = Hash256(keccak256(serialize_block(_cold(block), for_hash=True)))
+        want = Hash256(keccak256(_hashing_view(_cold(block), keccak256)))
         assert block._hash is None
         for _ in range(2):
             assert block_hash(block) == want
@@ -257,6 +274,82 @@ class TestDigestSlots:
         assert serialize_tx(resigned) == serialize_tx(_cold(resigned))
         renonced = replace(tx, nonce=tx.nonce + 1)
         assert tx_hash(renonced) != h
+
+
+class TestBlockHashes:
+    """The batched entry point and the 16-transaction groups of the tree."""
+
+    @pytest.mark.parametrize("n_txs", [0, 1, 16, 17, 257])
+    def test_batched_and_singular_agree_on_a_cold_memo(self, n_txs):
+        rng = random.Random(n_txs)
+        txs = tuple(_random_tx(rng) for _ in range(n_txs))
+        blocks = [Block(h, 0, Hash256(rng.randbytes(32)), Address(rng.randbytes(20)),
+                        txs[h % 2:], Hash256(rng.randbytes(32)), ()) for h in range(1, 4)]
+        keccak._memo.clear()
+        together = block_hashes(blocks)
+        for block, h in zip(blocks, together):
+            keccak._memo.clear()
+            assert block_hash(_cold(block)) == h == keccak256(_hashing_view(block, keccak256))
+            assert block._hash == h
+        assert len(set(together)) == len(together)
+
+    def test_a_signature_is_committed(self):
+        rng = random.Random(9)
+        txs = tuple(_random_tx(rng) for _ in range(17))
+        block = Block(1, 0, ZERO_HASH, Address(bytes(20)), txs, ZERO_HASH, ())
+        resigned = replace_unhashed(txs[-1], signature=Signature(b"\x05" * 32))
+        other = Block(1, 0, ZERO_HASH, Address(bytes(20)), txs[:-1] + (resigned,),
+                      ZERO_HASH, ())
+        assert tx_hash(resigned) == tx_hash(txs[-1])
+        assert block_hash(other) != block_hash(block)
+
+
+class TestReplaceUnhashed:
+    """Copies that change only unhashed fields keep the hash slot."""
+
+    def test_resigned_tx_keeps_its_hash_and_re_encodes(self):
+        tx = _random_tx(random.Random(1))
+        h = tx_hash(tx)
+        serialize_tx(tx)
+        resigned = replace_unhashed(tx, signature=Signature(b"\x05" * 32))
+        assert resigned._hash == h == tx_hash(_cold(resigned))
+        assert resigned._wire is None
+        assert serialize_tx(resigned) == serialize_tx(_cold(resigned))
+
+    def test_sealed_block_keeps_its_hash(self):
+        block = Block(2, 0, ZERO_HASH, Address(bytes(20)), (_random_tx(random.Random(2)),),
+                      ZERO_HASH, ())
+        h = block_hash(block)
+        sealed = replace_unhashed(block, round=3,
+                                  commit_seals=((Address(b"\x07" * 20), Signature(b"\x01")),))
+        assert sealed._hash == h == block_hash(_cold(sealed))
+
+    def test_an_unhashed_copy_of_a_cold_value_stays_cold(self):
+        assert replace_unhashed(_empty_block(), round=1)._hash is None
+
+    @pytest.mark.parametrize("value, change", [
+        (_random_tx(random.Random(3)), {"nonce": 7}),
+        (_empty_block(), {"state_root": Hash256(b"\x01" * 32)}),
+        (_empty_block(), {"round": 1, "txs": ()}),
+    ])
+    def test_hashed_fields_are_refused(self, value, change):
+        with pytest.raises(ValueError):
+            replace_unhashed(value, **change)
+
+    def test_kept_slots_in_a_run_match_a_cold_recomputation(self):
+        from conftest import make_genesis
+        from ledgersim.crypto import KeyPair
+        from ledgersim.simulation import Simulation
+        sim = Simulation(make_genesis(seed=3), collect_traces=False)
+        org = KeyPair.from_seed(sim.genesis.key_provider.private_keys[0])
+        for payload in (Deploy(), AddRecipient(Address(b"\x09" * 20))):
+            tx = sim.build_tx(org, payload)
+            assert tx._hash == tx_hash(_cold(tx))
+            sim.submit_to_all(tx, 0)
+        assert sim.run_until_min_height(2)
+        for node in sim.nodes.values():
+            for block in node.chain.blocks[1:]:
+                assert block.commit_seals and block._hash == block_hash(_cold(block))
 
 
 class TestJsonNumbers:

@@ -37,7 +37,7 @@ class TestMempool:
         accepted, reason, result = node.submit_transaction(tx)
         assert accepted and reason is None
         assert len(result.outbound) == 3  # gossip to each peer
-        assert node.mempool.pending == [tx]
+        assert list(node.mempool.pending.values()) == [tx]
 
     def test_duplicate_rejected(self, node, keys):
         tx = _tx(keys[0], 0, Deploy())

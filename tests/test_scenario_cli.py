@@ -186,8 +186,13 @@ class TestCli:
         lambda s: s.update(expectations=5),
         lambda s: s.update(expectations=[5]),
         lambda s: s["commands"][2]["action"].update(account="\ud800"),
+        lambda s: s["commands"][0].update(atTime=0.9),
+        lambda s: s["commands"][0].update(actor="0"),
+        lambda s: s.update(horizon=True),
+        lambda s: s.update(horizon=1e30),
     ], ids=["atTime", "commands", "amt", "recipient", "horizon", "actor",
-            "behavior", "expectations", "expectation", "account"])
+            "behavior", "expectations", "expectation", "account",
+            "float_atTime", "string_actor", "bool_horizon", "float_horizon"])
     def test_malformed_scenario_exits_2(self, tmp_path, edit):
         obj = json.loads(PAPER_FLOW.read_text())
         edit(obj)
