@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .crypto import KeyPair
 from .errors import InvalidRange, MalformedConfig, MissingField
-from .model import Address, hx, unhx
+from .model import Address, _json_int, hx, unhx
 from .netsim import NetworkParams
 
 
@@ -77,9 +77,7 @@ def _require(obj: dict, fields: tuple[str, ...], where: str) -> None:
 
 
 def _uint(obj: dict, name: str, minimum: int = 0) -> int:
-    value = obj[name]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise MalformedConfig(f"field {name!r} must be an integer")
+    value = _json_int(obj[name], f"field {name!r}", MalformedConfig)
     if value < minimum:
         raise InvalidRange(f"field {name!r} must be >= {minimum}")
     return value

@@ -38,7 +38,7 @@ from .errors import InternalInvariantViolation, NotDeployed, UnknownPublicId
 from .keccak import keccak256, keccak256_many
 from .model import (
     Address, AddFunds, AddRecipient, Amount, Block, Deploy, ErrorCode, Event,
-    AllowanceSent, BankAccountRegistered, FundsAdded, Hash256, Receipt,
+    AllowanceSent, BankAccountRegistered, FundsAdded, Hash256, KIND_BY_TYPE, Receipt,
     RegisterBankAccount, RemoveRecipient, SendAllowance, Transaction,
     TxPayload, TxStatus, ZERO_ADDRESS, _u, hx, tx_hash,
 )
@@ -178,21 +178,10 @@ def genesis_ledger() -> LedgerState:
     return LedgerState(fresh_state(), {})
 
 
-def _dispatch(state: ContractState, tx: Transaction) -> tuple[ContractState, OpResult]:
-    p = tx.payload
-    if isinstance(p, Deploy):
-        return deploy(state, tx.sender)
-    if isinstance(p, AddRecipient):
-        return add_recipient(state, tx.sender, p.recipient)
-    if isinstance(p, RemoveRecipient):
-        return remove_recipient(state, tx.sender, p.recipient)
-    if isinstance(p, RegisterBankAccount):
-        return register_bank_account(state, tx.sender, p.recipient, p.account)
-    if isinstance(p, AddFunds):
-        return add_funds(state, tx.sender, p.amt)
-    if isinstance(p, SendAllowance):
-        return send_allowance(state, tx.sender, p.recipient, p.amount)
-    raise TypeError(f"unknown payload {p!r}")
+# each called as handler(state, sender, *the payload's fields in declaration order)
+_HANDLERS = {Deploy: deploy, AddRecipient: add_recipient, RemoveRecipient: remove_recipient,
+             RegisterBankAccount: register_bank_account, AddFunds: add_funds,
+             SendAllowance: send_allowance}
 
 
 def apply_transaction(ledger: LedgerState, tx: Transaction) -> tuple[LedgerState, Receipt]:
@@ -208,7 +197,9 @@ def apply_transaction(ledger: LedgerState, tx: Transaction) -> tuple[LedgerState
         receipt = Receipt(tx_hash(tx), TxStatus.FAILED, ErrorCode.BAD_NONCE, gas, ())
         return ledger, receipt
 
-    new_contract, result = _dispatch(ledger.contract, tx)
+    cls = type(tx.payload)
+    new_contract, result = _HANDLERS[cls](ledger.contract, tx.sender,
+                                          *KIND_BY_TYPE[cls].values(tx.payload))
     nonces = dict(ledger.nonces)
     nonces[tx.sender] = expected + 1
     new_ledger = LedgerState(new_contract, nonces)

@@ -20,18 +20,24 @@ identity when it is re-proposed and sealed in a later round. The nodes
 of many blocks are hashed together by `block_hashes`, level by level,
 in `keccak256_many` batches; an unchanged group is a memo hit.
 
-A transaction keeps its hash and its full encoding, and a block its hash,
-in private slots filled on first use. The values are immutable, so a
-digest never goes stale; the slots take no part in equality, `hash()` or
-`repr`. `dataclasses.replace` starts the copy with them empty;
-`replace_unhashed` changes only fields outside the hashing view and so
-keeps the hash.
+The six payload kinds are declared once, in `PAYLOAD_KINDS`: a kind's
+position is its tag, its name is its JSON type and scenario action, and
+its fields, in declaration order, are written by one codec per field
+name. The codecs here, the contract and the scenario runner all read it.
+
+A transaction and a block each keep their hash in a private slot filled
+on first use. The values are immutable, so a digest never goes stale;
+the slot takes no part in equality, `hash()` or `repr`.
+`dataclasses.replace` starts the copy with it empty; `replace_unhashed`
+changes only fields outside the hashing view and so keeps the hash.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from typing import Optional, Union
 
 from .keccak import keccak256, keccak256_many
@@ -136,10 +142,6 @@ class SendAllowance:
 TxPayload = Union[Deploy, AddRecipient, RemoveRecipient,
                   RegisterBankAccount, AddFunds, SendAllowance]
 
-_PAYLOAD_TAGS = (Deploy, AddRecipient, RemoveRecipient,
-                 RegisterBankAccount, AddFunds, SendAllowance)
-_TAG_BY_TYPE = {cls: i for i, cls in enumerate(_PAYLOAD_TAGS)}
-
 
 @dataclass(frozen=True, slots=True)
 class Transaction:
@@ -150,7 +152,6 @@ class Transaction:
     gas_price: int
     signature: Signature
     _hash: Optional[Hash256] = field(default=None, init=False, repr=False, compare=False)
-    _wire: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
 
 class TxStatus(enum.Enum):
@@ -234,32 +235,71 @@ def _var_bytes(b: bytes) -> bytes:
     return _u(len(b), 4) + b
 
 
+# --- the payload table -----------------------------------------------------
+
+def _json_amount(value: object) -> Amount:
+    """An amount, written as its canonical decimal string."""
+    if type(value) is not str or str(int(value)) != value:
+        raise ValueError(f"expected a decimal amount string, got {value!r}")
+    return Amount(int(value))
+
+
+def _json_account(value: object) -> str:
+    """An account, a JSON string that has a UTF-8 encoding."""
+    if type(value) is not str:
+        raise ValueError(f"expected an account string, got {value!r}")
+    value.encode("utf-8")  # a lone surrogate has none
+    return value
+
+
+# A payload field's binary write and read, and its JSON write and read. One
+# codec per field name: a 20-byte address or 0x-hex, a length-prefixed
+# UTF-8 string or a JSON string, a u128 or a canonical decimal string.
+_Codec = namedtuple("_Codec", "write read to_json from_json")
+_AMOUNT = _Codec(lambda v: _u(v, 16), lambda r: Amount(r.u(16)),
+                 lambda v: str(int(v)), _json_amount)
+_CODECS = {
+    "recipient": _Codec(lambda v: v, lambda r: Address(r.take(20)), hx,
+                        lambda v: Address(unhx(v))),
+    "account": _Codec(_text, lambda r: r.take(r.u(4)).decode("utf-8"), lambda v: v,
+                      _json_account),
+    "amt": _AMOUNT,
+    "amount": _AMOUNT,
+}
+
+
+# A row of the payload table: its tag byte (its position in PAYLOAD_KINDS),
+# its JSON type and scenario action, its class, its field names in
+# declaration order, their codecs, and a function giving a payload's field
+# values in that order.
+PayloadKind = namedtuple("PayloadKind", "tag name cls fields codecs values")
+
+
+def _kind(tag: int, name: str, cls: type) -> PayloadKind:
+    names = tuple(f.name for f in fields(cls))
+    # attrgetter gives a tuple only for two or more names
+    get = attrgetter(*names) if names else lambda p: ()
+    return PayloadKind(bytes([tag]), name, cls, names, tuple(_CODECS[n] for n in names),
+                       (lambda p: (get(p),)) if len(names) == 1 else get)
+
+
+PAYLOAD_KINDS = tuple(_kind(tag, name, cls) for tag, (name, cls) in enumerate((
+    ("deploy", Deploy), ("addRecipient", AddRecipient),
+    ("removeRecipient", RemoveRecipient), ("registerBankAccount", RegisterBankAccount),
+    ("addFunds", AddFunds), ("sendAllowance", SendAllowance))))
+KIND_BY_TYPE = {k.cls: k for k in PAYLOAD_KINDS}
+KIND_BY_NAME = {k.name: k for k in PAYLOAD_KINDS}
+
+
 def serialize_payload(p: TxPayload) -> bytes:
-    tag = _u(_TAG_BY_TYPE[type(p)], 1)
-    if isinstance(p, Deploy):
-        return tag
-    if isinstance(p, AddRecipient):
-        return tag + p.recipient
-    if isinstance(p, RemoveRecipient):
-        return tag + p.recipient
-    if isinstance(p, RegisterBankAccount):
-        return tag + p.recipient + _text(p.account)
-    if isinstance(p, AddFunds):
-        return tag + _u(p.amt, 16)
-    if isinstance(p, SendAllowance):
-        return tag + p.recipient + _u(p.amount, 16)
-    raise TypeError(f"unknown payload {p!r}")
+    kind = KIND_BY_TYPE[type(p)]
+    return kind.tag + b"".join([c.write(v) for c, v in zip(kind.codecs, kind.values(p))])
 
 
 def serialize_tx(tx: Transaction, *, with_signature: bool = True) -> bytes:
-    if with_signature and tx._wire is not None:
-        return tx._wire
     out = (tx.sender + _u(tx.nonce, 8) + serialize_payload(tx.payload)
            + _u(tx.gas_limit, 8) + _u(tx.gas_price, 8))
-    if with_signature:
-        out += _var_bytes(tx.signature)
-        object.__setattr__(tx, "_wire", out)
-    return out
+    return out + _var_bytes(tx.signature) if with_signature else out
 
 
 def tx_hash(tx: Transaction) -> Hash256:
@@ -326,7 +366,7 @@ _UNHASHED = {Transaction: {"signature"}, Block: {"round", "commit_seals"}}
 def replace_unhashed(value, **changes):
     """`dataclasses.replace` of fields outside the hashing view (a
     transaction's signature, a block's round and seals); the copy keeps
-    the hash slot of `value`, and every other slot starts empty."""
+    the hash slot of `value`."""
     if not changes.keys() <= _UNHASHED[type(value)]:
         raise ValueError(f"{sorted(changes)} are hashed fields of {type(value).__name__}")
     copy = replace(value, **changes)
@@ -359,21 +399,10 @@ class _Reader:
 
 def _read_payload(r: _Reader) -> TxPayload:
     tag = r.u(1)
-    if tag >= len(_PAYLOAD_TAGS):
+    if tag >= len(PAYLOAD_KINDS):
         raise ValueError(f"bad payload tag {tag}")
-    cls = _PAYLOAD_TAGS[tag]
-    if cls is Deploy:
-        return Deploy()
-    if cls is AddRecipient:
-        return AddRecipient(Address(r.take(20)))
-    if cls is RemoveRecipient:
-        return RemoveRecipient(Address(r.take(20)))
-    if cls is RegisterBankAccount:
-        recipient = Address(r.take(20))
-        return RegisterBankAccount(recipient, r.take(r.u(4)).decode("utf-8"))
-    if cls is AddFunds:
-        return AddFunds(Amount(r.u(16)))
-    return SendAllowance(Address(r.take(20)), Amount(r.u(16)))
+    kind = PAYLOAD_KINDS[tag]
+    return kind.cls(*[c.read(r) for c in kind.codecs])
 
 
 def _read_tx(r: _Reader) -> Transaction:
@@ -411,58 +440,25 @@ def deserialize_block(data: bytes) -> Block:
 
 # --- JSON codecs for chain artifacts ---------------------------------------
 
-_PAYLOAD_NAMES = ("deploy", "addRecipient", "removeRecipient",
-                  "registerBankAccount", "addFunds", "sendAllowance")
-_PAYLOAD_BY_NAME = {n: c for n, c in zip(_PAYLOAD_NAMES, _PAYLOAD_TAGS)}
-
-
 def payload_to_json(p: TxPayload) -> dict:
-    obj: dict = {"type": _PAYLOAD_NAMES[_TAG_BY_TYPE[type(p)]]}
-    if isinstance(p, (AddRecipient, RemoveRecipient)):
-        obj["recipient"] = hx(p.recipient)
-    elif isinstance(p, RegisterBankAccount):
-        obj["recipient"] = hx(p.recipient)
-        obj["account"] = p.account
-    elif isinstance(p, AddFunds):
-        obj["amt"] = str(int(p.amt))
-    elif isinstance(p, SendAllowance):
-        obj["recipient"] = hx(p.recipient)
-        obj["amount"] = str(int(p.amount))
-    return obj
-
-
-def _json_int(value: object) -> int:
-    """A JSON integer; a bool, float or numeric string is not one."""
-    if type(value) is not int:
-        raise ValueError(f"expected an integer, got {value!r}")
-    return value
-
-
-def _json_amount(value: object) -> Amount:
-    """An amount, written as its canonical decimal string."""
-    if type(value) is not str or str(int(value)) != value:
-        raise ValueError(f"expected a decimal amount string, got {value!r}")
-    return Amount(int(value))
+    kind = KIND_BY_TYPE[type(p)]
+    return {"type": kind.name, **{name: c.to_json(v) for name, c, v
+                                  in zip(kind.fields, kind.codecs, kind.values(p))}}
 
 
 def payload_from_json(obj: dict) -> TxPayload:
-    cls = _PAYLOAD_BY_NAME.get(obj["type"])
-    if cls is None:
+    kind = KIND_BY_NAME.get(obj["type"])
+    if kind is None:
         raise ValueError(f"unknown payload type {obj['type']!r}")
-    if cls is Deploy:
-        return Deploy()
-    if cls is AddRecipient:
-        return AddRecipient(Address(unhx(obj["recipient"])))
-    if cls is RemoveRecipient:
-        return RemoveRecipient(Address(unhx(obj["recipient"])))
-    if cls is RegisterBankAccount:
-        account = obj["account"]
-        if type(account) is not str:
-            raise ValueError(f"expected an account string, got {account!r}")
-        return RegisterBankAccount(Address(unhx(obj["recipient"])), account)
-    if cls is AddFunds:
-        return AddFunds(_json_amount(obj["amt"]))
-    return SendAllowance(Address(unhx(obj["recipient"])), _json_amount(obj["amount"]))
+    return kind.cls(*[c.from_json(obj[n]) for n, c in zip(kind.fields, kind.codecs)])
+
+
+def _json_int(value: object, what: str = "value",
+              error: type[Exception] = ValueError) -> int:
+    """A JSON integer; a bool, float or numeric string is not one."""
+    if type(value) is not int:
+        raise error(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def tx_to_json(tx: Transaction) -> dict:

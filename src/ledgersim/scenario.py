@@ -4,11 +4,12 @@ A scenario is declarative JSON: named, with an ordered list of client
 commands at non-decreasing logical times, plus optional expectations
 evaluated after the run. Actors are indices into the key provider's
 active range; recipient and address parameters accept either an actor
-index or a 0x-hex address.
+index or a 0x-hex address. Amounts and node indices are JSON integers,
+and an account is a JSON string.
 
 Command actions:
     deploy | addRecipient | removeRecipient | registerBankAccount |
-    addFunds | sendAllowance        -> signed transactions
+    addFunds | sendAllowance        -> signed transactions (model.PAYLOAD_KINDS)
     getBalance                      -> node-local read on every honest node
     injectFault                     -> {node: validator index, behavior}
     setGstNow                       -> stabilize the network now
@@ -36,8 +37,7 @@ from .config import GenesisConfig, active_keys
 from .crypto import KeyPair
 from .errors import InternalInvariantViolation, MalformedScenario
 from .model import (
-    Address, AddFunds, AddRecipient, Amount, Deploy, Hash256,
-    RegisterBankAccount, RemoveRecipient, SendAllowance, TxPayload,
+    KIND_BY_NAME, Address, Amount, Hash256, TxPayload, _json_account, _json_int,
     block_to_json, event_to_json, hx, unhx,
 )
 from .netsim import Behavior, ByzantineSpec
@@ -45,9 +45,7 @@ from .simulation import Simulation
 
 DEFAULT_HORIZON = 2000
 
-_TX_ACTIONS = ("deploy", "addRecipient", "removeRecipient",
-               "registerBankAccount", "addFunds", "sendAllowance")
-_ACTIONS = _TX_ACTIONS + ("getBalance", "injectFault", "setGstNow")
+_ACTIONS = (*KIND_BY_NAME, "getBalance", "injectFault", "setGstNow")
 
 
 @dataclass(frozen=True)
@@ -64,13 +62,6 @@ class Scenario:
     commands: tuple[Command, ...]
     expectations: tuple[dict, ...]
     horizon: int
-
-
-def _int(value: object, what: str) -> int:
-    """A JSON integer; a bool, float or numeric string is not one."""
-    if type(value) is not int:
-        raise MalformedScenario(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def parse_scenario(data: bytes) -> Scenario:
@@ -103,15 +94,15 @@ def parse_scenario(data: bytes) -> Scenario:
         action = action_obj["type"]
         if action not in _ACTIONS:
             raise MalformedScenario(f"command {i}: unknown action {action!r}")
-        at_time = _int(raw["atTime"], f"command {i}: atTime")
+        at_time = _json_int(raw["atTime"], f"command {i}: atTime", MalformedScenario)
         if at_time < last_time:
             raise MalformedScenario("command times must be non-decreasing")
         last_time = at_time
         params = {k: v for k, v in action_obj.items() if k != "type"}
-        actor = _int(raw["actor"], f"command {i}: actor")
+        actor = _json_int(raw["actor"], f"command {i}: actor", MalformedScenario)
         commands.append(Command(at_time, actor, action, params))
 
-    horizon = _int(obj.get("horizon", DEFAULT_HORIZON), "horizon")
+    horizon = _json_int(obj.get("horizon", DEFAULT_HORIZON), "horizon", MalformedScenario)
     expectations = obj.get("expectations", [])
     if not isinstance(expectations, list) or \
             not all(isinstance(exp, dict) for exp in expectations):
@@ -126,6 +117,9 @@ class _Runner:
         self.scenario = scenario
         self.keys = active_keys(genesis.key_provider)
         self.sim = Simulation(genesis, seed=seed, horizon=scenario.horizon)
+        amount = lambda v: Amount(_json_int(v))
+        self._parse = {"recipient": self._resolve_address, "account": _json_account,
+                       "amt": amount, "amount": amount}  # each payload field's parse
 
     def _resolve_key(self, index: int) -> KeyPair:
         if not 0 <= index < len(self.keys):
@@ -133,30 +127,15 @@ class _Runner:
         return self.keys[index]
 
     def _resolve_address(self, value) -> Address:
-        if isinstance(value, int):
+        if type(value) is int:
             return self._resolve_key(value).address
         if isinstance(value, str):
             return Address(unhx(value))
         raise MalformedScenario(f"cannot resolve address from {value!r}")
 
     def _payload(self, command: Command) -> TxPayload:
-        action, p = command.action, command.params
-        if action == "deploy":
-            return Deploy()
-        if action == "addRecipient":
-            return AddRecipient(self._resolve_address(p["recipient"]))
-        if action == "removeRecipient":
-            return RemoveRecipient(self._resolve_address(p["recipient"]))
-        if action == "registerBankAccount":
-            account = str(p["account"])
-            account.encode("utf-8")  # a lone surrogate has no encoding
-            return RegisterBankAccount(self._resolve_address(p["recipient"]), account)
-        if action == "addFunds":
-            return AddFunds(Amount(int(p["amt"])))
-        if action == "sendAllowance":
-            return SendAllowance(self._resolve_address(p["recipient"]),
-                                 Amount(int(p["amount"])))
-        raise MalformedScenario(f"not a transaction action: {action}")
+        kind = KIND_BY_NAME[command.action]
+        return kind.cls(*[self._parse[n](command.params[n]) for n in kind.fields])
 
     def schedule_all(self) -> None:
         for index, command in enumerate(self.scenario.commands):
@@ -168,7 +147,7 @@ class _Runner:
                 ) from None
 
     def _schedule(self, index: int, command: Command) -> None:
-        if command.action in _TX_ACTIONS:
+        if command.action in KIND_BY_NAME:
             key = self._resolve_key(command.actor)
             self.sim.schedule_tx(command.at_time, key,
                                  self._payload(command), label=index)
@@ -178,7 +157,7 @@ class _Runner:
                                     self._resolve_address(target),
                                     label=index)
         elif command.action == "injectFault":
-            node_index = int(command.params["node"])
+            node_index = _json_int(command.params["node"])
             validators = self.sim.config.validators
             if not 0 <= node_index < len(validators):
                 raise MalformedScenario(f"fault node {node_index} out of range")

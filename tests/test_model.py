@@ -13,8 +13,9 @@ from ledgersim.model import (
     FundsAdded, Hash256, Receipt, RegisterBankAccount, RemoveRecipient,
     SendAllowance, Signature, Transaction, TxStatus, ZERO_HASH,
     block_from_json, block_hash, block_hashes, block_to_json, deserialize_block,
-    deserialize_tx, hx, replace_unhashed, serialize_block, serialize_payload,
-    serialize_tx, tx_from_json, tx_hash, tx_to_json, unhx, _u,
+    deserialize_tx, hx, payload_from_json, payload_to_json, replace_unhashed,
+    serialize_block, serialize_payload, serialize_tx, tx_from_json, tx_hash,
+    tx_to_json, unhx, _u,
 )
 from keccak_reference import keccak256_reference
 
@@ -124,6 +125,41 @@ class TestInjectivity:
         assert a != r
 
 
+
+# Each payload kind's exact encoding, written out by hand from the layout:
+# a u8 tag, then the fields in declaration order, an address as its 20
+# bytes, a string as a u32 byte length and its UTF-8, an amount as a
+# big-endian u128. Then its JSON form, with amounts as decimal strings.
+PAYLOAD_VECTORS = [
+    (Deploy(), "00", {"type": "deploy"}),
+    (AddRecipient(Address(b"\x11" * 20)), "01" + "11" * 20,
+     {"type": "addRecipient", "recipient": "0x" + "11" * 20}),
+    (RemoveRecipient(Address(b"\x22" * 20)), "02" + "22" * 20,
+     {"type": "removeRecipient", "recipient": "0x" + "22" * 20}),
+    (RegisterBankAccount(Address(b"\x33" * 20), "Z\u00fc-9"),
+     "03" + "33" * 20 + "00000005" + "5a" + "c3bc" + "2d" + "39",
+     {"type": "registerBankAccount", "recipient": "0x" + "33" * 20, "account": "Z\u00fc-9"}),
+    (AddFunds(Amount(2**64 + 1)), "04" + "0000000000000001" + "0000000000000001",
+     {"type": "addFunds", "amt": "18446744073709551617"}),
+    (SendAllowance(Address(b"\x44" * 20), Amount(300)), "05" + "44" * 20 + "00" * 14 + "012c",
+     {"type": "sendAllowance", "recipient": "0x" + "44" * 20, "amount": "300"}),
+]
+
+
+@pytest.mark.parametrize("payload, wire, obj", PAYLOAD_VECTORS,
+                         ids=[obj["type"] for _, _, obj in PAYLOAD_VECTORS])
+def test_payload_golden_vectors(payload, wire, obj):
+    assert serialize_payload(payload).hex() == wire
+    assert payload_to_json(payload) == obj
+    assert payload_from_json(obj) == payload
+    # sender, u64 nonce 7, the payload, u64 gas limit 21000, u64 gas price 1,
+    # then the signature: a u32 length and its bytes
+    tx_wire = ("aa" * 20 + "0000000000000007" + wire + "0000000000005208"
+               + "0000000000000001" + "00000002" + "beef")
+    tx = deserialize_tx(bytes.fromhex(tx_wire))
+    assert tx == Transaction(Address(b"\xaa" * 20), 7, payload, 21000, 1, Signature(b"\xbe\xef"))
+    assert serialize_tx(tx).hex() == tx_wire
+
 def _random_tx(rng: random.Random) -> Transaction:
     payload_kind = rng.randrange(6)
     addr = Address(rng.randbytes(20))
@@ -222,13 +258,13 @@ class TestDigestSlots:
         want_view = serialize_tx(_cold(tx), with_signature=False)
         want_hash = Hash256(keccak256(want_view))
         want_wire = serialize_tx(_cold(tx))
-        assert tx._hash is None and tx._wire is None
+        assert tx._hash is None
         assert serialize_tx(tx) == want_wire  # the full encoding first
         for _ in range(2):
             assert tx_hash(tx) == want_hash
             assert serialize_tx(tx, with_signature=False) == want_view
             assert serialize_tx(tx) == want_wire
-        assert tx._hash == want_hash and tx._wire == want_wire
+        assert tx._hash == want_hash
 
     @given(block=blocks)
     def test_block_hash_matches_a_cold_copy(self, block):
@@ -313,7 +349,6 @@ class TestReplaceUnhashed:
         serialize_tx(tx)
         resigned = replace_unhashed(tx, signature=Signature(b"\x05" * 32))
         assert resigned._hash == h == tx_hash(_cold(resigned))
-        assert resigned._wire is None
         assert serialize_tx(resigned) == serialize_tx(_cold(resigned))
 
     def test_sealed_block_keeps_its_hash(self):

@@ -190,9 +190,18 @@ class TestCli:
         lambda s: s["commands"][0].update(actor="0"),
         lambda s: s.update(horizon=True),
         lambda s: s.update(horizon=1e30),
+        lambda s: s["commands"][3]["action"].update(amt=1000.9),
+        lambda s: s["commands"][3]["action"].update(amt="1000"),
+        lambda s: s["commands"][4]["action"].update(amount=True),
+        lambda s: s["commands"][2]["action"].update(account=12345),
+        lambda s: s["commands"][1]["action"].update(recipient=True),
+        lambda s: s["commands"].append({"atTime": 500, "actor": 0, "action": {
+            "type": "injectFault", "node": 1.0, "behavior": "SILENT"}}),
     ], ids=["atTime", "commands", "amt", "recipient", "horizon", "actor",
             "behavior", "expectations", "expectation", "account",
-            "float_atTime", "string_actor", "bool_horizon", "float_horizon"])
+            "float_atTime", "string_actor", "bool_horizon", "float_horizon",
+            "float_amt", "string_amt", "bool_amount", "integer_account",
+            "bool_recipient", "float_node"])
     def test_malformed_scenario_exits_2(self, tmp_path, edit):
         obj = json.loads(PAPER_FLOW.read_text())
         edit(obj)
