@@ -18,14 +18,17 @@ from __future__ import annotations
 import enum
 import heapq
 import random
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
-from .crypto import KeyPair
+from . import contract
 from .errors import EmptyQueue, InternalInvariantViolation
 from .keccak import keccak256
-from .model import Address, Block, hx
-from .consensus import ConsensusMessage, MsgKind, make_message, block_hash
+from .model import Address, Block, Hash256, hx
+from .consensus import (
+    ConsensusMessage, MsgKind, Phase, block_hash, make_message, proposer_for,
+)
+from .node import ValidatorNode
 
 
 @dataclass(frozen=True)
@@ -165,45 +168,59 @@ def payload_kind(payload: object) -> str:
 
 
 def byzantine_transform(
-    spec: Optional[ByzantineSpec],
-    outbound: list[ConsensusMessage],
-    *,
-    key: KeyPair,
-    peers: list[Address],
-    variant_factory: Optional[Callable[[Block], Block]] = None,
-) -> list[tuple[ConsensusMessage, Optional[Address]]]:
-    """Rewrite a node's outbound batch according to its fault behavior.
+    spec: ByzantineSpec,
+    node: ValidatorNode,
+    outbound: list[tuple[object, Optional[Address]]],
+    seen: set[tuple[Address, int, int]],
+) -> list[tuple[object, Optional[Address]]]:
+    """The adversary hook: the (payload, recipient) pairs that a faulty
+    node's outbound batch puts on the wire; a None recipient means every
+    peer. The node's own engine keeps running the honest protocol.
 
-    Returns (message, recipient) pairs; a None recipient means broadcast.
-    SILENT suppresses everything. EQUIVOCATE splits every proposal into
-    two conflicting variants, each shown to one half of the peers; the
-    variant block comes from `variant_factory` so its state root can be
-    kept internally consistent. INVALID_PROPOSER passes messages through
-    unchanged here; the forged proposals themselves are generated by the
-    node driver, which knows the round schedule.
+    SILENT sends nothing: no consensus message, gossip or announcement.
+    EQUIVOCATE shows each proposal to the first half of the peers and a
+    conflicting variant to the rest: the transactions reversed, or a lone
+    one dropped, under the state root they give, or for an empty block a
+    tampered state root. The mempool admits a transaction once, so the
+    variant's hash always differs. Other messages pass unchanged.
+    INVALID_PROPOSER also broadcasts its own proposal once for each
+    unfinalized (height, round) it does not own, which honest engines
+    discard as InvalidProposer; `seen` holds the triples (node, height,
+    round) already seen.
     """
-    if spec is None:
-        return [(m, None) for m in outbound]
     if spec.behavior is Behavior.SILENT:
         return []
     if spec.behavior is Behavior.EQUIVOCATE:
-        out: list[tuple[ConsensusMessage, Optional[Address]]] = []
-        for msg in outbound:
-            if msg.kind is not MsgKind.PRE_PREPARE or msg.proposal is None \
-                    or variant_factory is None:
-                out.append((msg, None))
+        out: list[tuple[object, Optional[Address]]] = []
+        half = (len(node.peers) + 1) // 2
+        for msg, to in outbound:
+            if not (isinstance(msg, ConsensusMessage) and msg.kind is MsgKind.PRE_PREPARE):
+                out.append((msg, to))
                 continue
-            variant = variant_factory(msg.proposal)
-            alt_hash = block_hash(variant)
-            if alt_hash == msg.block_hash:
-                out.append((msg, None))
-                continue
-            alt = make_message(key, MsgKind.PRE_PREPARE, msg.height, msg.round,
-                               alt_hash, proposal=variant)
-            half = (len(peers) + 1) // 2
-            for peer in peers[:half]:
-                out.append((msg, peer))
-            for peer in peers[half:]:
-                out.append((alt, peer))
+            variant = _equivocation_variant(node, msg.proposal)
+            alt = make_message(node.key, MsgKind.PRE_PREPARE, msg.height, msg.round,
+                               block_hash(variant), proposal=variant)
+            out += [(msg, peer) for peer in node.peers[:half]]
+            out += [(alt, peer) for peer in node.peers[half:]]
         return out
-    return [(m, None) for m in outbound]
+    engine = node.engine
+    height, round_ = engine.height, engine.round
+    if (node.address, height, round_) in seen:
+        return outbound
+    seen.add((node.address, height, round_))
+    if engine.phase is Phase.FINALIZED \
+            or proposer_for(height, round_, node.config) == node.address:
+        return outbound  # its own proposals are already honest
+    block = node.build_block(height, round_)
+    forged = make_message(node.key, MsgKind.PRE_PREPARE, height, round_,
+                          block_hash(block), proposal=block)
+    return [*outbound, (forged, None)]
+
+
+def _equivocation_variant(node: ValidatorNode, block: Block) -> Block:
+    if block.txs:
+        txs = tuple(reversed(block.txs)) if len(block.txs) >= 2 else ()
+        ledger, _ = contract.execute_block_txs(node.chain.head_ledger, txs)
+        return replace(block, txs=txs,
+                       state_root=contract.state_root(ledger.contract))
+    return replace(block, state_root=Hash256(keccak256(block.state_root)))

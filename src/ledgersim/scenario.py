@@ -5,7 +5,8 @@ commands at non-decreasing logical times, plus optional expectations
 evaluated after the run. Actors are indices into the key provider's
 active range; recipient and address parameters accept either an actor
 index or a 0x-hex address. Amounts and node indices are JSON integers,
-and an account is a JSON string.
+and an account is a JSON string. An action takes only its parameters in
+`_ACTIONS`. Expectation numbers (value, command) are JSON integers.
 
 Command actions:
     deploy | addRecipient | removeRecipient | registerBankAccount |
@@ -17,7 +18,7 @@ Command actions:
 Expectation kinds (all evaluated on honest nodes after the run):
     orgBalance{value} balance{address,value} minFinalizedHeight{value}
     noFinalization events{value:[...]} receiptStatus{command,status[,error]}
-    queryResult{command,value} safety{value} convergedState
+    queryResult{command,value} safety{value: bool} convergedState
 
 Artifacts written by run_scenario: chain.jsonl, events.jsonl,
 state.json, report.json, consensus_trace.jsonl, network_trace.jsonl.
@@ -45,7 +46,9 @@ from .simulation import Simulation
 
 DEFAULT_HORIZON = 2000
 
-_ACTIONS = (*KIND_BY_NAME, "getBalance", "injectFault", "setGstNow")
+_ACTIONS = {**{name: kind.fields for name, kind in KIND_BY_NAME.items()},
+            "getBalance": ("address",), "injectFault": ("node", "behavior"),
+            "setGstNow": ()}
 
 
 @dataclass(frozen=True)
@@ -99,6 +102,10 @@ def parse_scenario(data: bytes) -> Scenario:
             raise MalformedScenario("command times must be non-decreasing")
         last_time = at_time
         params = {k: v for k, v in action_obj.items() if k != "type"}
+        unknown = set(params) - set(_ACTIONS[action])
+        if unknown:
+            raise MalformedScenario(
+                f"command {i}: unknown {action} parameters {sorted(unknown)}")
         actor = _json_int(raw["actor"], f"command {i}: actor", MalformedScenario)
         commands.append(Command(at_time, actor, action, params))
 
@@ -189,16 +196,16 @@ def _evaluate_expectations(runner: _Runner) -> list[dict]:
         try:
             if kind == "orgBalance":
                 got = balance_of(contract_state.organization)
-                ok = got == int(exp["value"])
+                ok = got == _json_int(exp["value"])
                 detail = f"organization balance {got}"
             elif kind == "balance":
                 address = runner._resolve_address(exp["address"])
                 got = balance_of(address)
-                ok = got == int(exp["value"])
+                ok = got == _json_int(exp["value"])
                 detail = f"balance[{hx(address)}] = {got}"
             elif kind == "minFinalizedHeight":
                 got = sim.min_honest_height()
-                ok = got >= int(exp["value"])
+                ok = got >= _json_int(exp["value"])
                 detail = f"min honest height {got}"
             elif kind == "noFinalization":
                 got = max(sim.finalized_height(a) for a in sim.honest_addresses())
@@ -215,7 +222,7 @@ def _evaluate_expectations(runner: _Runner) -> list[dict]:
                     for g, w in zip(got, want))
                 detail = f"{len(got)} events"
             elif kind == "receiptStatus":
-                target = int(exp["command"])
+                target = _json_int(exp["command"], "command")
                 record = next((s for s in sim.submissions
                                if s["label"] == target), None)
                 if record is None:
@@ -234,7 +241,7 @@ def _evaluate_expectations(runner: _Runner) -> list[dict]:
                         detail = (f"status {receipt.status.value}"
                                   f" error {receipt.error.value if receipt.error else None}")
             elif kind == "queryResult":
-                target = int(exp["command"])
+                target = _json_int(exp["command"], "command")
                 record = next((q for q in sim.queries
                                if q["label"] == target), None)
                 if record is None:
@@ -245,7 +252,10 @@ def _evaluate_expectations(runner: _Runner) -> list[dict]:
                     detail = f"values {sorted(values)}"
             elif kind == "safety":
                 got = sim.safety_violation is None
-                ok = got == bool(exp.get("value", True))
+                want = exp.get("value", True)
+                if type(want) is not bool:
+                    raise ValueError(f"safety value must be a bool, got {want!r}")
+                ok = got == want
                 detail = f"safe={got}"
             elif kind == "convergedState":
                 # honest heads may differ by in-flight heartbeat blocks at

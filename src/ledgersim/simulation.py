@@ -5,12 +5,6 @@ commands, seed): event ordering comes from the queue's (time, seq) total
 order, randomness from named seed-derived streams, and all iteration
 runs over insertion-ordered or explicitly sorted structures. Two runs
 with the same inputs produce byte-identical traces.
-
-Byzantine behaviors are applied at the network boundary: a SILENT
-node's outbound vanishes, an EQUIVOCATE node shows conflicting
-proposals to the two halves of its peers, and an INVALID_PROPOSER node
-broadcasts proposals in rounds it does not own. The faulty node's own
-engine keeps running the honest protocol internally.
 """
 
 from __future__ import annotations
@@ -20,21 +14,16 @@ from typing import Optional
 
 from . import contract
 from .config import GenesisConfig
-from .consensus import (
-    ConsensusConfig, ConsensusMessage, Phase, proposer_for, make_message,
-    MsgKind,
-)
+from .consensus import ConsensusConfig
 from .crypto import KeyPair, Registry, sign
 from .errors import NotDeployed
-from .keccak import keccak256
 from .model import (
     Address, AllowanceSent, Block, FundsAdded, Hash256, Transaction, TxPayload,
     TxStatus, Signature, ZERO_ADDRESS, ZERO_HASH, block_hash, hx, replace_unhashed,
     tx_hash,
 )
 from .netsim import (
-    Behavior, ByzantineSpec, EvKind, EventQueue, Network, byzantine_transform,
-    payload_kind,
+    ByzantineSpec, EvKind, EventQueue, Network, byzantine_transform, payload_kind,
 )
 from .node import HeightStart, NodeResult, TimerFire, ValidatorNode
 
@@ -106,7 +95,7 @@ class Simulation:
 
         self.byzantine: dict[Address, ByzantineSpec] = {}
         self._ever_byzantine: set[Address] = set()
-        self._byz_round_seen: dict[Address, tuple[int, int]] = {}
+        self._adversary_seen: set[tuple[Address, int, int]] = set()
 
         self.client_nonces: dict[Address, int] = {}
         self.submissions: list[dict] = []
@@ -237,7 +226,6 @@ class Simulation:
                                  "time": now, "values": values})
         elif isinstance(payload, ClientFault):
             self.byzantine[payload.spec.node] = payload.spec
-            self._ever_byzantine.add(payload.spec.node)
         elif isinstance(payload, ClientSetGst):
             self.network.set_gst_now()
         else:
@@ -247,20 +235,11 @@ class Simulation:
 
     def _route(self, node: ValidatorNode, result: NodeResult, input_kind: str,
                now: int) -> None:
+        outbound = result.outbound
         spec = self.byzantine.get(node.address)
-        if spec is not None and spec.behavior is Behavior.SILENT:
-            directed: list[tuple[object, Optional[Address]]] = []
-        else:
-            broadcast_consensus = [p for p, to in result.outbound
-                                   if isinstance(p, ConsensusMessage) and to is None]
-            directed = [(p, to) for p, to in result.outbound
-                        if not (isinstance(p, ConsensusMessage) and to is None)]
-            transformed = byzantine_transform(
-                spec, broadcast_consensus, key=node.key, peers=node.peers,
-                variant_factory=lambda b: self._equivocation_variant(node, b))
-            directed = transformed + directed
-
-        for payload, to in directed:
+        if spec is not None:
+            outbound = byzantine_transform(spec, node, outbound, self._adversary_seen)
+        for payload, to in outbound:
             if to is None:
                 for peer in node.peers:
                     self.network.send(payload, node.address, peer, now)
@@ -287,37 +266,6 @@ class Simulation:
                     "outbound": len(step.outbound),
                     "discards": step.discards,
                 })
-        self._maybe_forge_proposal(node, spec, now)
-
-    def _maybe_forge_proposal(self, node: ValidatorNode,
-                              spec: Optional[ByzantineSpec], now: int) -> None:
-        if spec is None or spec.behavior is not Behavior.INVALID_PROPOSER:
-            return
-        at = (node.engine.height, node.engine.round)
-        if self._byz_round_seen.get(node.address) == at:
-            return
-        self._byz_round_seen[node.address] = at
-        height, round_ = at
-        if node.engine.phase is Phase.FINALIZED:
-            return
-        if proposer_for(height, round_, self.config) == node.address:
-            return  # its legitimate proposals are already honest
-        block = node.build_block(height, round_)
-        forged = make_message(node.key, MsgKind.PRE_PREPARE, height, round_,
-                              block_hash(block), proposal=block)
-        for peer in node.peers:
-            self.network.send(forged, node.address, peer, now)
-
-    def _equivocation_variant(self, node: ValidatorNode, block: Block) -> Block:
-        if block.txs:
-            # reorder the transactions, or drop a lone one
-            txs = tuple(reversed(block.txs)) if len(block.txs) >= 2 else ()
-            ledger, _ = contract.execute_block_txs(node.chain.head_ledger, txs)
-            return replace(block, txs=txs,
-                           state_root=contract.state_root(ledger.contract))
-        # nothing to reorder in an empty block: present a tampered state
-        # root instead, which honest validators will refuse to prepare
-        return replace(block, state_root=Hash256(keccak256(block.state_root)))
 
     # -- bookkeeping ------------------------------------------------------------------
 

@@ -17,6 +17,8 @@ from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
 from pathlib import Path
 
+import pytest
+
 from ledgersim import contract
 from ledgersim.config import parse_genesis
 from ledgersim.consensus import fault_tolerance, quorum_size
@@ -298,26 +300,26 @@ class TestCriterion9IdempotentMigration:
 
 
 class TestCriterion10Determinism:
-    def test_twin_runs_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("scenario", ["paper_flow", "byzantine_equivocate"])
+    def test_twin_runs_byte_identical(self, tmp_path, scenario):
         outs = []
         for name in ("left", "right"):
             out = tmp_path / name
             proc = subprocess.run(
                 [sys.executable, "-m", "ledgersim.cli", "run",
                  "--genesis", str(GENESIS_FILE),
-                 "--scenario", str(PAPER_FLOW_FILE),
+                 "--scenario", str(ROOT / "scenarios" / f"{scenario}.json"),
                  "--seed", "31337", "--out", str(out)],
                 capture_output=True, text=True,
                 env={**os.environ, "PYTHONHASHSEED": "random"})
             assert proc.returncode == 0, proc.stderr
             outs.append(out)
-        ok = True
-        for artifact in ("chain.jsonl", "events.jsonl", "report.json"):
-            ok = ok and (outs[0] / artifact).read_bytes() == \
-                (outs[1] / artifact).read_bytes()
-        _verdict(10, ok, "chain.jsonl, events.jsonl, report.json "
-                         "byte-identical across two seeded runs "
-                         "(separate processes)")
+        artifacts = ("chain.jsonl", "events.jsonl", "state.json", "report.json",
+                     "consensus_trace.jsonl", "network_trace.jsonl")
+        ok = all((outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
+                 for artifact in artifacts)
+        _verdict(10, ok, f"{scenario}: {', '.join(artifacts)} byte-identical "
+                         "across two seeded runs (separate processes)")
 
 
 class TestCriterion11ConfigFidelity:

@@ -4,14 +4,20 @@ import random
 
 import pytest
 
-from ledgersim import contract
-from ledgersim.consensus import MsgKind, make_message
+from ledgersim import simulation
+from ledgersim.consensus import (
+    ConsensusMessage, MsgKind, Phase, proposer_for, verify_message,
+)
 from ledgersim.errors import EmptyQueue, InternalInvariantViolation
-from ledgersim.model import Address, Block, Hash256, ZERO_HASH, block_hash
+from ledgersim.model import AddFunds, Address, Amount, Deploy, block_hash, hx
 from ledgersim.netsim import (
     Behavior, ByzantineSpec, EvKind, EventQueue, Network, NetworkParams,
     byzantine_transform, rng_stream,
 )
+from ledgersim.node import BlockAnnounce, TxGossip
+from ledgersim.simulation import Simulation
+
+from conftest import make_genesis
 
 A = Address(b"\x0a" * 20)
 B = Address(b"\x0b" * 20)
@@ -133,53 +139,86 @@ class TestRngStreams:
         assert rng_stream(1, "net").random() != rng_stream(2, "net").random()
 
 
-def _proposal(key, txs=()):
-    root = contract.state_root(contract.fresh_state())
-    block = Block(1, 0, ZERO_HASH, key.address, tuple(txs), root, ())
-    return make_message(key, MsgKind.PRE_PREPARE, 1, 0, block_hash(block),
-                        proposal=block)
+def _sim():
+    return Simulation(make_genesis(seed=1, gst=0), horizon=400)
 
 
 class TestByzantineTransform:
-    def test_silent_drops_everything(self, keys):
-        key = keys[0]
-        spec = ByzantineSpec(key.address, Behavior.SILENT)
-        msgs = [make_message(key, MsgKind.PREPARE, 1, 0, ZERO_HASH)
-                for _ in range(3)]
-        out = byzantine_transform(spec, msgs, key=key,
-                                  peers=[k.address for k in keys[1:4]])
-        assert out == []
+    """The adversary hook, applied to nodes of a real Simulation."""
 
-    def test_no_spec_is_identity_broadcast(self, keys):
-        key = keys[0]
-        msgs = [make_message(key, MsgKind.COMMIT, 1, 0, ZERO_HASH)]
-        out = byzantine_transform(None, msgs, key=key,
-                                  peers=[k.address for k in keys[1:4]])
-        assert out == [(msgs[0], None)]
+    def test_silent_drops_everything(self):
+        sim = _sim()
+        node = sim.nodes[sim.config.validators[1]]
+        tx = sim.build_tx(sim.validator_keys[0], Deploy())
+        outbound = [*node.start(0).outbound,  # its height-1 proposal and prepare
+                    (TxGossip(tx), node.peers[0]),
+                    (BlockAnnounce(node.chain.head), node.peers[1])]
+        assert [type(p) for p, _ in outbound] == \
+            [ConsensusMessage, ConsensusMessage, TxGossip, BlockAnnounce]
+        spec = ByzantineSpec(node.address, Behavior.SILENT)
+        assert byzantine_transform(spec, node, outbound, set()) == []
 
-    def test_equivocate_splits_peers_two_and_one(self, keys):
-        key = keys[0]
-        spec = ByzantineSpec(key.address, Behavior.EQUIVOCATE)
-        peers = [k.address for k in keys[1:4]]
-        msg = _proposal(key)
+    def test_equivocate_splits_peers_two_and_one(self):
+        payloads = [Deploy(), AddFunds(Amount(5))]
+        for n_txs in range(3):
+            sim = _sim()
+            node = sim.nodes[sim.config.validators[1]]  # proposes height 1, round 0
+            for payload in payloads[:n_txs]:
+                node.submit_transaction(sim.build_tx(sim.validator_keys[0], payload))
+            proposal, prepare = [m for m, _ in node.start(0).outbound]
+            assert (proposal.kind, prepare.kind) == (MsgKind.PRE_PREPARE, MsgKind.PREPARE)
+            gossip = (TxGossip(sim.build_tx(sim.validator_keys[0], Deploy())),
+                      node.peers[2])
+            spec = ByzantineSpec(node.address, Behavior.EQUIVOCATE)
+            out = byzantine_transform(
+                spec, node, [(proposal, None), (prepare, None), gossip], set())
 
-        def tampered_variant(block):
-            return Block(block.height, block.round, block.parent_hash,
-                         block.proposer, block.txs,
-                         Hash256(b"\x77" * 32), block.commit_seals)
+            assert len(node.peers) == 3
+            alt = out[2][0]
+            assert out == [(proposal, node.peers[0]), (proposal, node.peers[1]),
+                           (alt, node.peers[2]), (prepare, None), gossip]
+            assert (alt.kind, alt.height, alt.round, alt.sender) == \
+                (MsgKind.PRE_PREPARE, 1, 0, node.address)
+            assert verify_message(alt, sim.registry)
+            assert alt.block_hash == block_hash(alt.proposal) != proposal.block_hash
+            txs = proposal.proposal.txs
+            assert alt.proposal.txs == (tuple(reversed(txs)) if n_txs == 2 else ())
+            # a variant with transactions is valid on its own; an empty
+            # block's variant carries a tampered state root
+            honest = sim.nodes[sim.config.validators[2]]
+            assert honest.validate_block(alt.proposal) is (n_txs > 0)
 
-        out = byzantine_transform(spec, [msg], key=key,
-                                  peers=peers, variant_factory=tampered_variant)
-        assert len(out) == 3
-        recipients = [to for _, to in out]
-        assert recipients == peers
-        hashes = [m.block_hash for m, _ in out]
-        assert hashes[0] == hashes[1] != hashes[2]
+    def test_invalid_proposer_forges_once_per_foreign_round(self, monkeypatch):
+        sim = _sim()
+        faulty = sim.config.validators[0]
+        sim.inject_fault(ByzantineSpec(faulty, Behavior.INVALID_PROPOSER))
+        forged, foreign, own = [], set(), set()
 
-    def test_equivocate_without_factory_passes_through(self, keys):
-        key = keys[0]
-        spec = ByzantineSpec(key.address, Behavior.EQUIVOCATE)
-        msg = _proposal(key)
-        out = byzantine_transform(spec, [msg], key=key,
-                                  peers=[k.address for k in keys[1:4]])
-        assert out == [(msg, None)]
+        def recording_hook(spec, node, outbound, seen):
+            out = byzantine_transform(spec, node, outbound, seen)
+            assert out[:len(outbound)] == outbound
+            at = (node.engine.height, node.engine.round)
+            if node.engine.phase is not Phase.FINALIZED:
+                mine = proposer_for(*at, sim.config) == faulty
+                (own if mine else foreign).add(at)
+                if mine:
+                    assert len(out) == len(outbound)
+            forged.extend(m for m, _ in out[len(outbound):])
+            return out
+
+        monkeypatch.setattr(simulation, "byzantine_transform", recording_hook)
+        sim.start()
+        first = forged[0]
+        assert (first.height, first.round) == (1, 0)
+        for address in sim.honest_addresses():
+            step = sim.nodes[address].engine.handle_message(first, 0)
+            assert step.discards == ["InvalidProposer"] and not step.outbound
+        sim.run()
+        assert own and foreign
+        assert all(m.kind is MsgKind.PRE_PREPARE and m.sender == faulty
+                   for m in forged)
+        rounds = [(m.height, m.round) for m in forged]
+        assert len(rounds) == len(set(rounds))
+        assert set(rounds) == foreign
+        assert any("InvalidProposer" in entry["discards"]
+                   for entry in sim.consensus_trace if entry["node"] != hx(faulty))

@@ -77,11 +77,12 @@ class TestPaperFlow:
     def test_wrong_expectation_exits_3(self):
         genesis = parse_genesis(GENESIS.read_bytes())
         obj = json.loads(PAPER_FLOW.read_text())
-        obj["expectations"] = [{"kind": "orgBalance", "value": "9999"}]
+        obj["expectations"] = [{"kind": "orgBalance", "value": 9999}]
         scenario = parse_scenario(json.dumps(obj).encode())
         code, report = run_scenario(genesis, scenario)
         assert code == 3
         assert not report["expectations"][0]["ok"]
+        assert report["expectations"][0]["detail"] == "organization balance 700"
 
     @pytest.mark.parametrize("value", [None, 3, "FundsAdded", [None], [["kind"]]])
     def test_unevaluable_events_expectation_exits_3(self, value):
@@ -90,6 +91,21 @@ class TestPaperFlow:
         genesis = parse_genesis(GENESIS.read_bytes())
         obj = json.loads(PAPER_FLOW.read_text())
         obj["expectations"] = [{"kind": "events", "value": value}]
+        code, report = run_scenario(genesis, parse_scenario(json.dumps(obj).encode()))
+        assert code == 3
+        assert report["expectations"][0]["detail"].startswith("unevaluable")
+
+    @pytest.mark.parametrize("expectation", [
+        {"kind": "safety", "value": "false"},
+        {"kind": "orgBalance", "value": 700.9},
+        {"kind": "receiptStatus", "command": 4.5, "status": "SUCCESS"},
+    ], ids=["string_safety", "float_orgBalance", "float_command"])
+    def test_uncoerced_expectation_value_exits_3(self, expectation):
+        """Each of these held on paper_flow when values were coerced with
+        bool() and int()."""
+        genesis = parse_genesis(GENESIS.read_bytes())
+        obj = json.loads(PAPER_FLOW.read_text())
+        obj["expectations"] = [expectation]
         code, report = run_scenario(genesis, parse_scenario(json.dumps(obj).encode()))
         assert code == 3
         assert report["expectations"][0]["detail"].startswith("unevaluable")
@@ -197,11 +213,16 @@ class TestCli:
         lambda s: s["commands"][1]["action"].update(recipient=True),
         lambda s: s["commands"].append({"atTime": 500, "actor": 0, "action": {
             "type": "injectFault", "node": 1.0, "behavior": "SILENT"}}),
+        lambda s: s["commands"][5]["action"].update(adress=0),  # getBalance
+        lambda s: s["commands"][3]["action"].update(amount=5),  # addFunds
+        lambda s: s["commands"].append(
+            {"atTime": 500, "actor": 0, "action": {"type": "setGstNow", "at": 500}}),
     ], ids=["atTime", "commands", "amt", "recipient", "horizon", "actor",
             "behavior", "expectations", "expectation", "account",
             "float_atTime", "string_actor", "bool_horizon", "float_horizon",
             "float_amt", "string_amt", "bool_amount", "integer_account",
-            "bool_recipient", "float_node"])
+            "bool_recipient", "float_node", "misspelt_address",
+            "foreign_amount", "setGstNow_key"])
     def test_malformed_scenario_exits_2(self, tmp_path, edit):
         obj = json.loads(PAPER_FLOW.read_text())
         edit(obj)
