@@ -64,6 +64,11 @@ def active_keys(provider: KeyProvider) -> list[KeyPair]:
 _TOP_FIELDS = ("networkId", "validators", "blockGasLimit", "gasPrice", "gst",
                "delta", "preGstMaxDelay", "preGstLossProb", "seed",
                "baseRoundTimeout", "keyProvider")
+# each integer field: JSON name, GenesisConfig attribute, least value
+INT_FIELDS = (("networkId", "network_id", 1), ("blockGasLimit", "block_gas_limit", 1),
+              ("gasPrice", "gas_price", 0), ("gst", "gst", 0), ("delta", "delta", 1),
+              ("preGstMaxDelay", "pre_gst_max_delay", 0), ("seed", "seed", 0),
+              ("baseRoundTimeout", "base_round_timeout", 1))
 _PROVIDER_FIELDS = ("privateKeys", "rpcUrl", "min", "max")
 
 
@@ -121,21 +126,14 @@ def parse_genesis(data: bytes) -> GenesisConfig:
             f"got min={min_index} max={max_index}")
     provider = KeyProvider(tuple(private_keys), rpc_url, min_index, max_index)
 
-    network_id = _uint(obj, "networkId", minimum=1)
-    block_gas_limit = _uint(obj, "blockGasLimit", minimum=1)
-    gas_price = _uint(obj, "gasPrice")
-    gst = _uint(obj, "gst")
-    delta = _uint(obj, "delta", minimum=1)
-    pre_gst_max_delay = _uint(obj, "preGstMaxDelay")
+    ints = {attr: _uint(obj, name, least) for name, attr, least in INT_FIELDS}
     loss = obj["preGstLossProb"]
     if isinstance(loss, bool) or not isinstance(loss, (int, float)):
         raise MalformedConfig("preGstLossProb must be a number")
     if not 0.0 <= float(loss) <= 1.0:
         raise InvalidRange("preGstLossProb must be in [0, 1]")
-    seed = _uint(obj, "seed")
-    if seed >= 1 << 64:
+    if ints["seed"] >= 1 << 64:
         raise InvalidRange("seed must fit in 64 bits")
-    base_round_timeout = _uint(obj, "baseRoundTimeout", minimum=1)
 
     raw_validators = obj["validators"]
     if not isinstance(raw_validators, list) or not raw_validators:
@@ -162,40 +160,20 @@ def parse_genesis(data: bytes) -> GenesisConfig:
     if len(set(addresses)) != len(addresses):
         raise MalformedConfig("validator addresses must be distinct")
 
-    cfg = GenesisConfig(
-        network_id=network_id,
-        validators=tuple(seeds),
-        block_gas_limit=block_gas_limit,
-        gas_price=gas_price,
-        gst=gst,
-        delta=delta,
-        pre_gst_max_delay=pre_gst_max_delay,
-        pre_gst_loss_prob=float(loss),
-        seed=seed,
-        base_round_timeout=base_round_timeout,
-        key_provider=provider,
-    )
+    cfg = GenesisConfig(validators=tuple(seeds), pre_gst_loss_prob=float(loss),
+                        key_provider=provider, **ints)
     cfg.network_params  # trigger NetworkParams invariant checks
     return cfg
 
 
 def emit_genesis(cfg: GenesisConfig) -> bytes:
-    obj = {
-        "networkId": cfg.network_id,
-        "validators": [hx(s) for s in cfg.validators],
-        "blockGasLimit": cfg.block_gas_limit,
-        "gasPrice": cfg.gas_price,
-        "gst": cfg.gst,
-        "delta": cfg.delta,
-        "preGstMaxDelay": cfg.pre_gst_max_delay,
-        "preGstLossProb": cfg.pre_gst_loss_prob,
-        "seed": cfg.seed,
-        "baseRoundTimeout": cfg.base_round_timeout,
-        "keyProvider": {
-            "privateKeys": [hx(k) for k in cfg.key_provider.private_keys],
-            "rpcUrl": cfg.key_provider.rpc_url,
-            "min": cfg.key_provider.min_index,
-            "max": cfg.key_provider.max_index,
-        },
-    }
-    return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
+    obj = {name: getattr(cfg, attr) for name, attr, _ in INT_FIELDS}
+    obj.update(validators=[hx(s) for s in cfg.validators],
+               preGstLossProb=cfg.pre_gst_loss_prob, keyProvider={
+                   "privateKeys": [hx(k) for k in cfg.key_provider.private_keys],
+                   "rpcUrl": cfg.key_provider.rpc_url,
+                   "min": cfg.key_provider.min_index,
+                   "max": cfg.key_provider.max_index,
+               })
+    ordered = {name: obj[name] for name in _TOP_FIELDS}
+    return (json.dumps(ordered, indent=2) + "\n").encode("utf-8")

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .crypto import KeyPair, Registry, sign
-from .errors import InternalInvariantViolation, UnknownPublicId
+from .errors import InternalInvariantViolation
 from .keccak import keccak256
 from .model import (
     Address, Block, Hash256, Signature, ZERO_HASH, _u, block_hash, replace_unhashed,
@@ -125,10 +125,7 @@ def make_message(key: KeyPair, kind: MsgKind, height: int, round_: int,
 
 def verify_message(msg: ConsensusMessage, registry: Registry) -> bool:
     digest = message_digest(msg.kind, msg.height, msg.round, msg.block_hash)
-    try:
-        return registry.verify_by_address(msg.sender, digest, msg.signature)
-    except UnknownPublicId:
-        return False
+    return registry.verify_by_address(msg.sender, digest, msg.signature)
 
 
 class Phase(enum.Enum):
@@ -169,13 +166,13 @@ class Engine:
         self.round = 0
         self.phase = Phase.FINALIZED  # idle until start_height
         self.locked_hash: Optional[Hash256] = None
-        self.locked_block: Optional[Block] = None
         self.accepted: Optional[Block] = None
         self.timer_epoch = 0
         self.rc_target = 0
 
         self._known_blocks: dict[Hash256, Block] = {}
-        self._prepares: dict[tuple[int, Hash256], set[Address]] = {}
+        # votes by (round, block hash), then by sender
+        self._prepares: dict[tuple[int, Hash256], dict[Address, Signature]] = {}
         self._commits: dict[tuple[int, Hash256], dict[Address, Signature]] = {}
         self._round_changes: dict[int, set[Address]] = {}
         self._lock_hints: dict[Address, Hash256] = {}
@@ -189,7 +186,6 @@ class Engine:
         self.height = height
         self.phase = Phase.AWAITING_PROPOSAL
         self.locked_hash = None
-        self.locked_block = None
         self.accepted = None
         self.rc_target = -1
         self._known_blocks.clear()
@@ -221,12 +217,9 @@ class Engine:
             result.discards.append("StaleTimer")
             return self._finish(result)
         target = max(self.round, self.rc_target) + 1
-        self.rc_target = target
         self.timer_epoch += 1
         result.timer = (now + self._timeout(target), self.timer_epoch)
-        self._broadcast(make_message(
-            self.key, MsgKind.ROUND_CHANGE, self.height, target,
-            self.locked_hash or ZERO_HASH), now)
+        self._request_round(target, now)
         return self._finish(result)
 
     # -- internals -------------------------------------------------------------
@@ -264,9 +257,8 @@ class Engine:
         self.timer_epoch += 1
         result.timer = (now + self._timeout(round_), self.timer_epoch)
         if proposer_for(self.height, round_, self.config) == self.key.address:
-            block = self.locked_block
-            if block is None:
-                block = self._contested_block()
+            block = (self._known_blocks[self.locked_hash]
+                     if self.locked_hash is not None else self._contested_block())
             if block is None:
                 block = self.build_block(self.height, round_)
             self._broadcast(make_message(
@@ -284,12 +276,10 @@ class Engine:
         kind = msg.kind
         if kind is MsgKind.PRE_PREPARE:
             self._on_pre_prepare(msg, now)
-        elif kind is MsgKind.PREPARE:
-            self._on_prepare(msg, now)
-        elif kind is MsgKind.COMMIT:
-            self._on_commit(msg, now)
-        else:
+        elif kind is MsgKind.ROUND_CHANGE:
             self._on_round_change(msg, now)
+        else:
+            self._on_vote(msg, now)
 
     def _discard(self, reason: str) -> None:
         self._step().discards.append(reason)
@@ -318,22 +308,13 @@ class Engine:
         if self.phase is not Phase.FINALIZED:
             self._check_quorums(now)
 
-    def _on_prepare(self, msg: ConsensusMessage, now: int) -> None:
+    def _on_vote(self, msg: ConsensusMessage, now: int) -> None:
+        """A PREPARE or COMMIT. Future-round votes are kept: prepares count
+        on entering their round, and a commit quorum of any round finalizes."""
         if msg.round < self.round:
             return self._discard("StaleRound")
-        bucket = self._prepares.setdefault((msg.round, msg.block_hash), set())
-        if msg.sender in bucket:
-            return self._discard("DuplicateMessage")
-        bucket.add(msg.sender)
-        if msg.round == self.round:
-            self._check_quorums(now)
-
-    def _on_commit(self, msg: ConsensusMessage, now: int) -> None:
-        if msg.round < self.round:
-            return self._discard("StaleRound")
-        # future-round commits are kept: a commit quorum is finality
-        # evidence for this height no matter which round produced it
-        bucket = self._commits.setdefault((msg.round, msg.block_hash), {})
+        votes = self._prepares if msg.kind is MsgKind.PREPARE else self._commits
+        bucket = votes.setdefault((msg.round, msg.block_hash), {})
         if msg.sender in bucket:
             return self._discard("DuplicateMessage")
         bucket[msg.sender] = msg.signature
@@ -372,10 +353,14 @@ class Engine:
                 union |= self._round_changes[t]
             jump = min(later)
             if len(union) >= self.config.f + 1 and self.rc_target < jump:
-                self.rc_target = jump
-                self._broadcast(make_message(
-                    self.key, MsgKind.ROUND_CHANGE, self.height, jump,
-                    self.locked_hash or ZERO_HASH), now)
+                self._request_round(jump, now)
+
+    def _request_round(self, target: int, now: int) -> None:
+        """Broadcast a ROUND_CHANGE to `target` with this node's lock hint."""
+        self.rc_target = target
+        self._broadcast(make_message(
+            self.key, MsgKind.ROUND_CHANGE, self.height, target,
+            self.locked_hash or ZERO_HASH), now)
 
     def _contested_block(self) -> Optional[Block]:
         """The block some peer reports being locked on, if we hold it.
@@ -400,7 +385,6 @@ class Engine:
             if len(self._prepares.get((self.round, bh), ())) >= q:
                 self.phase = Phase.PREPARED
                 self.locked_hash = bh
-                self.locked_block = self.accepted
                 self._broadcast(make_message(
                     self.key, MsgKind.COMMIT, self.height, self.round, bh), now)
                 if self.phase is Phase.FINALIZED:
@@ -446,10 +430,5 @@ def validate_finalized_block(block: Block, config: ConsensusConfig,
         return False
     digest = message_digest(MsgKind.COMMIT, block.height, block.round,
                             block_hash(block))
-    for addr, seal in block.commit_seals:
-        try:
-            if not registry.verify_by_address(addr, digest, seal):
-                return False
-        except UnknownPublicId:
-            return False
-    return True
+    return all(registry.verify_by_address(addr, digest, seal)
+               for addr, seal in block.commit_seals)

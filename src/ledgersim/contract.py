@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .crypto import Registry
-from .errors import InternalInvariantViolation, NotDeployed, UnknownPublicId
+from .errors import InternalInvariantViolation, NotDeployed
 from .keccak import keccak256, keccak256_many
 from .model import (
     Address, AddFunds, AddRecipient, Amount, Block, Deploy, ErrorCode, Event,
@@ -302,11 +302,10 @@ def block_content_error(block: Block, ledger: LedgerState, registry: Registry,
     if sum(t.gas_limit for t in block.txs) > gas_limit:
         return "block gas limit exceeded"
     for tx in block.txs:
-        try:
-            if not registry.verify_by_address(tx.sender, tx_hash(tx), tx.signature):
-                return "bad transaction signature"
-        except UnknownPublicId:
+        if registry.key_for_address(tx.sender) is None:
             return "transaction from unknown sender"
+        if not registry.verify_by_address(tx.sender, tx_hash(tx), tx.signature):
+            return "bad transaction signature"
     if state_root(ledger.contract) != block.state_root:
         return "state root mismatch"
     return None

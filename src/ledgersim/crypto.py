@@ -2,9 +2,9 @@
 
 The network is permissioned and the simulator owns every key, so
 signatures are keyed hashes: sign(key, digest) = keccak256(secret || digest).
-Verification re-derives the tag from the registered secret. The scheme
-sits behind sign()/Registry.verify() so a real one could be swapped in
-without touching consensus or contract code.
+Verification re-derives the tag from the registered secret; an unknown
+signer fails it. The scheme sits behind sign()/Registry.verify() so a
+real one could be swapped in without touching consensus or contract code.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ class Registry:
         return sig == sign(key, digest)
 
     def verify_by_address(self, address: Address, digest: bytes, sig: Signature) -> bool:
+        """Whether `sig` is `address`'s signature; False for an unregistered address."""
         key = self._by_address.get(address)
-        if key is None:
-            raise UnknownPublicId(f"unregistered address {address.hex()}")
-        return sig == sign(key, digest)
+        return key is not None and sig == sign(key, digest)

@@ -23,7 +23,7 @@ from .consensus import (
     validate_finalized_block,
 )
 from .crypto import KeyPair, Registry
-from .errors import InternalInvariantViolation, UnknownPublicId
+from .errors import InternalInvariantViolation
 from .model import (
     Address, Block, Event, Hash256, Receipt, Transaction, block_hash, tx_hash,
 )
@@ -70,10 +70,7 @@ class Mempool:
         h = tx_hash(tx)
         if h in self.seen:
             return False, "DuplicateTx"
-        try:
-            if not self.registry.verify_by_address(tx.sender, h, tx.signature):
-                return False, "InvalidSignature"
-        except UnknownPublicId:
+        if not self.registry.verify_by_address(tx.sender, h, tx.signature):
             return False, "InvalidSignature"
         if tx.nonce < executed_nonce:
             return False, "StaleNonce"

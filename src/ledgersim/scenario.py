@@ -15,10 +15,8 @@ Command actions:
     injectFault                     -> {node: validator index, behavior}
     setGstNow                       -> stabilize the network now
 
-Expectation kinds (all evaluated on honest nodes after the run):
-    orgBalance{value} balance{address,value} minFinalizedHeight{value}
-    noFinalization events{value:[...]} receiptStatus{command,status[,error]}
-    queryResult{command,value} safety{value: bool} convergedState
+Expectation kinds and the only keys each takes are in `_EXPECTATIONS`;
+all are evaluated on honest nodes after the run.
 
 Artifacts written by run_scenario: chain.jsonl, events.jsonl,
 state.json, report.json, consensus_trace.jsonl, network_trace.jsonl.
@@ -34,7 +32,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import contract
-from .config import GenesisConfig, active_keys
+from .config import INT_FIELDS, GenesisConfig, active_keys
 from .crypto import KeyPair
 from .errors import InternalInvariantViolation, MalformedScenario
 from .model import (
@@ -49,6 +47,12 @@ DEFAULT_HORIZON = 2000
 _ACTIONS = {**{name: kind.fields for name, kind in KIND_BY_NAME.items()},
             "getBalance": ("address",), "injectFault": ("node", "behavior"),
             "setGstNow": ()}
+# each expectation kind's keys besides "kind"
+_EXPECTATIONS = {"orgBalance": ("value",), "balance": ("address", "value"),
+                 "minFinalizedHeight": ("value",), "noFinalization": (),
+                 "events": ("value",), "receiptStatus": ("command", "status", "error"),
+                 "queryResult": ("command", "value"), "safety": ("value",),
+                 "convergedState": ()}
 
 
 @dataclass(frozen=True)
@@ -80,6 +84,8 @@ def parse_scenario(data: bytes) -> Scenario:
     unknown = set(obj) - {"name", "commands", "expectations", "horizon"}
     if unknown:
         raise MalformedScenario(f"unknown fields {sorted(unknown)}")
+    if not isinstance(obj["name"], str):
+        raise MalformedScenario("name must be a JSON string")
 
     if not isinstance(obj["commands"], list):
         raise MalformedScenario("commands must be a list")
@@ -95,7 +101,7 @@ def parse_scenario(data: bytes) -> Scenario:
         if not isinstance(action_obj, dict) or "type" not in action_obj:
             raise MalformedScenario(f"command {i}: action must carry a type")
         action = action_obj["type"]
-        if action not in _ACTIONS:
+        if not isinstance(action, str) or action not in _ACTIONS:
             raise MalformedScenario(f"command {i}: unknown action {action!r}")
         at_time = _json_int(raw["atTime"], f"command {i}: atTime", MalformedScenario)
         if at_time < last_time:
@@ -110,11 +116,21 @@ def parse_scenario(data: bytes) -> Scenario:
         commands.append(Command(at_time, actor, action, params))
 
     horizon = _json_int(obj.get("horizon", DEFAULT_HORIZON), "horizon", MalformedScenario)
+    if horizon < 0:
+        raise MalformedScenario("horizon must be >= 0")
     expectations = obj.get("expectations", [])
     if not isinstance(expectations, list) or \
             not all(isinstance(exp, dict) for exp in expectations):
         raise MalformedScenario("expectations must be a list of objects")
-    return Scenario(str(obj["name"]), tuple(commands), tuple(expectations), horizon)
+    for i, exp in enumerate(expectations):
+        kind = exp.get("kind")
+        if not isinstance(kind, str) or kind not in _EXPECTATIONS:
+            raise MalformedScenario(f"expectation {i}: unknown kind {kind!r}")
+        unknown = set(exp) - {"kind", *_EXPECTATIONS[kind]}
+        if unknown:
+            raise MalformedScenario(
+                f"expectation {i}: unknown {kind} keys {sorted(unknown)}")
+    return Scenario(obj["name"], tuple(commands), tuple(expectations), horizon)
 
 
 class _Runner:
@@ -286,16 +302,10 @@ def build_report(runner: _Runner, expectation_results: list[dict]) -> dict:
     report = {
         "scenario": runner.scenario.name,
         "config": {
-            "networkId": genesis.network_id,
-            "blockGasLimit": genesis.block_gas_limit,
-            "gasPrice": genesis.gas_price,
+            **{name: getattr(genesis, attr) for name, attr, _ in INT_FIELDS},
             "validators": [hx(a) for a in sim.config.validators],
-            "gst": genesis.gst,
-            "delta": genesis.delta,
-            "preGstMaxDelay": genesis.pre_gst_max_delay,
             "preGstLossProb": genesis.pre_gst_loss_prob,
-            "baseRoundTimeout": genesis.base_round_timeout,
-            "seed": sim.seed,
+            "seed": sim.seed,  # the run's seed, which --seed may override
             "horizon": runner.scenario.horizon,
         },
         "finalizedHeight": {hx(a): sim.finalized_height(a)

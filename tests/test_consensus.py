@@ -6,13 +6,16 @@ import pytest
 
 from ledgersim import contract
 from ledgersim.consensus import (
-    ConsensusConfig, Engine, MsgKind, Phase, StepResult, fault_tolerance,
-    make_message, message_digest, proposer_for, quorum_size,
+    ConsensusConfig, ConsensusMessage, Engine, MsgKind, Phase, StepResult,
+    fault_tolerance, make_message, message_digest, proposer_for, quorum_size,
     validate_finalized_block, verify_message,
 )
 from ledgersim.errors import InternalInvariantViolation
 from ledgersim.model import Address, Block, Hash256, ZERO_HASH, block_hash
-from ledgersim.simulation import make_genesis_block
+from ledgersim.netsim import Behavior, ByzantineSpec, EvKind, Network
+from ledgersim.simulation import Simulation, make_genesis_block
+
+from conftest import make_genesis
 
 GENESIS = make_genesis_block()
 
@@ -286,6 +289,96 @@ class TestLocking:
             assert len(sent_commits) <= 1
             if sent_commits and engine.locked_hash is not None:
                 assert sent_commits == {engine.locked_hash}
+
+
+class TestFutureRoundVotes:
+    def test_kept_votes_finalize_on_entering_their_round(self, keys, registry):
+        """PREPAREs and COMMITs for a later round are kept without a
+        discard; once the engine enters that round and accepts the
+        proposal it commits and finalizes with no further votes."""
+        config = ConsensusConfig(tuple(k.address for k in keys[:4]), 30)
+        engine = _make_engine(keys[0], config, registry)
+        engine.start_height(1, 0)
+        proposer = keys[2]
+        assert proposer_for(1, 1, config) == proposer.address
+        block = _make_engine(proposer, config, registry).build_block(1, 1)
+        bh = block_hash(block)
+        for kind in (MsgKind.PREPARE, MsgKind.COMMIT):
+            for voter in keys[1:4]:
+                step = engine.handle_message(make_message(voter, kind, 1, 1, bh), 1)
+                assert not step.discards and not step.outbound
+                assert step.finalized is None
+        for voter in keys[1:4]:
+            engine.handle_message(
+                make_message(voter, MsgKind.ROUND_CHANGE, 1, 1, ZERO_HASH), 2)
+        assert engine.round == 1 and engine.phase is Phase.AWAITING_PROPOSAL
+
+        step = engine.handle_message(make_message(
+            proposer, MsgKind.PRE_PREPARE, 1, 1, bh, proposal=block), 3)
+        assert [m.kind for m in step.outbound] == [MsgKind.PREPARE, MsgKind.COMMIT]
+        assert engine.locked_hash == bh
+        assert step.finalized is not None and block_hash(step.finalized) == bh
+        assert step.finalized.round == 1 and len(step.finalized.commit_seals) == 4
+        assert validate_finalized_block(step.finalized, config, registry, parent=GENESIS)
+
+
+class TestLockSplit:
+    """ROADMAP item 1's schedule. V1 is silent except for scripted
+    messages, and before t=100 the network drops every consensus message
+    but a chosen few, as pre-GST loss may. That leaves V0 locked on V1's
+    round-0 block B1, and V2 and V3 on V2's round-1 block B2."""
+
+    ALLOWED = {  # (kind, round, sender index, recipient index)
+        (MsgKind.PREPARE, 0, 2, 0),
+        (MsgKind.ROUND_CHANGE, 1, 2, 3), (MsgKind.ROUND_CHANGE, 1, 3, 2),
+        (MsgKind.PRE_PREPARE, 1, 2, 3),
+        (MsgKind.PREPARE, 1, 2, 3), (MsgKind.PREPARE, 1, 3, 2),
+    }
+
+    @pytest.fixture()
+    def split(self, monkeypatch):
+        sim = Simulation(make_genesis(seed=1, gst=0, delta=1, pre_gst_loss_prob=0))
+        v = sim.config.validators
+        sim.inject_fault(ByzantineSpec(v[1], Behavior.SILENT))
+        send = Network.send
+
+        def lossy_send(net, payload, frm, to, now):
+            if now < 100 and isinstance(payload, ConsensusMessage) and (
+                    payload.kind, payload.round, v.index(frm), v.index(to)
+            ) not in self.ALLOWED:
+                return None
+            return send(net, payload, frm, to, now)
+        monkeypatch.setattr(Network, "send", lossy_send)
+
+        v1 = sim.validator_keys[1]
+        b1 = sim.nodes[v[1]].build_block(1, 0)
+        b2 = sim.nodes[v[2]].build_block(1, 1)
+        script = [
+            (1, make_message(v1, MsgKind.PRE_PREPARE, 1, 0, block_hash(b1), b1), (0, 2)),
+            (2, make_message(v1, MsgKind.PREPARE, 1, 0, block_hash(b1)), (0,)),
+            (31, make_message(v1, MsgKind.ROUND_CHANGE, 1, 1, ZERO_HASH), (2, 3)),
+            (33, make_message(v1, MsgKind.PREPARE, 1, 1, block_hash(b2)), (2, 3)),
+        ]
+        for at, msg, recipients in script:
+            for i in recipients:
+                sim.queue.schedule(at, EvKind.DELIVER, v[i], msg)
+        sim.run(until=100)
+        return sim, block_hash(b1), block_hash(b2)
+
+    def test_schedule_splits_the_honest_locks(self, split):
+        sim, b1, b2 = split
+        locks = [sim.nodes[a].engine.locked_hash for a in sim.config.validators]
+        assert (locks[0], locks[2], locks[3]) == (b1, b2, b2)
+        assert sim.min_honest_height() == 0
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: an engine never unlocks and ROUND_CHANGE carries no "
+        "prepared certificate, so split locks stall the height forever"))
+    def test_split_locks_finalize_after_gst(self, split):
+        sim, _, _ = split
+        sim.run(until=20_000)
+        assert sim.safety_violation is None
+        assert sim.min_honest_height() >= 1
 
 
 class TestValidateFinalizedBlock:

@@ -65,6 +65,13 @@ def test_verify_unknown_public_id_raises(registry):
         registry.verify(stranger.public_id, Hash256(bytes(32)), sign(stranger, Hash256(bytes(32))))
 
 
+def test_verify_by_address_unknown_address_is_false(registry):
+    stranger = KeyPair.from_seed(b"\xfe" * 32)
+    digest = Hash256(bytes(32))
+    assert registry.key_for_address(stranger.address) is None
+    assert registry.verify_by_address(stranger.address, digest, sign(stranger, digest)) is False
+
+
 def test_distinct_seeds_yield_distinct_addresses():
     rng = random.Random(77)
     seen = set()

@@ -217,12 +217,21 @@ class TestCli:
         lambda s: s["commands"][3]["action"].update(amount=5),  # addFunds
         lambda s: s["commands"].append(
             {"atTime": 500, "actor": 0, "action": {"type": "setGstNow", "at": 500}}),
+        lambda s: s.update(name=12345),
+        lambda s: s.update(horizon=-5),
+        lambda s: s["expectations"][7].update(valeu=False),  # safety
+        lambda s: s["expectations"][3].update(eror="Unauthorized"),  # receiptStatus
+        lambda s: s["expectations"][0].update(kind="orgBalanse"),
+        lambda s: s["commands"][0]["action"].update(type=["deploy"]),
+        lambda s: s["expectations"][8].update(kind=["convergedState"]),
     ], ids=["atTime", "commands", "amt", "recipient", "horizon", "actor",
             "behavior", "expectations", "expectation", "account",
             "float_atTime", "string_actor", "bool_horizon", "float_horizon",
             "float_amt", "string_amt", "bool_amount", "integer_account",
             "bool_recipient", "float_node", "misspelt_address",
-            "foreign_amount", "setGstNow_key"])
+            "foreign_amount", "setGstNow_key", "integer_name",
+            "negative_horizon", "misspelt_value", "misspelt_error",
+            "unknown_kind", "list_action_type", "list_kind"])
     def test_malformed_scenario_exits_2(self, tmp_path, edit):
         obj = json.loads(PAPER_FLOW.read_text())
         edit(obj)
