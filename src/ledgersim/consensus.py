@@ -33,7 +33,6 @@ from typing import Callable, Optional
 
 from .crypto import KeyPair, Registry, sign
 from .errors import InternalInvariantViolation
-from .keccak import keccak256
 from .model import (
     Address, Block, Hash256, Signature, ZERO_HASH, _u, block_hash, replace_unhashed,
 )
@@ -106,26 +105,22 @@ class ConsensusMessage:
 
 def message_payload(kind: MsgKind, height: int, round_: int,
                     block_hash_: Hash256) -> bytes:
-    """The bytes message_digest() hashes."""
+    """The bytes a consensus signature covers: kind tag (1), height (8),
+    round (8) and block hash (32)."""
     return _u(_KIND_TAG[kind], 1) + _u(height, 8) + _u(round_, 8) + block_hash_
-
-
-def message_digest(kind: MsgKind, height: int, round_: int,
-                   block_hash_: Hash256) -> Hash256:
-    return Hash256(keccak256(message_payload(kind, height, round_, block_hash_)))
 
 
 def make_message(key: KeyPair, kind: MsgKind, height: int, round_: int,
                  block_hash_: Hash256,
                  proposal: Optional[Block] = None) -> ConsensusMessage:
-    digest = message_digest(kind, height, round_, block_hash_)
+    payload = message_payload(kind, height, round_, block_hash_)
     return ConsensusMessage(kind, height, round_, block_hash_,
-                            key.address, sign(key, digest), proposal)
+                            key.address, sign(key, payload), proposal)
 
 
 def verify_message(msg: ConsensusMessage, registry: Registry) -> bool:
-    digest = message_digest(msg.kind, msg.height, msg.round, msg.block_hash)
-    return registry.verify_by_address(msg.sender, digest, msg.signature)
+    payload = message_payload(msg.kind, msg.height, msg.round, msg.block_hash)
+    return registry.verify_by_address(msg.sender, payload, msg.signature)
 
 
 class Phase(enum.Enum):
@@ -428,7 +423,7 @@ def validate_finalized_block(block: Block, config: ConsensusConfig,
         return False
     if any(addr not in config.validators for addr in signers):
         return False
-    digest = message_digest(MsgKind.COMMIT, block.height, block.round,
-                            block_hash(block))
-    return all(registry.verify_by_address(addr, digest, seal)
+    payload = message_payload(MsgKind.COMMIT, block.height, block.round,
+                              block_hash(block))
+    return all(registry.verify_by_address(addr, payload, seal)
                for addr, seal in block.commit_seals)

@@ -1,14 +1,20 @@
 """Key material and the deterministic mock signature scheme.
 
-The network is permissioned and the simulator owns every key, so
-signatures are keyed hashes: sign(key, digest) = keccak256(secret || digest).
-Verification re-derives the tag from the registered secret; an unknown
-signer fails it. The scheme sits behind sign()/Registry.verify() so a
-real one could be swapped in without touching consensus or contract code.
+The network is permissioned and the simulator owns every key, so a
+signature is a keyed hash: sign(key, msg) = BLAKE2b-256 keyed with the
+secret. Besu signs with secp256k1, so Keccak would be no more faithful,
+and stdlib BLAKE2b costs a fraction of the pure-Python Keccak, which is
+kept for commitments (tx and block hashes, state roots, addresses, public
+ids). Transactions sign their 32-byte hash and consensus messages their
+49-byte payload, so the two signed inputs never coincide. Verification
+re-derives the tag from the registered secret; an unknown signer fails
+it. The scheme sits behind sign()/Registry.verify() so a real one could
+be swapped in without touching consensus or contract code.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 from .errors import UnknownPublicId
@@ -31,15 +37,8 @@ class KeyPair:
         return cls(secret, public_id, address)
 
 
-def signing_input(key: KeyPair, digest: bytes) -> bytes:
-    """The bytes sign() hashes, for callers that hash many at once."""
-    if len(digest) != 32:
-        raise ValueError("digest must be 32 bytes")
-    return key.secret + digest
-
-
-def sign(key: KeyPair, digest: bytes) -> Signature:
-    return Signature(keccak256(signing_input(key, digest)))
+def sign(key: KeyPair, msg: bytes) -> Signature:
+    return Signature(hashlib.blake2b(msg, key=key.secret, digest_size=32).digest())
 
 
 class Registry:
@@ -56,13 +55,13 @@ class Registry:
     def key_for_address(self, address: Address) -> KeyPair | None:
         return self._by_address.get(address)
 
-    def verify(self, public_id: Hash256, digest: bytes, sig: Signature) -> bool:
+    def verify(self, public_id: Hash256, msg: bytes, sig: Signature) -> bool:
         key = self._by_public_id.get(public_id)
         if key is None:
             raise UnknownPublicId(f"unregistered public id {public_id.hex()}")
-        return sig == sign(key, digest)
+        return sig == sign(key, msg)
 
-    def verify_by_address(self, address: Address, digest: bytes, sig: Signature) -> bool:
+    def verify_by_address(self, address: Address, msg: bytes, sig: Signature) -> bool:
         """Whether `sig` is `address`'s signature; False for an unregistered address."""
         key = self._by_address.get(address)
-        return key is not None and sig == sign(key, digest)
+        return key is not None and sig == sign(key, msg)

@@ -8,8 +8,10 @@ The verdict names the first diverging height so corrupted dumps are easy
 to localize.
 
 The dump is processed in windows of blocks. Before a window's checks run
-in chain order, every digest they will ask for is hashed in a few
-batches by `keccak256_many`, so each check finds its digest memoized.
+in chain order, every Keccak digest they will ask for (block, transaction
+and bank-account hashes, state roots) is hashed in a few batches by
+`keccak256_many`, so each check finds its digest memoized. Signature
+checks need no batch: signatures are keyed BLAKE2b, not Keccak.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from typing import Optional
 
 from . import contract
 from .config import GenesisConfig
-from .consensus import MsgKind, message_payload, validate_finalized_block
-from .crypto import Registry, signing_input
+from .consensus import validate_finalized_block
 from .errors import CorruptDump
 from .keccak import keccak256_many
 from .model import (
@@ -70,37 +71,26 @@ def _load_blocks(data: bytes) -> list[tuple[Block, object, list]]:
     return blocks
 
 
-def _execute_window(window: list[tuple[Block, object, list]], ledger: contract.LedgerState,
-                    registry: Registry) -> list[tuple[contract.LedgerState, list]]:
+def _execute_window(window: list[tuple[Block, object, list]],
+                    ledger: contract.LedgerState) -> list[tuple[contract.LedgerState, list]]:
     """Apply each block of the window; return the ledger after it and its
     receipts.
 
-    Around the execution, batch-hash every digest the window's checks
-    will ask for, in dependent stages: block and transaction hashes; then
-    transaction signatures, commit digests and bank-account strings; then
-    commit seals and state roots.
+    Around the execution, batch-hash every Keccak digest the window's
+    checks will ask for: block and transaction hashes and bank-account
+    strings before it, state roots after it. Signatures are keyed BLAKE2b
+    (`crypto.sign`), cheap enough to check one at a time.
     """
     blocks = [block for block, _, _ in window]
-    txs = [tx for block in blocks for tx in block.txs]
-    hashes = block_hashes(blocks)  # hashes the transactions too
-    key = registry.key_for_address
-    signers = [(key(tx.sender), tx_hash(tx)) for tx in txs]
-    commits = keccak256_many(
-        [message_payload(MsgKind.COMMIT, block.height, block.round, digest)
-         for block, digest in zip(blocks, hashes)]
-        + [signing_input(k, digest) for k, digest in signers if k is not None]
-        + [tx.payload.account.encode("utf-8") for tx in txs  # as the contract hashes it
-           if isinstance(tx.payload, RegisterBankAccount)]
-    )[:len(blocks)]
+    block_hashes(blocks)  # hashes the transactions too
+    keccak256_many([tx.payload.account.encode("utf-8")  # as the contract hashes it
+                    for block in blocks for tx in block.txs
+                    if isinstance(tx.payload, RegisterBankAccount)])
 
     executed = []
     for block in blocks:
         ledger, receipts = contract.execute_block_txs(ledger, block.txs)
         executed.append((ledger, receipts))
-
-    seals = [(key(addr), digest) for block, digest in zip(blocks, commits)
-             for addr, _ in block.commit_seals]
-    keccak256_many([signing_input(k, digest) for k, digest in seals if k is not None])
     contract.state_roots([after.contract for after, _ in executed])
     return executed
 
@@ -124,7 +114,7 @@ def _replay(genesis_cfg: GenesisConfig, dump: bytes,
     found = None
     for start in range(1, len(blocks), _WINDOW):
         window = blocks[start:start + _WINDOW]
-        executed = _execute_window(window, ledger, registry)
+        executed = _execute_window(window, ledger)
         for (block, declared, declared_txs), (ledger, receipts) in zip(window, executed):
             h = block.height
             if declared != hx(block_hash(block)):

@@ -6,7 +6,8 @@ evaluated after the run. Actors are indices into the key provider's
 active range; recipient and address parameters accept either an actor
 index or a 0x-hex address. Amounts and node indices are JSON integers,
 and an account is a JSON string. An action takes only its parameters in
-`_ACTIONS`. Expectation numbers (value, command) are JSON integers.
+`_ACTIONS`. Expectation numbers (value, command) are JSON integers, and a
+`queryResult` value is a JSON string, as query results are.
 
 Command actions:
     deploy | addRecipient | removeRecipient | registerBankAccount |
@@ -15,8 +16,8 @@ Command actions:
     injectFault                     -> {node: validator index, behavior}
     setGstNow                       -> stabilize the network now
 
-Expectation kinds and the only keys each takes are in `_EXPECTATIONS`;
-all are evaluated on honest nodes after the run.
+Expectation kinds, the keys each requires and the only others it takes
+are in `_EXPECTATIONS`; all are evaluated on honest nodes after the run.
 
 Artifacts written by run_scenario: chain.jsonl, events.jsonl,
 state.json, report.json, consensus_trace.jsonl, network_trace.jsonl.
@@ -47,12 +48,13 @@ DEFAULT_HORIZON = 2000
 _ACTIONS = {**{name: kind.fields for name, kind in KIND_BY_NAME.items()},
             "getBalance": ("address",), "injectFault": ("node", "behavior"),
             "setGstNow": ()}
-# each expectation kind's keys besides "kind"
-_EXPECTATIONS = {"orgBalance": ("value",), "balance": ("address", "value"),
-                 "minFinalizedHeight": ("value",), "noFinalization": (),
-                 "events": ("value",), "receiptStatus": ("command", "status", "error"),
-                 "queryResult": ("command", "value"), "safety": ("value",),
-                 "convergedState": ()}
+# each expectation kind's required and optional keys besides "kind"
+_EXPECTATIONS = {"orgBalance": (("value",), ()), "balance": (("address", "value"), ()),
+                 "minFinalizedHeight": (("value",), ()), "noFinalization": ((), ()),
+                 "events": (("value",), ()),
+                 "receiptStatus": (("command", "status"), ("error",)),
+                 "queryResult": (("command", "value"), ()), "safety": ((), ("value",)),
+                 "convergedState": ((), ())}
 
 
 @dataclass(frozen=True)
@@ -126,10 +128,15 @@ def parse_scenario(data: bytes) -> Scenario:
         kind = exp.get("kind")
         if not isinstance(kind, str) or kind not in _EXPECTATIONS:
             raise MalformedScenario(f"expectation {i}: unknown kind {kind!r}")
-        unknown = set(exp) - {"kind", *_EXPECTATIONS[kind]}
+        required, optional = _EXPECTATIONS[kind]
+        unknown = set(exp) - {"kind", *required, *optional}
         if unknown:
             raise MalformedScenario(
                 f"expectation {i}: unknown {kind} keys {sorted(unknown)}")
+        missing = set(required) - set(exp)
+        if missing:
+            raise MalformedScenario(
+                f"expectation {i}: {kind} missing keys {sorted(missing)}")
     return Scenario(obj["name"], tuple(commands), tuple(expectations), horizon)
 
 
@@ -258,13 +265,16 @@ def _evaluate_expectations(runner: _Runner) -> list[dict]:
                                   f" error {receipt.error.value if receipt.error else None}")
             elif kind == "queryResult":
                 target = _json_int(exp["command"], "command")
+                want = exp["value"]
+                if not isinstance(want, str):
+                    raise ValueError(f"queryResult value must be a string, got {want!r}")
                 record = next((q for q in sim.queries
                                if q["label"] == target), None)
                 if record is None:
                     detail = "no query for command"
                 else:
                     values = {v["value"] for v in record["values"]}
-                    ok = values == {str(exp["value"])}
+                    ok = values == {want}
                     detail = f"values {sorted(values)}"
             elif kind == "safety":
                 got = sim.safety_violation is None

@@ -2,9 +2,11 @@
 batched entry point and its slot; and pinned golden values of both
 commitments. Block-hash trees are tested in test_model.py."""
 
+import hashlib
 import json
 from pathlib import Path
 
+import pytest
 from hypothesis import given, strategies as st
 
 from ledgersim import contract, keccak
@@ -13,6 +15,8 @@ from ledgersim.contract import ContractState, state_root, state_roots
 from ledgersim.keccak import keccak256
 from ledgersim.model import Address, Amount, Hash256, ZERO_HASH, hx
 from ledgersim.scenario import parse_scenario, run_scenario
+
+from keccak_reference import keccak256_reference
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -167,14 +171,57 @@ class TestGoldenValues:
         assert hx(state_root(contract.fresh_state())) == (
             "0xa5af9989a5493862f7344174b4e4207ec559fac1cbabbcacae70e26269982313")
 
-    def test_paper_flow_head(self, tmp_path):
-        genesis = parse_genesis((ROOT / "scenarios" / "genesis_paper.json").read_bytes())
-        scenario = parse_scenario((ROOT / "scenarios" / "paper_flow.json").read_bytes())
-        code, _ = run_scenario(genesis, scenario, out_dir=tmp_path)
-        assert code == 0
-        head = json.loads((tmp_path / "chain.jsonl").read_text().splitlines()[-1])
+    def test_paper_flow_head(self, paper_flow_chain):
+        head = paper_flow_chain[-1]
         assert head["height"] == 19
         assert head["hash"] == (
-            "0xb23f8542f353b4e94a0fac06d91392c577cbe7edc0238234187520170000bceb")
+            "0x80a9cccd4b33f581fbd4eed75da01f4a0d0f2d2a98e95c8041d492634a4ce52e")
         assert head["stateRoot"] == (
             "0xaa15e9e1087de94efd22767880cc864f060fc08ddf9eb9091d88f2aed6649d69")
+
+    def test_paper_flow_chain_rederived(self, paper_flow_chain):
+        """Every block hash, tx signature and commit seal of the paper_flow
+        dump, re-derived from the dump's fields alone: the README's
+        block-hash layout over the bit-level reference Keccak, and
+        keyed BLAKE2b with the genesis secrets."""
+        genesis = json.loads((ROOT / "scenarios" / "genesis_paper.json").read_bytes())
+        secrets = [bytes.fromhex(s[2:]) for s in genesis["keyProvider"]["privateKeys"]]
+        secret_of = {keccak256_reference(keccak256_reference(s))[-20:]: s for s in secrets}
+
+        def raw(field):
+            return bytes.fromhex(field[2:])
+
+        def signed(msg, addr, sig):
+            key = secret_of[raw(addr)]
+            return raw(sig) == hashlib.blake2b(msg, key=key, digest_size=32).digest()
+
+        parent = bytes(32)
+        for block in paper_flow_chain:
+            assert raw(block["parentHash"]) == parent
+            entries = []
+            for tx in block["txs"]:
+                assert signed(raw(tx["hash"]), tx["sender"], tx["signature"])
+                sig = raw(tx["signature"])
+                entries.append(raw(tx["hash"]) + len(sig).to_bytes(4, "big") + sig)
+            groups = b"".join(keccak256_reference(b"".join(entries[i:i + 16]))
+                              for i in range(0, len(entries), 16))
+            parent = keccak256_reference(
+                block["height"].to_bytes(8, "big") + raw(block["parentHash"])
+                + raw(block["proposer"]) + len(entries).to_bytes(4, "big") + groups
+                + raw(block["stateRoot"]))
+            assert "0x" + parent.hex() == block["hash"]
+            commit = (bytes([2]) + block["height"].to_bytes(8, "big")  # COMMIT's tag
+                      + block["round"].to_bytes(8, "big") + parent)
+            assert all(signed(commit, addr, seal) for addr, seal in block["commitSeals"])
+        assert sum(len(block["txs"]) for block in paper_flow_chain) == 5
+        assert "0x" + parent.hex() == paper_flow_chain[-1]["hash"]
+
+
+@pytest.fixture(scope="module")
+def paper_flow_chain(tmp_path_factory):
+    out = tmp_path_factory.mktemp("paper_flow")
+    genesis = parse_genesis((ROOT / "scenarios" / "genesis_paper.json").read_bytes())
+    scenario = parse_scenario((ROOT / "scenarios" / "paper_flow.json").read_bytes())
+    code, _ = run_scenario(genesis, scenario, out_dir=out)
+    assert code == 0
+    return [json.loads(line) for line in (out / "chain.jsonl").read_text().splitlines()]

@@ -7,7 +7,7 @@ import pytest
 from ledgersim import contract
 from ledgersim.consensus import (
     ConsensusConfig, ConsensusMessage, Engine, MsgKind, Phase, StepResult,
-    fault_tolerance, make_message, message_digest, proposer_for, quorum_size,
+    fault_tolerance, make_message, message_payload, proposer_for, quorum_size,
     validate_finalized_block, verify_message,
 )
 from ledgersim.errors import InternalInvariantViolation
@@ -79,10 +79,10 @@ class TestMessageSignatures:
         from dataclasses import replace
         assert not verify_message(replace(msg, round=2), registry)
 
-    def test_digest_covers_kind(self):
+    def test_payload_covers_kind(self):
         h = Hash256(b"\x01" * 32)
-        assert message_digest(MsgKind.PREPARE, 1, 0, h) != \
-            message_digest(MsgKind.COMMIT, 1, 0, h)
+        assert message_payload(MsgKind.PREPARE, 1, 0, h) != \
+            message_payload(MsgKind.COMMIT, 1, 0, h)
 
 
 def _make_engine(key, config, registry):

@@ -9,8 +9,7 @@ import pytest
 
 from ledgersim import contract, replay
 from ledgersim.config import parse_genesis
-from ledgersim.consensus import MsgKind, message_digest
-from ledgersim.crypto import sign
+from ledgersim.consensus import MsgKind, make_message
 from ledgersim.errors import CorruptDump
 from ledgersim.model import (
     Address, Hash256, Signature, block_from_json, block_hash, block_to_json,
@@ -47,10 +46,10 @@ def reseal(blocks, start):
     out = list(blocks[:start])
     for block in blocks[start:]:
         block = replace(block, parent_hash=block_hash(out[-1]))
-        digest = message_digest(MsgKind.COMMIT, block.height, block.round,
-                                block_hash(block))
         out.append(replace(block, commit_seals=tuple(
-            (k.address, sign(k, digest)) for k in keys)))
+            (k.address, make_message(k, MsgKind.COMMIT, block.height, block.round,
+                                     block_hash(block)).signature)
+            for k in keys)))
     return out
 
 

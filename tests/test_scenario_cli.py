@@ -99,10 +99,14 @@ class TestPaperFlow:
         {"kind": "safety", "value": "false"},
         {"kind": "orgBalance", "value": 700.9},
         {"kind": "receiptStatus", "command": 4.5, "status": "SUCCESS"},
-    ], ids=["string_safety", "float_orgBalance", "float_command"])
+        {"kind": "queryResult", "command": 5, "value": 700},
+        {"kind": "queryResult", "command": 5, "value": 700.0},
+    ], ids=["string_safety", "float_orgBalance", "float_command",
+            "integer_queryResult", "float_queryResult"])
     def test_uncoerced_expectation_value_exits_3(self, expectation):
-        """Each of these held on paper_flow when values were coerced with
-        bool() and int()."""
+        """When values were coerced with bool(), int() and str(), each of
+        these held on paper_flow (query 5 reads "700") or, for 700.0,
+        failed as a mismatch rather than as unevaluable."""
         genesis = parse_genesis(GENESIS.read_bytes())
         obj = json.loads(PAPER_FLOW.read_text())
         obj["expectations"] = [expectation]
@@ -224,6 +228,9 @@ class TestCli:
         lambda s: s["expectations"][0].update(kind="orgBalanse"),
         lambda s: s["commands"][0]["action"].update(type=["deploy"]),
         lambda s: s["expectations"][8].update(kind=["convergedState"]),
+        lambda s: s["expectations"][0].pop("value"),  # orgBalance
+        lambda s: s["expectations"][1].pop("address"),  # balance
+        lambda s: s["expectations"][5].pop("value"),  # queryResult
     ], ids=["atTime", "commands", "amt", "recipient", "horizon", "actor",
             "behavior", "expectations", "expectation", "account",
             "float_atTime", "string_actor", "bool_horizon", "float_horizon",
@@ -231,7 +238,9 @@ class TestCli:
             "bool_recipient", "float_node", "misspelt_address",
             "foreign_amount", "setGstNow_key", "integer_name",
             "negative_horizon", "misspelt_value", "misspelt_error",
-            "unknown_kind", "list_action_type", "list_kind"])
+            "unknown_kind", "list_action_type", "list_kind",
+            "missing_orgBalance_value", "missing_balance_address",
+            "missing_queryResult_value"])
     def test_malformed_scenario_exits_2(self, tmp_path, edit):
         obj = json.loads(PAPER_FLOW.read_text())
         edit(obj)
