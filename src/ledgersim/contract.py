@@ -106,6 +106,11 @@ def remove_recipient(state: ContractState, sender: Address,
     return replace(state, recipients=recipients), _OK
 
 
+def account_hash_input(account: str) -> bytes:
+    """The bytes `register_bank_account` hashes; batching callers hash them ahead."""
+    return account.encode("utf-8")
+
+
 def register_bank_account(state: ContractState, sender: Address, recipient: Address,
                           account: str) -> tuple[ContractState, OpResult]:
     if not state.deployed:
@@ -114,7 +119,7 @@ def register_bank_account(state: ContractState, sender: Address, recipient: Addr
         return state, OpResult(ErrorCode.UNAUTHORIZED)
     if not state.recipients.get(recipient, False):
         return state, OpResult(ErrorCode.UNKNOWN_RECIPIENT)
-    raw = account.encode("utf-8")
+    raw = account_hash_input(account)
     if len(raw) == 0:
         return state, OpResult(ErrorCode.EMPTY_ACCOUNT_STRING)
     account_hash = Hash256(keccak256(raw))

@@ -11,7 +11,8 @@ implementation lives in the test suite and cross-checks this one.
 packs up to 256 states into the bits of 25 big lane ints, so one
 unrolled permutation advances all of them with about as many big-int
 operations as the scalar kernel spends on one. Callers that know many
-inputs ahead use it (the replay audit). A single message is faster
+inputs ahead use it: the replay audit, and `Simulation.start()` for the
+scheduled client transactions. A single message is faster
 through the scalar kernel, so `keccak256`, and a batch once only one of
 its messages is still absorbing, use that.
 """

@@ -106,6 +106,10 @@ class EventQueue:
     def peek_time(self) -> Optional[int]:
         return self._heap[0][0] if self._heap else None
 
+    def pending(self) -> list[SimEvent]:
+        """The scheduled events in (time, seq) order, as `next_event` takes them."""
+        return [ev for _, _, ev in sorted(self._heap)]
+
     def next_event(self) -> SimEvent:
         if not self._heap:
             raise EmptyQueue("no scheduled events")

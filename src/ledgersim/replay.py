@@ -83,7 +83,7 @@ def _execute_window(window: list[tuple[Block, object, list]],
     """
     blocks = [block for block, _, _ in window]
     block_hashes(blocks)  # hashes the transactions too
-    keccak256_many([tx.payload.account.encode("utf-8")  # as the contract hashes it
+    keccak256_many([contract.account_hash_input(tx.payload.account)
                     for block in blocks for tx in block.txs
                     if isinstance(tx.payload, RegisterBankAccount)])
 

@@ -17,10 +17,11 @@ from .config import GenesisConfig
 from .consensus import ConsensusConfig
 from .crypto import KeyPair, Registry, sign
 from .errors import NotDeployed
+from .keccak import keccak256_many
 from .model import (
-    Address, AllowanceSent, Block, FundsAdded, Hash256, Transaction, TxPayload,
-    TxStatus, Signature, ZERO_ADDRESS, ZERO_HASH, block_hash, hx, replace_unhashed,
-    tx_hash,
+    Address, AllowanceSent, Block, FundsAdded, Hash256, RegisterBankAccount,
+    Transaction, TxPayload, TxStatus, Signature, ZERO_ADDRESS, ZERO_HASH, block_hash,
+    hx, replace_unhashed, serialize_tx, tx_hash,
 )
 from .netsim import (
     ByzantineSpec, EvKind, EventQueue, Network, byzantine_transform, payload_kind,
@@ -102,6 +103,7 @@ class Simulation:
         self.queries: list[dict] = []
         self.finalized_hashes: dict[int, dict[Address, Hash256]] = {}
         self.safety_violation: Optional[dict] = None
+        self._finalizations = 0  # blocks recorded by _record_finalized
         self._started = False
 
     # -- fault and command scheduling -----------------------------------------
@@ -138,9 +140,12 @@ class Simulation:
     # -- run loop -----------------------------------------------------------------
 
     def start(self) -> None:
+        """Start the validators, once. First prehash the scheduled client
+        transactions; a wrong guess there is only a memo miss."""
         if self._started:
             return
         self._started = True
+        self._prehash_client_txs()
         for address in self.config.validators:
             node = self.nodes[address]
             self._route(node, node.start(0), "START", 0)
@@ -176,11 +181,15 @@ class Simulation:
             self.step()
 
     def run_until_min_height(self, height: int, cap: Optional[int] = None) -> bool:
-        """Run until every honest node finalized `height`; True on success."""
+        """Run until every honest node finalized `height`; True on success.
+        The minimum moves only when a block is finalized, so only then is it
+        checked again."""
         limit = self.horizon if cap is None else cap
         if not self._started:
             self.start()
-        while self.min_honest_height() < height:
+        checked = None  # self._finalizations at the last check, which failed
+        while checked == self._finalizations or self.min_honest_height() < height:
+            checked = self._finalizations
             next_time = self.queue.peek_time()
             if next_time is None or next_time > limit:
                 return False
@@ -189,13 +198,35 @@ class Simulation:
 
     # -- client commands ---------------------------------------------------------
 
+    def _unsigned_tx(self, key: KeyPair, payload: TxPayload,
+                     nonces: dict[Address, int]) -> Transaction:
+        """`key`'s next unsigned transaction by `nonces`, which it advances."""
+        nonce = nonces.get(key.address, 0)
+        nonces[key.address] = nonce + 1
+        return Transaction(key.address, nonce, payload, contract.gas_for(payload),
+                           self.genesis.gas_price, Signature(b""))
+
     def build_tx(self, key: KeyPair, payload: TxPayload) -> Transaction:
-        nonce = self.client_nonces.get(key.address, 0)
-        self.client_nonces[key.address] = nonce + 1
-        unsigned = Transaction(key.address, nonce, payload,
-                               contract.gas_for(payload),
-                               self.genesis.gas_price, Signature(b""))
+        unsigned = self._unsigned_tx(key, payload, self.client_nonces)
         return replace_unhashed(unsigned, signature=sign(key, tx_hash(unsigned)))
+
+    def _prehash_client_txs(self) -> None:
+        """Hash in one batch every Keccak input the scheduled client
+        transactions will ask for, so `build_tx` and the contract find it
+        memoized. The nonces are guessed in queue order, as `build_tx` will
+        give them. A transaction scheduled after start() ahead of these, or
+        built out of band (`deploy.migrate_deploy`), makes the guess wrong,
+        which is only a memo miss."""
+        nonces = dict(self.client_nonces)
+        inputs = []
+        for ev in self.queue.pending():
+            command = ev.payload
+            if isinstance(command, ClientTx):
+                unsigned = self._unsigned_tx(command.key, command.payload, nonces)
+                inputs.append(serialize_tx(unsigned, with_signature=False))
+                if isinstance(command.payload, RegisterBankAccount):
+                    inputs.append(contract.account_hash_input(command.payload.account))
+        keccak256_many(inputs)
 
     def submit_to_all(self, tx: Transaction, now: int, label: int = -1) -> dict:
         record = {"label": label, "txHash": hx(tx_hash(tx)), "accepted": []}
@@ -270,6 +301,7 @@ class Simulation:
     # -- bookkeeping ------------------------------------------------------------------
 
     def _record_finalized(self, node: ValidatorNode, block: Block) -> None:
+        self._finalizations += 1
         entry = self.finalized_hashes.setdefault(block.height, {})
         entry[node.address] = block_hash(block)
         if node.address in self._ever_byzantine or self.safety_violation:

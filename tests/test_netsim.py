@@ -80,6 +80,15 @@ class TestEventQueue:
         assert keys == sorted(keys)  # sort oracle
         assert [ev.time for ev in popped] == sorted(times)
 
+    def test_pending_lists_the_pop_order_without_popping(self):
+        rng = random.Random(5)
+        q = EventQueue()
+        for i in range(200):
+            q.schedule(rng.randrange(0, 20), EvKind.TIMER, A, i)
+        pending = q.pending()
+        assert len(q) == 200
+        assert pending == [q.next_event() for _ in range(200)]
+
 
 class TestDelayRegimes:
     def test_post_gst_delivery_within_delta(self):
