@@ -181,7 +181,7 @@ def byzantine_transform(
     node's outbound batch puts on the wire; a None recipient means every
     peer. The node's own engine keeps running the honest protocol.
 
-    SILENT sends nothing: no consensus message, gossip or announcement.
+    SILENT sends nothing: no consensus message or announcement.
     EQUIVOCATE shows each proposal to the first half of the peers and a
     conflicting variant to the rest: the transactions reversed, or a lone
     one dropped, under the state root they give, or for an empty block a

@@ -30,11 +30,6 @@ from .model import (
 
 
 @dataclass(frozen=True, slots=True)
-class TxGossip:
-    tx: Transaction
-
-
-@dataclass(frozen=True, slots=True)
 class BlockAnnounce:
     block: Block
 
@@ -182,23 +177,15 @@ class ValidatorNode:
 
     # -- transaction intake ------------------------------------------------------
 
-    def submit_transaction(self, tx: Transaction) -> tuple[bool, Optional[str], NodeResult]:
+    def submit_transaction(self, tx: Transaction) -> tuple[bool, Optional[str]]:
         executed = self.chain.head_ledger.nonces.get(tx.sender, 0)
-        accepted, reason = self.mempool.add(tx, executed)
-        result = NodeResult()
-        if accepted:
-            for peer in self.peers:
-                result.outbound.append((TxGossip(tx), peer))
-        return accepted, reason, result
+        return self.mempool.add(tx, executed)
 
     # -- event handlers ------------------------------------------------------------
 
     def handle_payload(self, payload: object, now: int) -> NodeResult:
         if isinstance(payload, ConsensusMessage):
             return self.handle_consensus(payload, now)
-        if isinstance(payload, TxGossip):
-            _, _, result = self.submit_transaction(payload.tx)
-            return result
         if isinstance(payload, BlockAnnounce):
             return self.handle_announce(payload.block, now)
         if isinstance(payload, HeightStart):

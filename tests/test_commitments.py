@@ -173,9 +173,9 @@ class TestGoldenValues:
 
     def test_paper_flow_head(self, paper_flow_chain):
         head = paper_flow_chain[-1]
-        assert head["height"] == 19
+        assert head["height"] == 26
         assert head["hash"] == (
-            "0x80a9cccd4b33f581fbd4eed75da01f4a0d0f2d2a98e95c8041d492634a4ce52e")
+            "0x49ce211b1c213aa33523731285696c9b6f8585489a03f090a8988faf465291fe")
         assert head["stateRoot"] == (
             "0xaa15e9e1087de94efd22767880cc864f060fc08ddf9eb9091d88f2aed6649d69")
 

@@ -14,7 +14,7 @@ from ledgersim.netsim import (
     Behavior, ByzantineSpec, EvKind, EventQueue, Network, NetworkParams,
     byzantine_transform, rng_stream,
 )
-from ledgersim.node import BlockAnnounce, TxGossip
+from ledgersim.node import BlockAnnounce
 from ledgersim.simulation import Simulation
 
 from conftest import make_genesis
@@ -158,12 +158,10 @@ class TestByzantineTransform:
     def test_silent_drops_everything(self):
         sim = _sim()
         node = sim.nodes[sim.config.validators[1]]
-        tx = sim.build_tx(sim.validator_keys[0], Deploy())
         outbound = [*node.start(0).outbound,  # its height-1 proposal and prepare
-                    (TxGossip(tx), node.peers[0]),
                     (BlockAnnounce(node.chain.head), node.peers[1])]
         assert [type(p) for p, _ in outbound] == \
-            [ConsensusMessage, ConsensusMessage, TxGossip, BlockAnnounce]
+            [ConsensusMessage, ConsensusMessage, BlockAnnounce]
         spec = ByzantineSpec(node.address, Behavior.SILENT)
         assert byzantine_transform(spec, node, outbound, set()) == []
 
@@ -176,16 +174,15 @@ class TestByzantineTransform:
                 node.submit_transaction(sim.build_tx(sim.validator_keys[0], payload))
             proposal, prepare = [m for m, _ in node.start(0).outbound]
             assert (proposal.kind, prepare.kind) == (MsgKind.PRE_PREPARE, MsgKind.PREPARE)
-            gossip = (TxGossip(sim.build_tx(sim.validator_keys[0], Deploy())),
-                      node.peers[2])
+            announce = (BlockAnnounce(node.chain.head), node.peers[2])
             spec = ByzantineSpec(node.address, Behavior.EQUIVOCATE)
             out = byzantine_transform(
-                spec, node, [(proposal, None), (prepare, None), gossip], set())
+                spec, node, [(proposal, None), (prepare, None), announce], set())
 
             assert len(node.peers) == 3
             alt = out[2][0]
             assert out == [(proposal, node.peers[0]), (proposal, node.peers[1]),
-                           (alt, node.peers[2]), (prepare, None), gossip]
+                           (alt, node.peers[2]), (prepare, None), announce]
             assert (alt.kind, alt.height, alt.round, alt.sender) == \
                 (MsgKind.PRE_PREPARE, 1, 0, node.address)
             assert verify_message(alt, sim.registry)

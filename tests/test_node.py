@@ -32,30 +32,28 @@ def node(keys, registry):
 
 
 class TestMempool:
-    def test_fresh_valid_tx_accepted_and_gossiped(self, node, keys):
+    def test_fresh_valid_tx_accepted(self, node, keys):
         tx = _tx(keys[0], 0, Deploy())
-        accepted, reason, result = node.submit_transaction(tx)
-        assert accepted and reason is None
-        assert len(result.outbound) == 3  # gossip to each peer
+        assert node.submit_transaction(tx) == (True, None)
         assert list(node.mempool.pending.values()) == [tx]
 
     def test_duplicate_rejected(self, node, keys):
         tx = _tx(keys[0], 0, Deploy())
         node.submit_transaction(tx)
-        accepted, reason, _ = node.submit_transaction(tx)
+        accepted, reason = node.submit_transaction(tx)
         assert not accepted and reason == "DuplicateTx"
 
     def test_unregistered_key_rejected(self, node):
         stranger = KeyPair.from_seed(b"\x99" * 32)
         tx = _tx(stranger, 0, Deploy())
-        accepted, reason, _ = node.submit_transaction(tx)
+        accepted, reason = node.submit_transaction(tx)
         assert not accepted and reason == "InvalidSignature"
 
     def test_bad_signature_rejected(self, node, keys):
         tx = _tx(keys[0], 0, Deploy())
         forged = Transaction(tx.sender, tx.nonce, tx.payload, tx.gas_limit,
                              tx.gas_price, Signature(b"\x00" * 32))
-        accepted, reason, _ = node.submit_transaction(forged)
+        accepted, reason = node.submit_transaction(forged)
         assert not accepted and reason == "InvalidSignature"
 
 

@@ -1,5 +1,5 @@
-"""Simulation run loop: the client-transaction prehash at start() and the
-minimum-height stop rule.
+"""Simulation run loop: client intake, the client-transaction prehash at
+start() and the minimum-height stop rule.
 
 `Simulation.start()` batch-hashes the unsigned encoding and bank-account
 string of every scheduled client transaction, guessing the nonces
@@ -179,6 +179,20 @@ class TestPrehashMechanism:
         sim.schedule_tx(6, key, Deploy())
         sim.run()
         assert [hit for _, hit in lookups["model"]] == [False]
+
+
+class TestClientIntake:
+    def test_submission_reaches_every_mempool_and_sends_nothing(self):
+        sim = new_sim()
+        sim.start()
+        now = sim.queue.now
+        queued, rows = len(sim.queue), len(sim.net_trace)
+        tx = sim.build_tx(sim.validator_keys[0], Deploy())
+        record = sim.submit_to_all(tx, now)
+        assert [a["ok"] for a in record["accepted"]] == [True] * 4
+        for node in sim.nodes.values():
+            assert tx in node.mempool.pending.values()
+        assert (len(sim.queue), len(sim.net_trace)) == (queued, rows)
 
 
 class TestRunUntilMinHeight:
