@@ -5,7 +5,8 @@
     ledgersim replay --chain chain.jsonl --genesis g.json
     ledgersim receipt --chain chain.jsonl --genesis g.json --tx 0x...
 
-The SIM_SEED environment variable overrides --seed. Exit codes for
+The SIM_SEED environment variable overrides --seed; a seed outside
+[0, 2**64) is a config error. Exit codes for
 `run`: 0 all expectations hold, 2 config error, 3 expectation failure,
 4 internal invariant violation. `replay` exits 0 on an intact dump,
 2 on unreadable inputs and 4 on a corrupt chain; `receipt` additionally
@@ -44,6 +45,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except ValueError:
             print(f"config error: bad SIM_SEED {env_seed!r}", file=sys.stderr)
             return 2
+    if seed is not None and not 0 <= seed < 2 ** 64:
+        print(f"config error: seed {seed} does not fit in 64 bits", file=sys.stderr)
+        return 2
 
     out_dir = Path(args.out) if args.out else None
     try:

@@ -28,6 +28,7 @@ makes the degenerate single-validator network finalize in one step.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -157,38 +158,33 @@ class Engine:
         self.build_block = build_block
         self.validate_block = validate_block
 
-        self.height = 0
+        self.timer_epoch = 0
+        self._reset(0)
+        self._result: StepResult | None = None
+
+    def _reset(self, height: int) -> None:
+        """Set the per-height state, idle until `_enter_round`. `timer_epoch`
+        is not reset: it only grows, so a timer armed at an earlier height
+        never matches one of this height."""
+        self.height = height
         self.round = 0
-        self.phase = Phase.FINALIZED  # idle until start_height
+        self.phase = Phase.FINALIZED
         self.locked_hash: Optional[Hash256] = None
         self.accepted: Optional[Block] = None
-        self.timer_epoch = 0
         self.rc_target = 0
-
         self._known_blocks: dict[Hash256, Block] = {}
         # votes by (round, block hash), then by sender
         self._prepares: dict[tuple[int, Hash256], dict[Address, Signature]] = {}
         self._commits: dict[tuple[int, Hash256], dict[Address, Signature]] = {}
-        self._round_changes: dict[int, set[Address]] = {}
-        self._lock_hints: dict[Address, Hash256] = {}
+        # ROUND_CHANGE messages by target round, then by sender
+        self._round_changes: dict[int, dict[Address, ConsensusMessage]] = {}
         self._future_proposals: dict[int, ConsensusMessage] = {}
-        self._result: StepResult | None = None
 
     # -- public entry points -------------------------------------------------
 
     def start_height(self, height: int, now: int) -> StepResult:
         result = self._begin()
-        self.height = height
-        self.phase = Phase.AWAITING_PROPOSAL
-        self.locked_hash = None
-        self.accepted = None
-        self.rc_target = -1
-        self._known_blocks.clear()
-        self._prepares.clear()
-        self._commits.clear()
-        self._round_changes.clear()
-        self._lock_hints.clear()
-        self._future_proposals.clear()
+        self._reset(height)
         self._enter_round(0, now)
         return self._finish(result)
 
@@ -319,15 +315,10 @@ class Engine:
         target = msg.round
         if target <= self.round:
             return self._discard("StaleRound")
-        if msg.block_hash != ZERO_HASH:
-            # the sender is locked; remember what it is locked on so a
-            # later proposer can re-propose the contested block instead
-            # of a fresh one the locked nodes would have to reject
-            self._lock_hints[msg.sender] = msg.block_hash
-        bucket = self._round_changes.setdefault(target, set())
+        bucket = self._round_changes.setdefault(target, {})
         if msg.sender in bucket:
             return self._discard("DuplicateMessage")
-        bucket.add(msg.sender)
+        bucket[msg.sender] = msg
 
         # quorum of round changes moves us to the smallest such round
         while self.phase is not Phase.FINALIZED:
@@ -345,7 +336,7 @@ class Engine:
         if later:
             union: set[Address] = set()
             for t in later:
-                union |= self._round_changes[t]
+                union |= self._round_changes[t].keys()
             jump = min(later)
             if len(union) >= self.config.f + 1 and self.rc_target < jump:
                 self._request_round(jump, now)
@@ -358,18 +349,19 @@ class Engine:
             self.locked_hash or ZERO_HASH), now)
 
     def _contested_block(self) -> Optional[Block]:
-        """The block some peer reports being locked on, if we hold it.
+        """The block that peers report being locked on, if we hold it. A
+        locked sender names its lock in the block hash of its ROUND_CHANGE,
+        so the hints are read from the stored ROUND_CHANGEs, one per sender.
 
         Only a liveness aid: whatever is proposed still needs a fresh
         prepare quorum, so a bogus hint cannot hurt safety. Ties break
         on (most reporters, lowest hash) for determinism.
         """
-        counts: dict[Hash256, int] = {}
-        for hinted in self._lock_hints.values():
-            if hinted in self._known_blocks:
-                counts[hinted] = counts.get(hinted, 0) + 1
-        if not counts:
+        hints = {sender: msg.block_hash for bucket in self._round_changes.values()
+                 for sender, msg in bucket.items() if msg.block_hash in self._known_blocks}
+        if not hints:
             return None
+        counts = Counter(hints.values())
         best = min(counts, key=lambda h: (-counts[h], h))
         return self._known_blocks[best]
 

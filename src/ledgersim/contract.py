@@ -4,7 +4,8 @@ Five mutating operations guarded by the organization role, plus a local
 balance read. Guard failures produce FAILED receipts with the first
 failing guard's error code and leave state untouched; the algorithms'
 silent skips become observable this way without changing state
-semantics. Guards are evaluated in textual order: authorization, then
+semantics. Guards are evaluated in textual order: the
+`_organization_only` modifier (deployment, then authorization), then
 recipient membership, then funds or account-string checks.
 
 The transition function is pure: apply_transaction returns a new
@@ -31,7 +32,7 @@ a slot once computed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 from .crypto import Registry
 from .errors import InternalInvariantViolation, NotDeployed
@@ -84,26 +85,29 @@ def deploy(state: ContractState, sender: Address) -> tuple[ContractState, OpResu
     return ContractState(sender, {}, {}, {}, True), _OK
 
 
-def add_recipient(state: ContractState, sender: Address,
-                  recipient: Address) -> tuple[ContractState, OpResult]:
-    if not state.deployed:
-        return state, OpResult(ErrorCode.NOT_DEPLOYED)
-    if sender != state.organization:
-        return state, OpResult(ErrorCode.UNAUTHORIZED)
-    recipients = dict(state.recipients)
-    recipients[recipient] = True
-    return replace(state, recipients=recipients), _OK
+def _organization_only(op: Callable[..., tuple[ContractState, OpResult]]):
+    """The guard modifier, as a Solidity contract would write it: `op` runs
+    only on a deployed contract, NOT_DEPLOYED otherwise, and only for its
+    organization, UNAUTHORIZED otherwise. Called as op(state, sender, *fields)."""
+    def guarded(state: ContractState, sender: Address, *fields):
+        if not state.deployed:
+            return state, OpResult(ErrorCode.NOT_DEPLOYED)
+        if sender != state.organization:
+            return state, OpResult(ErrorCode.UNAUTHORIZED)
+        return op(state, sender, *fields)
+    return guarded
 
 
-def remove_recipient(state: ContractState, sender: Address,
-                     recipient: Address) -> tuple[ContractState, OpResult]:
-    if not state.deployed:
-        return state, OpResult(ErrorCode.NOT_DEPLOYED)
-    if sender != state.organization:
-        return state, OpResult(ErrorCode.UNAUTHORIZED)
-    recipients = dict(state.recipients)
-    recipients[recipient] = False
-    return replace(state, recipients=recipients), _OK
+def _recipient_setter(active: bool):
+    """The one body of add_recipient (True) and remove_recipient (False)."""
+    @_organization_only
+    def set_recipient(state: ContractState, sender: Address, recipient: Address):
+        return replace(state, recipients={**state.recipients, recipient: active}), _OK
+    return set_recipient
+
+
+add_recipient = _recipient_setter(True)
+remove_recipient = _recipient_setter(False)
 
 
 def account_hash_input(account: str) -> bytes:
@@ -111,12 +115,9 @@ def account_hash_input(account: str) -> bytes:
     return account.encode("utf-8")
 
 
+@_organization_only
 def register_bank_account(state: ContractState, sender: Address, recipient: Address,
                           account: str) -> tuple[ContractState, OpResult]:
-    if not state.deployed:
-        return state, OpResult(ErrorCode.NOT_DEPLOYED)
-    if sender != state.organization:
-        return state, OpResult(ErrorCode.UNAUTHORIZED)
     if not state.recipients.get(recipient, False):
         return state, OpResult(ErrorCode.UNKNOWN_RECIPIENT)
     raw = account_hash_input(account)
@@ -129,12 +130,9 @@ def register_bank_account(state: ContractState, sender: Address, recipient: Addr
     return replace(state, bank_accounts=bank_accounts), OpResult(None, (event,))
 
 
+@_organization_only
 def add_funds(state: ContractState, sender: Address,
               amt: Amount) -> tuple[ContractState, OpResult]:
-    if not state.deployed:
-        return state, OpResult(ErrorCode.NOT_DEPLOYED)
-    if sender != state.organization:
-        return state, OpResult(ErrorCode.UNAUTHORIZED)
     balances = dict(state.balances)
     try:
         balances[state.organization] = balances.get(state.organization, Amount(0)) + amt
@@ -144,12 +142,9 @@ def add_funds(state: ContractState, sender: Address,
     return replace(state, balances=balances), OpResult(None, (FundsAdded(amt),))
 
 
+@_organization_only
 def send_allowance(state: ContractState, sender: Address, recipient: Address,
                    amount: Amount) -> tuple[ContractState, OpResult]:
-    if not state.deployed:
-        return state, OpResult(ErrorCode.NOT_DEPLOYED)
-    if sender != state.organization:
-        return state, OpResult(ErrorCode.UNAUTHORIZED)
     if not state.recipients.get(recipient, False):
         return state, OpResult(ErrorCode.UNKNOWN_RECIPIENT)
     balance = state.balances.get(state.organization, Amount(0))

@@ -50,16 +50,14 @@ def migrate_deploy(sim: Simulation, deployer: KeyPair, *,
         return contract_address(existing.sender, existing.nonce)
 
     tx = sim.build_tx(deployer, Deploy())
-    sim.submit_to_all(tx, sim.queue.now)
+    sim.submit_to_all(tx)
     digest = tx_hash(tx)
     deadline = sim.queue.now + patience
 
     node = sim.reference_node()
     while digest not in node.chain.receipts:
-        next_time = sim.queue.peek_time()
-        if next_time is None or next_time > deadline:
+        if not sim.advance(deadline):
             raise DeployTimeout("deployment did not finalize in time")
-        sim.step()
 
     receipt = node.chain.receipts[digest]
     if receipt.status is not TxStatus.SUCCESS:

@@ -258,25 +258,12 @@ def _remember(data: bytes, digest: bytes) -> None:
     _memo[data] = digest
 
 
-def _sponge(data: bytes) -> bytes:
-    """Digest `data` with the scalar kernel, bypassing the memo."""
-    padded = _pad(data)
-    state = [0] * 25
-    from_bytes = int.from_bytes
-    for off in range(0, len(padded), _RATE):
-        for i in range(17):  # 136 / 8 lanes
-            j = off + i * 8
-            state[i] ^= from_bytes(padded[j:j + 8], "little")
-        state = _f1600(state)
-    return b"".join(state[i].to_bytes(8, "little") for i in range(4))
-
-
 def keccak256(data: bytes) -> bytes:
     """Digest `data` to 32 bytes."""
     cached = _memo.get(data)
     if cached is not None:
         return cached
-    digest = _sponge(data)
+    digest = _digest_batch([data])[0]
     _remember(data, digest)
     return digest
 
@@ -306,11 +293,9 @@ def _digest_batch(batch: list) -> list:
     Message k is absorbed into state k of packed lane ints. Once the
     shorter messages are squeezed, the width drops to the next power of
     two that holds the messages still absorbing; at width 1 the scalar
-    kernel runs, which is faster than the packed one there. A lone
-    message skips the packing altogether.
+    kernel runs, which is faster than the packed one there, so a lone
+    message never packs.
     """
-    if len(batch) == 1:
-        return [_sponge(batch[0])]
     # Each message's blocks are slices of it, except the last, padded one.
     tails = [_pad(m[len(m) - len(m) % _RATE:]) for m in batch]
     digests = []

@@ -119,7 +119,6 @@ class NodeResult:
     timer: Optional[tuple[int, int]] = None
     finalized: list[Block] = field(default_factory=list)
     steps: list[StepResult] = field(default_factory=list)
-    restart: bool = False  # schedule a HeightStart continuation
 
 
 class ValidatorNode:
@@ -262,7 +261,6 @@ class ValidatorNode:
         self.mempool.remove_included(block.txs)
         self._exec_cache.clear()
         result.finalized.append(block)
-        result.restart = True
 
     # -- reads ----------------------------------------------------------------------
 

@@ -152,8 +152,7 @@ class Simulation:
 
     def step(self) -> bool:
         """Process one event; returns False when the queue is empty."""
-        if not self._started:
-            self.start()
+        self.start()
         if len(self.queue) == 0:
             return False
         ev = self.queue.next_event()
@@ -170,30 +169,29 @@ class Simulation:
             self._route(node, result, payload_kind(ev.payload), now)
         return True
 
+    def advance(self, limit: int) -> bool:
+        """Process the next event if it is due by logical time `limit`;
+        False, with nothing processed, if none is."""
+        next_time = self.queue.peek_time()
+        return next_time is not None and next_time <= limit and self.step()
+
     def run(self, until: Optional[int] = None) -> None:
+        self.start()
         limit = self.horizon if until is None else until
-        if not self._started:
-            self.start()
-        while len(self.queue) > 0:
-            next_time = self.queue.peek_time()
-            if next_time is None or next_time > limit:
-                break
-            self.step()
+        while self.advance(limit):
+            pass
 
     def run_until_min_height(self, height: int, cap: Optional[int] = None) -> bool:
         """Run until every honest node finalized `height`; True on success.
         The minimum moves only when a block is finalized, so only then is it
         checked again."""
+        self.start()
         limit = self.horizon if cap is None else cap
-        if not self._started:
-            self.start()
         checked = None  # self._finalizations at the last check, which failed
         while checked == self._finalizations or self.min_honest_height() < height:
             checked = self._finalizations
-            next_time = self.queue.peek_time()
-            if next_time is None or next_time > limit:
+            if not self.advance(limit):
                 return False
-            self.step()
         return True
 
     # -- client commands ---------------------------------------------------------
@@ -228,7 +226,7 @@ class Simulation:
                     inputs.append(contract.account_hash_input(command.payload.account))
         keccak256_many(inputs)
 
-    def submit_to_all(self, tx: Transaction, now: int, label: int = -1) -> dict:
+    def submit_to_all(self, tx: Transaction, label: int = -1) -> dict:
         record = {"label": label, "txHash": hx(tx_hash(tx)), "accepted": []}
         for address in self.config.validators:
             accepted, reason = self.nodes[address].submit_transaction(tx)
@@ -240,7 +238,7 @@ class Simulation:
     def _exec_client(self, payload: object, now: int) -> None:
         if isinstance(payload, ClientTx):
             tx = self.build_tx(payload.key, payload.payload)
-            self.submit_to_all(tx, now, payload.label)
+            self.submit_to_all(tx, payload.label)
         elif isinstance(payload, ClientQuery):
             values = []
             for address in self.honest_addresses():
@@ -279,10 +277,8 @@ class Simulation:
             deadline, epoch = result.timer
             self.queue.schedule(deadline, EvKind.TIMER, node.address,
                                 TimerFire(node.address, epoch))
-        if result.restart:
-            self.queue.schedule(now + 1, EvKind.DELIVER, node.address,
-                                HeightStart())
         for block in result.finalized:
+            self.queue.schedule(now + 1, EvKind.DELIVER, node.address, HeightStart())
             self._record_finalized(node, block)
         if self.consensus_trace is not None:
             for step in result.steps:

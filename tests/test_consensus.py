@@ -259,7 +259,7 @@ class TestDiscards:
         engine = pump.engines[live]
         # a fresh height keeps the example self-contained
         engine.start_height(2, 40)
-        engine._round_changes.setdefault(1, set())
+        engine._round_changes.setdefault(1, {})
         engine.round = 1  # pretend round already advanced
         voter = next(k for k in keys[:4] if k.address != live)
         stale = make_message(voter, MsgKind.PREPARE, 2, 0, Hash256(b"\x01" * 32))
@@ -320,6 +320,58 @@ class TestFutureRoundVotes:
         assert step.finalized is not None and block_hash(step.finalized) == bh
         assert step.finalized.round == 1 and len(step.finalized.commit_seals) == 4
         assert validate_finalized_block(step.finalized, config, registry, parent=GENESIS)
+
+
+class TestLockHintReproposal:
+    """An unlocked proposer re-proposes the block that the ROUND_CHANGEs
+    it stored name as their senders' locks: the one named by the most
+    senders, the lowest hash on a tie, and never a block it does not
+    hold. V0 proposes round 3 of height 1. It accepts V1's block A in
+    round 0, V2's B in round 1 and V3's C in round 2; two ROUND_CHANGEs
+    per round move it on (the second makes it echo, and its own is the
+    third of the quorum): V1 and V2 to round 1, V2 and V3 to round 2,
+    V3 and V1 to round 3. Each sender names the same hint every time."""
+
+    UNHELD = Hash256(b"\x00" * 31 + b"\x01")  # lowest possible, never proposed
+
+    def _proposal(self, keys, registry, hints):
+        config = ConsensusConfig(tuple(k.address for k in keys[:4]), 30)
+        engine = _make_engine(keys[0], config, registry)
+        engine.start_height(1, 0)
+        blocks = [_make_engine(keys[r + 1], config, registry).build_block(1, r)
+                  for r in range(3)]
+        named = [block_hash(blocks[h]) if isinstance(h, int) else h for h in hints]
+        now = 0
+        for round_, senders in enumerate(((1, 2), (2, 3), (3, 1))):
+            now += 1
+            engine.handle_message(make_message(
+                keys[round_ + 1], MsgKind.PRE_PREPARE, 1, round_,
+                block_hash(blocks[round_]), proposal=blocks[round_]), now)
+            for i in senders:
+                step = engine.handle_message(make_message(
+                    keys[i], MsgKind.ROUND_CHANGE, 1, round_ + 1, named[i - 1]), now)
+        assert engine.round == 3 and engine.locked_hash is None
+        proposals = [m for m in step.outbound if m.kind is MsgKind.PRE_PREPARE]
+        assert len(proposals) == 1 and proposals[0].sender == keys[0].address
+        return proposals[0].proposal, [block_hash(b) for b in blocks]
+
+    def test_block_named_by_most_senders(self, keys, registry):
+        _, hashes = self._proposal(keys, registry, (ZERO_HASH, ZERO_HASH, ZERO_HASH))
+        high = max(range(3), key=lambda i: hashes[i])
+        low = min(range(3), key=lambda i: hashes[i])
+        block, _ = self._proposal(keys, registry, (high, low, high))
+        assert block_hash(block) == hashes[high]
+
+    def test_lowest_hash_on_a_tie(self, keys, registry):
+        block, hashes = self._proposal(keys, registry, (0, 1, 2))
+        assert block_hash(block) == min(hashes)
+
+    def test_unheld_block_is_never_proposed(self, keys, registry):
+        block, hashes = self._proposal(keys, registry, (self.UNHELD, self.UNHELD, 2))
+        assert block_hash(block) == hashes[2]
+        fresh, _ = self._proposal(keys, registry, (self.UNHELD, ZERO_HASH, self.UNHELD))
+        assert block_hash(fresh) not in hashes
+        assert (fresh.proposer, fresh.round) == (keys[0].address, 3)
 
 
 class TestLockSplit:

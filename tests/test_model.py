@@ -380,7 +380,7 @@ class TestReplaceUnhashed:
         for payload in (Deploy(), AddRecipient(Address(b"\x09" * 20))):
             tx = sim.build_tx(org, payload)
             assert tx._hash == tx_hash(_cold(tx))
-            sim.submit_to_all(tx, 0)
+            sim.submit_to_all(tx)
         assert sim.run_until_min_height(2)
         for node in sim.nodes.values():
             for block in node.chain.blocks[1:]:

@@ -1,5 +1,6 @@
 """Scenario runner and CLI: exit codes, artifacts, determinism, replay."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from ledgersim.cli import main
 from ledgersim.config import parse_genesis
 from ledgersim.errors import MalformedScenario
 from ledgersim.replay import replay_chain
@@ -303,6 +305,67 @@ class TestCli:
         assert proc.returncode == 0
         assert (out_env / "chain.jsonl").read_bytes() == \
             (out_flag / "chain.jsonl").read_bytes()
+
+
+    @pytest.mark.parametrize("flag, env", [
+        ("--seed=-1", None),
+        ("--seed=18446744073709551616", None),
+        ("--seed=7", {"SIM_SEED": "-3"}),
+    ])
+    def test_seed_outside_64_bits_exits_2(self, tmp_path, flag, env):
+        proc = cli("run", "--genesis", str(GENESIS), "--scenario",
+                   str(PAPER_FLOW), flag, "--out", str(tmp_path), env=env)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error:")
+        assert "Traceback" not in proc.stderr
+
+
+class TestPinnedArtifacts:
+    """SHA-256 of every artifact `ledgersim run --seed 42` writes for the
+    shipped scenarios. A change here is a deliberate output change."""
+
+    ARTIFACTS = {
+        "paper_flow": {
+            "chain.jsonl": "001926c3cddfb05bf0a0175a2782b8f4cb8e16d6e835fe41e4f4bac53151b159",
+            "consensus_trace.jsonl":
+                "c4a349dd277a55c803225b63f436f0e25832fff71df04f1f3df25fd4084300ff",
+            "events.jsonl": "a8e5609f859efa7cb98a03cec967b5ae0fbbee579ae38a2a8ae37e9062a7c7ef",
+            "network_trace.jsonl":
+                "72d2a9fb30cb3926de334e75d33bcf08c8feaec63d6b201044301ab0a20ada7d",
+            "report.json": "cf5fae3dff74b814363ae8654736f31badd9917acdd4b18c1340b6462b521d10",
+            "state.json": "f8f9f4746a76059637bfd4a0b4c24863caed7e62b530de2836ee29f2637c22ff",
+        },
+        "byzantine_equivocate": {
+            "chain.jsonl": "46e5d88f7c4ad83528f5ae2baffdf132d189cfc38f69d5584cc83339f176b8ec",
+            "consensus_trace.jsonl":
+                "0fde16fe0bd2bf7641404827929129cc1a352a3bfb4e37864a737c3c347ff961",
+            "events.jsonl": "326fd7eb0fd6fdc4476358483c0f3fbbd479396bf047b90e652c78ea46cb5faf",
+            "network_trace.jsonl":
+                "ded214a8337d8a5ab9f0aacca1519d6261a3da4676c202a55bfeb00b32afea7e",
+            "report.json": "84740c5dbf573214791cb38ead9b5f798fe901e8e6b78c5deb4794ccae3c6dd5",
+            "state.json": "cbb3a4f77e32a83562a461cfa256a8db1807364f3ebb64cb275e73b4981cda61",
+        },
+        "silent_majority": {
+            "chain.jsonl": "75b494ccafc91c818da416a4b260ecaa61aa19a2fd0e360d215220eeb0846f1e",
+            "consensus_trace.jsonl":
+                "1e8e6168e97720de5eb0ef5288f94f5b8130f86aad43f5dae29880b6dc9bc929",
+            "events.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "network_trace.jsonl":
+                "8f1eca900fbad662f4f6b2bca38b3d12e61ba7aa44623c7e6f2923a6aa7ed078",
+            "report.json": "159fb0fb77ff467e6a640f5c62119ee779de8d679d01aba23345fe27839869bd",
+            "state.json": "9d6dd5ce826c443b1906e98c7d5b17f259b1e9e96d853ca9a876304e9c63a8b6",
+        },
+    }
+
+    @pytest.mark.parametrize("name", sorted(ARTIFACTS))
+    def test_seed_42_artifacts(self, tmp_path, monkeypatch, capsys, name):
+        monkeypatch.delenv("SIM_SEED", raising=False)
+        main(["run", "--genesis", str(GENESIS),
+              "--scenario", str(ROOT / "scenarios" / f"{name}.json"),
+              "--seed", "42", "--out", str(tmp_path)])
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in tmp_path.iterdir()}
+        assert written == self.ARTIFACTS[name]
 
 
 class TestReplay:

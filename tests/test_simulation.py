@@ -185,10 +185,9 @@ class TestClientIntake:
     def test_submission_reaches_every_mempool_and_sends_nothing(self):
         sim = new_sim()
         sim.start()
-        now = sim.queue.now
         queued, rows = len(sim.queue), len(sim.net_trace)
         tx = sim.build_tx(sim.validator_keys[0], Deploy())
-        record = sim.submit_to_all(tx, now)
+        record = sim.submit_to_all(tx)
         assert [a["ok"] for a in record["accepted"]] == [True] * 4
         for node in sim.nodes.values():
             assert tx in node.mempool.pending.values()
