@@ -3,6 +3,9 @@
 Every block, whether a proposal, an announced sealed block or this
 node's own finalized block, is executed by `contract.execute_block_txs`
 and checked by `contract.block_content_error`, as the replay audit does.
+The execution table that a simulation hands to all its nodes keeps each
+result, so a block is executed once however many nodes see it, and they
+all adopt the same immutable ledger object.
 
 Finality is instant and the chain is append-only; there are no forks or
 reorgs. A node that falls behind (for example the odd victim of an
@@ -121,9 +124,16 @@ class NodeResult:
     steps: list[StepResult] = field(default_factory=list)
 
 
+# What a block leaves on its parent's ledger: the ledger and receipts, or
+# None if it fails the content check. Kept by block height, then block hash.
+Execution = Optional[tuple[contract.LedgerState, list[Receipt]]]
+ExecutionTable = dict[int, dict[Hash256, Execution]]
+
+
 class ValidatorNode:
     def __init__(self, key: KeyPair, config: ConsensusConfig, registry: Registry,
-                 genesis: Block, block_gas_limit: int) -> None:
+                 genesis: Block, block_gas_limit: int,
+                 executions: ExecutionTable) -> None:
         self.key = key
         self.address = key.address
         self.config = config
@@ -135,9 +145,7 @@ class ValidatorNode:
         self.engine = Engine(config, key, registry,
                              build_block=self.build_block,
                              validate_block=self.validate_block)
-        # execution results for blocks built or validated at the current
-        # height, keyed by block hash, so finalization does not re-execute
-        self._exec_cache: dict[Hash256, tuple[contract.LedgerState, list[Receipt]]] = {}
+        self.executions = executions  # shared by every node of a simulation
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -161,7 +169,7 @@ class ValidatorNode:
         ledger, receipts = contract.execute_block_txs(self.chain.head_ledger, tuple(txs))
         block = Block(height, round_, block_hash(parent), self.address,
                       tuple(txs), contract.state_root(ledger.contract), ())
-        self._exec_cache[block_hash(block)] = (ledger, receipts)
+        self.executions.setdefault(height, {})[block_hash(block)] = (ledger, receipts)
         return block
 
     def validate_block(self, block: Block) -> bool:
@@ -239,27 +247,32 @@ class ValidatorNode:
             self._adopt(step.finalized, *executed, result)
         return result
 
-    def _checked_execution(self, block: Block
-                           ) -> Optional[tuple[contract.LedgerState, list[Receipt]]]:
+    def _checked_execution(self, block: Block) -> Execution:
         """The ledger and receipts after `block` on the head, or None if it
-        fails the content check. Blocks built or checked at this height
-        come from the cache, which `_adopt` clears."""
+        fails the content check. Both are pure functions of the block and
+        its parent's ledger, and every caller has checked that the parent
+        is this node's head: the block hash commits to the parent hash, the
+        transactions and the state root, and the registry and gas limit are
+        the same on every node. So the first node to execute a block
+        records the verdict in the shared table and the others read it; a
+        built block is recorded by `build_block`, and passes by
+        construction. The simulation evicts a height once every node's head
+        has reached it, since no node executes at or below its own head."""
+        at_height = self.executions.setdefault(block.height, {})
         bh = block_hash(block)
-        cached = self._exec_cache.get(bh)
-        if cached is not None:
-            return cached
+        if bh in at_height:
+            return at_height[bh]
         ledger, receipts = contract.execute_block_txs(self.chain.head_ledger, block.txs)
-        if contract.block_content_error(block, ledger, self.registry,
-                                        self.block_gas_limit) is not None:
-            return None
-        self._exec_cache[bh] = (ledger, receipts)
-        return ledger, receipts
+        error = contract.block_content_error(block, ledger, self.registry,
+                                             self.block_gas_limit)
+        executed = None if error is not None else (ledger, receipts)
+        at_height[bh] = executed
+        return executed
 
     def _adopt(self, block: Block, ledger: contract.LedgerState,
                receipts: list[Receipt], result: NodeResult) -> None:
         self.chain.append(block, ledger, receipts)
         self.mempool.remove_included(block.txs)
-        self._exec_cache.clear()
         result.finalized.append(block)
 
     # -- reads ----------------------------------------------------------------------

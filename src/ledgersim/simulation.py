@@ -26,7 +26,7 @@ from .model import (
 from .netsim import (
     ByzantineSpec, EvKind, EventQueue, Network, byzantine_transform, payload_kind,
 )
-from .node import HeightStart, NodeResult, TimerFire, ValidatorNode
+from .node import ExecutionTable, HeightStart, NodeResult, TimerFire, ValidatorNode
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,6 +74,10 @@ def genesis_setup(genesis: GenesisConfig
 
 
 class Simulation:
+    """A validator network in one process. Its nodes share one execution
+    table, so each distinct block is executed and checked once; a height
+    leaves the table when every node's head has reached it."""
+
     def __init__(self, genesis: GenesisConfig, *, seed: Optional[int] = None,
                  horizon: int = 2000, collect_traces: bool = True) -> None:
         self.genesis = genesis
@@ -82,11 +86,13 @@ class Simulation:
 
         self.validator_keys, self.registry, self.config = genesis_setup(genesis)
         genesis_block = make_genesis_block()
+        self.executions: ExecutionTable = {}
+        self._evicted_height = 0  # every height up to this one has left the table
         self.nodes: dict[Address, ValidatorNode] = {}
         for key in self.validator_keys:
             self.nodes[key.address] = ValidatorNode(
                 key, self.config, self.registry, genesis_block,
-                genesis.block_gas_limit)
+                genesis.block_gas_limit, self.executions)
 
         self.queue = EventQueue()
         self.net_trace: Optional[list] = [] if collect_traces else None
@@ -162,11 +168,9 @@ class Simulation:
             return True
         node = self.nodes[ev.target]
         if ev.kind is EvKind.TIMER:
-            result = node.handle_timer(ev.payload, now)
-            self._route(node, result, "TIMER", now)
+            self._route(node, node.handle_timer(ev.payload, now), "TIMER", now)
         else:
-            result = node.handle_payload(ev.payload, now)
-            self._route(node, result, payload_kind(ev.payload), now)
+            self._route(node, node.handle_payload(ev.payload, now), ev.payload, now)
         return True
 
     def advance(self, limit: int) -> bool:
@@ -260,8 +264,10 @@ class Simulation:
 
     # -- routing -------------------------------------------------------------------
 
-    def _route(self, node: ValidatorNode, result: NodeResult, input_kind: str,
+    def _route(self, node: ValidatorNode, result: NodeResult, cause: object,
                now: int) -> None:
+        """Send, schedule and record what `node` did on `cause`: the payload
+        it handled, or the label "START" or "TIMER"."""
         outbound = result.outbound
         spec = self.byzantine.get(node.address)
         if spec is not None:
@@ -281,6 +287,7 @@ class Simulation:
             self.queue.schedule(now + 1, EvKind.DELIVER, node.address, HeightStart())
             self._record_finalized(node, block)
         if self.consensus_trace is not None:
+            input_kind = cause if isinstance(cause, str) else payload_kind(cause)
             for step in result.steps:
                 self.consensus_trace.append({
                     "node": hx(node.address),
@@ -295,7 +302,14 @@ class Simulation:
     # -- bookkeeping ------------------------------------------------------------------
 
     def _record_finalized(self, node: ValidatorNode, block: Block) -> None:
+        """Count `node`'s new head `block`, check it against the other
+        honest nodes' blocks at its height, and evict from the execution
+        table every height that the lowest head has now reached."""
         self._finalizations += 1
+        lowest = min(n.chain.head_height for n in self.nodes.values())
+        while self._evicted_height < lowest:
+            self._evicted_height += 1
+            self.executions.pop(self._evicted_height, None)
         entry = self.finalized_hashes.setdefault(block.height, {})
         entry[node.address] = block_hash(block)
         if node.address in self._ever_byzantine or self.safety_violation:

@@ -28,7 +28,7 @@ def _tx(key, nonce, payload, gas_limit=None):
 def node(keys, registry):
     config = ConsensusConfig(tuple(k.address for k in keys[:4]), 30)
     return ValidatorNode(keys[0], config, registry, make_genesis_block(),
-                         4_500_000)
+                         4_500_000, {})
 
 
 class TestMempool:
