@@ -8,30 +8,47 @@ semantics. Guards are evaluated in textual order: the
 `_organization_only` modifier (deployment, then authorization), then
 recipient membership, then funds or account-string checks.
 
-The transition function is pure: apply_transaction returns a new
-LedgerState and never mutates its input.
+A block runs on one `Draft`: `execute_block_txs` copies its parent
+ledger's nonces, and each of its three account tables on the first write
+to it, `apply_transaction` applies each transaction to the draft in
+place, and every operation writes through `Draft.write`, which records
+the address written. The block then commits one new `ContractState`,
+which shares the tables it did not write with its parent, or the
+parent's own object if nothing was written. A committed state is never mutated, apart from
+filling its slots. `apply_transaction` on a `LedgerState` is a block of
+one transaction, and the public operations (`deploy`, `add_funds`, ...)
+are pure functions that run their operation on a draft of its own.
 
 The state root is a two-level Keccak tree. Each account is one record:
 its address, a flags byte saying which of recipient, recipient-active,
 bank hash and balance it has, then the bank hash (32 bytes) and the
 balance (u128) if present. The records sit in 256 buckets by the first
-byte of the address, in address order; a bucket's digest is the Keccak
-of its joined records. Each run of 16 bucket digests is hashed into a
-group digest, and the root is
+byte of the address, in address order; a bucket's leaf is its joined
+records, and its digest is the Keccak of the leaf. Each run of 16 bucket
+digests is hashed into a group digest, and the root is
 
     Keccak(organization ‖ deployed ‖ 16 group digests)
 
-`state_roots` takes states 16 at a time and hashes their buckets in one
+Each state keeps its 256 leaves in the `_leaves` slot, `b""` for an
+empty bucket. A commit copies its parent's leaves and rebuilds only the
+buckets that hold a written address, finding a bucket's other members by
+parsing the parent's leaf, where each record's flags byte gives its
+length. A state built directly from its tables (genesis, tests) fills
+`_leaves` on first use, by building every non-empty bucket with the same
+encoder.
+
+`state_roots` takes states 16 at a time and hashes their leaves in one
 `keccak256_many` batch, their groups in a second and their roots in a
-third, so an unchanged bucket or group is a memo hit. Groups and roots
-are memoized under the tuple of their parts, which the memo holds
-anyway, rather than under their joined bytes. A state keeps its root in
-a slot once computed.
+third. An unchanged leaf is the parent's bytes object, so its digest is
+a cheap memo hit, and so is an unchanged group. Groups and roots are
+memoized under the tuple of their parts, which the memo holds anyway,
+rather than under their joined bytes. A state keeps its root in a slot
+once computed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .crypto import Registry
@@ -60,10 +77,67 @@ class ContractState:
     balances: dict[Address, Amount]
     deployed: bool
     _root: Optional[Hash256] = field(default=None, init=False, repr=False, compare=False)
+    _leaves: Optional[tuple[bytes, ...]] = field(default=None, init=False, repr=False,
+                                                 compare=False)
 
 
 def fresh_state() -> ContractState:
     return ContractState(ZERO_ADDRESS, {}, {}, {}, False)
+
+
+@dataclass(frozen=True)
+class LedgerState:
+    """Contract state plus per-sender nonce bookkeeping."""
+    contract: ContractState
+    nonces: dict[Address, int]
+
+
+def genesis_ledger() -> LedgerState:
+    return LedgerState(fresh_state(), {})
+
+
+class Draft:
+    """One block's working copy of a ledger, written in place. Each account
+    table is the parent's own until its first write, which copies it, so a
+    committed state shares the tables its block did not write. `written`
+    holds the address of every account write in order, and None for a
+    write of the organization and deployed fields."""
+
+    __slots__ = ("parent", "organization", "deployed", "recipients", "bank_accounts",
+                 "balances", "nonces", "written")
+
+    def __init__(self, parent: LedgerState) -> None:
+        state = parent.contract
+        self.parent = parent
+        self.organization, self.deployed = state.organization, state.deployed
+        self.recipients, self.bank_accounts, self.balances = (
+            state.recipients, state.bank_accounts, state.balances)
+        self.nonces = dict(parent.nonces)
+        self.written: list[Optional[Address]] = []
+
+    def write(self, name: str, addr: Address, value) -> None:
+        """Set `addr` in the account table called `name`."""
+        table = getattr(self, name)
+        if table is getattr(self.parent.contract, name):
+            table = dict(table)
+            setattr(self, name, table)
+        table[addr] = value
+        self.written.append(addr)
+
+    def commit(self) -> LedgerState:
+        """The ledger after the draft's writes: the parent's ContractState
+        if nothing was written, and the parent ledger itself if no nonce
+        moved either."""
+        parent = self.parent
+        state = parent.contract
+        if self.written:
+            state = ContractState(self.organization, self.recipients, self.bank_accounts,
+                                  self.balances, self.deployed)
+            object.__setattr__(state, "_leaves",
+                               _committed_leaves(parent.contract, state, self.written))
+        if state is parent.contract and self.nonces == parent.nonces:
+            return parent
+        return LedgerState(state, self.nonces)
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,35 +153,38 @@ class OpResult:
 _OK = OpResult(None)
 
 
-def deploy(state: ContractState, sender: Address) -> tuple[ContractState, OpResult]:
-    if state.deployed:
-        return state, OpResult(ErrorCode.ALREADY_DEPLOYED)
-    return ContractState(sender, {}, {}, {}, True), _OK
+# --- the operations, each writing a draft in place ---------------------------
+
+def _deploy(draft: Draft, sender: Address) -> OpResult:
+    if draft.deployed:
+        return OpResult(ErrorCode.ALREADY_DEPLOYED)
+    # a fresh contract holds no accounts
+    draft.written += [*draft.recipients, *draft.bank_accounts, *draft.balances, None]
+    draft.recipients, draft.bank_accounts, draft.balances = {}, {}, {}
+    draft.organization, draft.deployed = sender, True
+    return _OK
 
 
-def _organization_only(op: Callable[..., tuple[ContractState, OpResult]]):
+def _organization_only(op: Callable[..., OpResult]):
     """The guard modifier, as a Solidity contract would write it: `op` runs
     only on a deployed contract, NOT_DEPLOYED otherwise, and only for its
-    organization, UNAUTHORIZED otherwise. Called as op(state, sender, *fields)."""
-    def guarded(state: ContractState, sender: Address, *fields):
-        if not state.deployed:
-            return state, OpResult(ErrorCode.NOT_DEPLOYED)
-        if sender != state.organization:
-            return state, OpResult(ErrorCode.UNAUTHORIZED)
-        return op(state, sender, *fields)
+    organization, UNAUTHORIZED otherwise. Called as op(draft, sender, *fields)."""
+    def guarded(draft: Draft, sender: Address, *fields) -> OpResult:
+        if not draft.deployed:
+            return OpResult(ErrorCode.NOT_DEPLOYED)
+        if sender != draft.organization:
+            return OpResult(ErrorCode.UNAUTHORIZED)
+        return op(draft, sender, *fields)
     return guarded
 
 
 def _recipient_setter(active: bool):
     """The one body of add_recipient (True) and remove_recipient (False)."""
     @_organization_only
-    def set_recipient(state: ContractState, sender: Address, recipient: Address):
-        return replace(state, recipients={**state.recipients, recipient: active}), _OK
+    def set_recipient(draft: Draft, sender: Address, recipient: Address) -> OpResult:
+        draft.write("recipients", recipient, active)
+        return _OK
     return set_recipient
-
-
-add_recipient = _recipient_setter(True)
-remove_recipient = _recipient_setter(False)
 
 
 def account_hash_input(account: str) -> bytes:
@@ -116,46 +193,64 @@ def account_hash_input(account: str) -> bytes:
 
 
 @_organization_only
-def register_bank_account(state: ContractState, sender: Address, recipient: Address,
-                          account: str) -> tuple[ContractState, OpResult]:
-    if not state.recipients.get(recipient, False):
-        return state, OpResult(ErrorCode.UNKNOWN_RECIPIENT)
+def _register_bank_account(draft: Draft, sender: Address, recipient: Address,
+                           account: str) -> OpResult:
+    if not draft.recipients.get(recipient, False):
+        return OpResult(ErrorCode.UNKNOWN_RECIPIENT)
     raw = account_hash_input(account)
     if len(raw) == 0:
-        return state, OpResult(ErrorCode.EMPTY_ACCOUNT_STRING)
+        return OpResult(ErrorCode.EMPTY_ACCOUNT_STRING)
     account_hash = Hash256(keccak256(raw))
-    bank_accounts = dict(state.bank_accounts)
-    bank_accounts[recipient] = account_hash
-    event = BankAccountRegistered(recipient, account_hash)
-    return replace(state, bank_accounts=bank_accounts), OpResult(None, (event,))
+    draft.write("bank_accounts", recipient, account_hash)
+    return OpResult(None, (BankAccountRegistered(recipient, account_hash),))
 
 
 @_organization_only
-def add_funds(state: ContractState, sender: Address,
-              amt: Amount) -> tuple[ContractState, OpResult]:
-    balances = dict(state.balances)
+def _add_funds(draft: Draft, sender: Address, amt: Amount) -> OpResult:
     try:
-        balances[state.organization] = balances.get(state.organization, Amount(0)) + amt
+        balance = draft.balances.get(draft.organization, Amount(0)) + amt
     except OverflowError:
-        return state, OpResult(ErrorCode.OVERFLOW)
+        return OpResult(ErrorCode.OVERFLOW)
+    draft.write("balances", draft.organization, balance)
     # the event reports the amount actually credited
-    return replace(state, balances=balances), OpResult(None, (FundsAdded(amt),))
+    return OpResult(None, (FundsAdded(amt),))
 
 
 @_organization_only
-def send_allowance(state: ContractState, sender: Address, recipient: Address,
-                   amount: Amount) -> tuple[ContractState, OpResult]:
-    if not state.recipients.get(recipient, False):
-        return state, OpResult(ErrorCode.UNKNOWN_RECIPIENT)
-    balance = state.balances.get(state.organization, Amount(0))
+def _send_allowance(draft: Draft, sender: Address, recipient: Address,
+                    amount: Amount) -> OpResult:
+    if not draft.recipients.get(recipient, False):
+        return OpResult(ErrorCode.UNKNOWN_RECIPIENT)
+    balance = draft.balances.get(draft.organization, Amount(0))
     if not balance >= amount:
-        return state, OpResult(ErrorCode.INSUFFICIENT_FUNDS)
-    balances = dict(state.balances)
-    balances[state.organization] = balance - amount
+        return OpResult(ErrorCode.INSUFFICIENT_FUNDS)
+    draft.write("balances", draft.organization, balance - amount)
     # the payout itself is off-ledger: the recipient is notified by the
     # event and is never credited on-chain
-    event = AllowanceSent(recipient, amount)
-    return replace(state, balances=balances), OpResult(None, (event,))
+    return OpResult(None, (AllowanceSent(recipient, amount),))
+
+
+# each called as op(draft, sender, *the payload's fields in declaration order)
+_OPS = {Deploy: _deploy, AddRecipient: _recipient_setter(True),
+        RemoveRecipient: _recipient_setter(False),
+        RegisterBankAccount: _register_bank_account, AddFunds: _add_funds,
+        SendAllowance: _send_allowance}
+
+
+def _on_state(op: Callable[..., OpResult]):
+    """`op` as a pure function of a ContractState, run on a draft of its
+    own: op(state, sender, *fields) returns (new state, OpResult)."""
+    def run(state: ContractState, sender: Address, *fields
+            ) -> tuple[ContractState, OpResult]:
+        draft = Draft(LedgerState(state, {}))
+        result = op(draft, sender, *fields)
+        return draft.commit().contract, result
+    return run
+
+
+# in _OPS order
+deploy, add_recipient, remove_recipient, register_bank_account, add_funds, send_allowance = (
+    _on_state(op) for op in _OPS.values())
 
 
 def get_balance(state: ContractState, caller: Address) -> Amount:
@@ -167,92 +262,105 @@ def get_balance(state: ContractState, caller: Address) -> Amount:
 
 # --- transaction dispatch ---------------------------------------------------
 
-@dataclass(frozen=True)
-class LedgerState:
-    """Contract state plus per-sender nonce bookkeeping."""
-    contract: ContractState
-    nonces: dict[Address, int]
-
-
-def genesis_ledger() -> LedgerState:
-    return LedgerState(fresh_state(), {})
-
-
-# each called as handler(state, sender, *the payload's fields in declaration order)
-_HANDLERS = {Deploy: deploy, AddRecipient: add_recipient, RemoveRecipient: remove_recipient,
-             RegisterBankAccount: register_bank_account, AddFunds: add_funds,
-             SendAllowance: send_allowance}
-
-
-def apply_transaction(ledger: LedgerState, tx: Transaction) -> tuple[LedgerState, Receipt]:
+def apply_transaction(ledger: LedgerState | Draft, tx: Transaction
+                      ) -> tuple[LedgerState | Draft, Receipt]:
     """Route a transaction; gas is charged per the flat table either way.
+
+    On a Draft the transaction is written in place and the draft is
+    returned; a LedgerState runs it as a block of one transaction.
 
     A wrong nonce fails the whole transaction without consuming the
     nonce; any other guard failure still consumes it (the transaction
     was validly sequenced, it just did nothing).
     """
+    if isinstance(ledger, LedgerState):
+        after, (receipt,) = execute_block_txs(ledger, (tx,))
+        return after, receipt
     gas = gas_for(tx.payload)
     expected = ledger.nonces.get(tx.sender, 0)
     if tx.nonce != expected:
-        receipt = Receipt(tx_hash(tx), TxStatus.FAILED, ErrorCode.BAD_NONCE, gas, ())
-        return ledger, receipt
+        return ledger, Receipt(tx_hash(tx), TxStatus.FAILED, ErrorCode.BAD_NONCE, gas, ())
 
     cls = type(tx.payload)
-    new_contract, result = _HANDLERS[cls](ledger.contract, tx.sender,
-                                          *KIND_BY_TYPE[cls].values(tx.payload))
-    nonces = dict(ledger.nonces)
-    nonces[tx.sender] = expected + 1
-    new_ledger = LedgerState(new_contract, nonces)
+    result = _OPS[cls](ledger, tx.sender, *KIND_BY_TYPE[cls].values(tx.payload))
+    ledger.nonces[tx.sender] = expected + 1
     if result.ok:
         receipt = Receipt(tx_hash(tx), TxStatus.SUCCESS, None, gas, result.events)
     else:
         receipt = Receipt(tx_hash(tx), TxStatus.FAILED, result.error, gas, ())
-    return new_ledger, receipt
+    return ledger, receipt
 
 
 # --- state commitment --------------------------------------------------------
 
 _RECIPIENT, _ACTIVE, _BANK, _BALANCE = 1, 2, 4, 8  # record flags
 _FLAGS = [bytes([f]) for f in range(16)]
+# the length of a record by its flags: address, flags byte, bank hash, balance
+_RECORD_LEN = [21 + (32 if f & _BANK else 0) + (16 if f & _BALANCE else 0)
+               for f in range(16)]
 _GROUP = 16  # bucket digests per group
-# the digest of an empty bucket, keccak256(b""), a published test vector
-_EMPTY = bytes.fromhex("c5d2460186f7233c927e7db2dcc703c0e500b653ca82273b7bfad8045d85a470")
 
 
-def _buckets(state: ContractState) -> dict[int, bytes]:
-    """The leaves of the non-empty buckets: their account records, in
-    address order, by bucket."""
+def _leaf(state: ContractState, members: list[bytes]) -> bytes:
+    """One bucket's leaf: the records of its members, addresses given in
+    order. An address in none of the tables has no record."""
     recipients, banks, balances = state.recipients, state.bank_accounts, state.balances
-    buckets: dict[int, list[bytes]] = {}
-    for addr in sorted(recipients.keys() | banks.keys() | balances.keys()):
+    records = []
+    for addr in members:
         active = recipients.get(addr)
         bank = banks.get(addr)
         balance = balances.get(addr)
         flags = ((0 if active is None else _RECIPIENT | (_ACTIVE if active else 0))
                  | (0 if bank is None else _BANK) | (0 if balance is None else _BALANCE))
-        buckets.setdefault(addr[0], []).append(
-            addr + _FLAGS[flags] + (bank or b"") + (b"" if balance is None else _u(balance, 16)))
-    return {i: b"".join(records) for i, records in buckets.items()}
+        if flags:
+            records.append(addr + _FLAGS[flags] + (bank or b"")
+                           + (b"" if balance is None else _u(balance, 16)))
+    return b"".join(records)
+
+
+def _leaves_of(state: ContractState) -> tuple[bytes, ...]:
+    """The state's 256 leaves; on first use of a state built from its
+    tables, every non-empty bucket is built."""
+    leaves = state._leaves
+    if leaves is None:
+        members: list[list[bytes]] = [[] for _ in range(256)]
+        for addr in sorted(state.recipients.keys() | state.bank_accounts.keys()
+                           | state.balances.keys()):
+            members[addr[0]].append(addr)
+        leaves = tuple(_leaf(state, m) if m else b"" for m in members)
+        object.__setattr__(state, "_leaves", leaves)
+    return leaves
+
+
+def _committed_leaves(parent: ContractState, state: ContractState,
+                      written: list[Optional[Address]]) -> tuple[bytes, ...]:
+    """`parent`'s leaves, with each bucket that holds a written address
+    rebuilt from `state`'s tables."""
+    leaves = list(_leaves_of(parent))
+    touched: dict[int, set[bytes]] = {}
+    for addr in written:
+        if addr is not None:
+            touched.setdefault(addr[0], set()).add(addr)
+    for i, members in touched.items():
+        leaf, at = leaves[i], 0
+        while at < len(leaf):  # the parent's members of the bucket
+            members.add(leaf[at:at + 20])
+            at += _RECORD_LEN[leaf[at + 20]]
+        leaves[i] = _leaf(state, sorted(members))
+    return tuple(leaves)
 
 
 def state_roots(states: list[ContractState]) -> list[Hash256]:
     """The root of every state, filling its slot. States already rooted are
     slot reads; the rest are taken 16 at a time, whose 256 groups fill one
-    batch, and share one batch of buckets, one of groups and one of roots."""
+    batch, and share one batch of leaves, one of groups and one of roots.
+    Each state's leaves come from its `_leaves` slot."""
     todo = [s for s in states if s._root is None]
     for start in range(0, len(todo), _GROUP):
         chunk = todo[start:start + _GROUP]
-        leaves: dict[bytes, int] = {}  # each distinct bucket, by first position
-        per_state = [{i: leaves.setdefault(leaf, len(leaves)) for i, leaf in _buckets(s).items()}
-                     for s in chunk]
-        digests = keccak256_many(list(leaves))
-        groups = []
-        for positions in per_state:
-            row = [_EMPTY] * 256
-            for i, p in positions.items():
-                row[i] = digests[p]
-            groups += [tuple(row[i:i + _GROUP]) for i in range(0, 256, _GROUP)]
-        group_digests = keccak256_many(groups)
+        digests = keccak256_many([leaf for s in chunk for leaf in _leaves_of(s)])
+        group_digests = keccak256_many([tuple(digests[i:i + _GROUP])
+                                        for i in range(0, len(digests), _GROUP)])
         heads = [(s.organization, _FLAGS[s.deployed],  # deployed as one byte
                   *group_digests[k * _GROUP:(k + 1) * _GROUP]) for k, s in enumerate(chunk)]
         for s, root in zip(chunk, keccak256_many(heads)):
@@ -282,16 +390,19 @@ def state_to_json(state: ContractState) -> dict:
 
 def execute_block_txs(ledger: LedgerState, txs: tuple[Transaction, ...]
                       ) -> tuple[LedgerState, list[Receipt]]:
-    """Sequentially apply a block's transactions."""
+    """Apply a block's transactions in order to one draft of `ledger`, each
+    through this module's `apply_transaction`, and commit the draft once.
+    A failed transaction that wrote anything raises InternalInvariantViolation."""
+    draft = Draft(ledger)
     receipts = []
     for tx in txs:
-        before = ledger.contract
-        ledger, receipt = apply_transaction(ledger, tx)
-        if receipt.status is not TxStatus.SUCCESS and ledger.contract is not before:
+        before = len(draft.written)
+        draft, receipt = apply_transaction(draft, tx)
+        if receipt.status is not TxStatus.SUCCESS and len(draft.written) != before:
             raise InternalInvariantViolation(
                 f"failed transaction {hx(receipt.tx_hash)} changed contract state")
         receipts.append(receipt)
-    return ledger, receipts
+    return draft.commit(), receipts
 
 
 def block_content_error(block: Block, ledger: LedgerState, registry: Registry,

@@ -271,20 +271,28 @@ def keccak256(data: bytes) -> bytes:
 # --- many messages at once ---------------------------------------------------
 
 _MAX_WIDTH = 256  # states packed into one lane int; a power of two
-_packed: dict = {}  # width -> (round constants, masks), built on first use
+# the width, round constants and masks of the widest batch packed so far
+_widest: tuple = (0, (), ())
 
 
 def _packed_constants(width: int) -> tuple:
-    consts = _packed.get(width)
-    if consts is None:
+    """The constants of `width` states. Only the widest width packed so far
+    has its constants kept; a narrower width's are masked from them, as
+    _digest_batch narrows the state."""
+    global _widest
+    built, rcs, masks = _widest
+    if width > built:
         every = int.from_bytes((b"\x01" + b"\x00" * 7) * width, "little")  # 1 per state
         masks = []
         for r in _ROTATIONS:
             low = (1 << r) - 1
             masks += [(0xFFFFFFFFFFFFFFFF ^ low) * every, low * every]
-        consts = (tuple(rc * every for rc in _ROUND_CONSTANTS), tuple(masks))
-        _packed[width] = consts
-    return consts
+        _widest = built, rcs, masks = (
+            width, tuple(rc * every for rc in _ROUND_CONSTANTS), tuple(masks))
+    if width == built:
+        return rcs, masks
+    keep = (1 << (64 * width)) - 1
+    return tuple(rc & keep for rc in rcs), tuple(m & keep for m in masks)
 
 
 def _digest_batch(batch: list) -> list:
@@ -310,6 +318,8 @@ def _digest_batch(batch: list) -> list:
                 keep = (1 << (64 * narrower)) - 1
                 state = [a & keep for a in state]
             width = narrower
+            if width > 1:
+                constants = _packed_constants(width)
         ending = active  # messages [ending, active) absorb their last block
         while ending and len(batch[ending - 1]) < off + _RATE:
             ending -= 1
@@ -320,7 +330,7 @@ def _digest_batch(batch: list) -> list:
         if width == 1:
             state = _f1600(state)
         else:
-            state = _f1600_packed(state, *_packed_constants(width))
+            state = _f1600_packed(state, *constants)
         if ending < active:
             out = bytearray(32 * width)
             view = memoryview(out).cast("Q")

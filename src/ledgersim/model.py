@@ -510,14 +510,17 @@ def block_from_json(obj: dict) -> Block:
     )
 
 
+# each event type's JSON fields; its "kind" is the type's name
+_EVENT_FIELDS = {
+    FundsAdded: lambda ev: {"value": str(int(ev.value))},
+    AllowanceSent: lambda ev: {"recipient": hx(ev.recipient), "amount": str(int(ev.amount))},
+    BankAccountRegistered: lambda ev: {"recipient": hx(ev.recipient),
+                                       "accountHash": hx(ev.account_hash)},
+}
+
+
 def event_to_json(ev: Event) -> dict:
-    if isinstance(ev, FundsAdded):
-        return {"kind": "FundsAdded", "value": str(int(ev.value))}
-    if isinstance(ev, AllowanceSent):
-        return {"kind": "AllowanceSent", "recipient": hx(ev.recipient),
-                "amount": str(int(ev.amount))}
-    return {"kind": "BankAccountRegistered", "recipient": hx(ev.recipient),
-            "accountHash": hx(ev.account_hash)}
+    return {"kind": type(ev).__name__, **_EVENT_FIELDS[type(ev)](ev)}
 
 
 def receipt_to_json(r: Receipt) -> dict:

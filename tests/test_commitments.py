@@ -7,13 +7,17 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ledgersim import contract, keccak
 from ledgersim.config import parse_genesis
-from ledgersim.contract import ContractState, state_root, state_roots
+from ledgersim.contract import ContractState, LedgerState, state_root, state_roots
 from ledgersim.keccak import keccak256
-from ledgersim.model import Address, Amount, Hash256, ZERO_HASH, hx
+from ledgersim.model import (
+    AMOUNT_MAX, Address, AddFunds, AddRecipient, Amount, Deploy, Hash256,
+    RegisterBankAccount, RemoveRecipient, SendAllowance, Signature, Transaction,
+    ZERO_HASH, hx,
+)
 from ledgersim.scenario import parse_scenario, run_scenario
 
 from keccak_reference import keccak256_reference
@@ -162,6 +166,90 @@ class TestStateRoot:
                                         Address(b"\x01" * 20), Amount(2))
         assert changed._root is None
         assert state_root(changed) == _root_oracle(changed)
+
+
+# --- roots of executed blocks ---------------------------------------------
+
+ORG = Address(b"\x01" * 20)
+OUTSIDER = Address(b"\xff" * 20)
+# recipients in the organization's bucket, in the edge buckets and two to a bucket
+POOL = [Address(bytes([first]) + bytes([k]) * 19)
+        for k, first in enumerate([0x00, 0x01, 0x01, 0x80, 0x80, 0xFF], start=2)]
+pool_addresses = st.sampled_from(POOL)
+payloads = st.one_of(
+    st.just(Deploy()),
+    st.builds(AddRecipient, pool_addresses),
+    st.builds(RemoveRecipient, pool_addresses),
+    st.builds(RegisterBankAccount, pool_addresses, st.sampled_from(["", "IBAN-1", "IBAN-2"])),
+    st.builds(AddFunds, st.sampled_from([0, 5, 1000, AMOUNT_MAX]).map(Amount)),
+    st.builds(SendAllowance, pool_addresses, st.sampled_from([1, 300, 5000]).map(Amount)),
+)
+# (sender, nonce offset, payload); an offset other than 0 is a bad nonce
+steps = st.lists(st.tuples(st.sampled_from([ORG] * 5 + [OUTSIDER]),
+                           st.sampled_from([0] * 8 + [1, 2]), payloads), max_size=24)
+# a deployed state built straight from its tables, so it has no leaves yet
+built_parents = st.builds(
+    lambda recipients, banks, balances, funds: LedgerState(
+        ContractState(ORG, recipients, banks, {**balances, ORG: funds}, True), {}),
+    st.dictionaries(pool_addresses, st.booleans(), min_size=3),
+    st.dictionaries(pool_addresses, hashes),
+    st.dictionaries(pool_addresses, amounts),
+    st.integers(0, 10_000).map(Amount))
+parents = st.one_of(st.builds(contract.genesis_ledger), built_parents)
+
+
+def _transactions(start: LedgerState, drawn, deploy_at: int = 0) -> list[Transaction]:
+    """The drawn steps as transactions, their nonces counted from `start`.
+    On an undeployed start, the organization deploys at step `deploy_at`."""
+    if not start.contract.deployed:
+        drawn = list(drawn)
+        drawn.insert(min(deploy_at, len(drawn)), (ORG, 0, Deploy()))
+    nonces = dict(start.nonces)
+    txs = []
+    for sender, offset, payload in drawn:
+        expected = nonces.get(sender, 0)
+        if offset == 0:
+            nonces[sender] = expected + 1
+        txs.append(Transaction(sender, expected + offset, payload,
+                               contract.gas_for(payload), 0, Signature(b"")))
+    return txs
+
+
+def _blocks(txs: list, cuts: list[int]) -> list[tuple]:
+    bounds = [0, *sorted(c % (len(txs) + 1) for c in cuts), len(txs)]
+    return [tuple(txs[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+class TestCommittedRoots:
+    """A committed state rebuilds only the buckets its block wrote; its
+    root must still be the root of its tables."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(start=parents, drawn=steps, deploy_at=st.integers(0, 4),
+           cuts=st.lists(st.integers(0, 24), max_size=6))
+    def test_every_committed_root_matches_the_oracle(self, start, drawn, deploy_at, cuts):
+        txs = _transactions(start, drawn, deploy_at)
+        ledger = start
+        for block in _blocks(txs, cuts):
+            ledger, _ = contract.execute_block_txs(ledger, block)
+            assert state_root(ledger.contract) == _root_oracle(ledger.contract)
+        one_by_one = start
+        for tx in txs:
+            one_by_one, _ = contract.apply_transaction(one_by_one, tx)
+        assert one_by_one.contract == ledger.contract
+        assert one_by_one.nonces == ledger.nonces
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(start=parents, first=steps, second=steps)
+    def test_sibling_blocks_on_one_parent(self, start, first, second):
+        parent = start.contract
+        tables = (dict(parent.recipients), dict(parent.bank_accounts), dict(parent.balances))
+        children = [contract.execute_block_txs(start, tuple(_transactions(start, drawn)))[0]
+                    for drawn in (first, second)]
+        assert state_roots([c.contract for c in children]) == [
+            _root_oracle(c.contract) for c in children]
+        assert (parent.recipients, parent.bank_accounts, parent.balances) == tables
+        assert state_root(parent) == _root_oracle(parent)
 
 
 class TestGoldenValues:

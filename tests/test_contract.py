@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from ledgersim import contract
 from ledgersim.crypto import sign
-from ledgersim.errors import NotDeployed
+from ledgersim.errors import InternalInvariantViolation, NotDeployed
 from ledgersim.keccak import keccak256
 from ledgersim.model import (
-    Address, AddFunds, AllowanceSent, Amount, BankAccountRegistered, Deploy,
-    ErrorCode, FundsAdded, Signature, Transaction, TxStatus, tx_hash,
+    AMOUNT_MAX, Address, AddFunds, AddRecipient, AllowanceSent, Amount,
+    BankAccountRegistered, Deploy, ErrorCode, FundsAdded, RegisterBankAccount,
+    RemoveRecipient, SendAllowance, Signature, Transaction, TxStatus, tx_hash,
 )
 
 import differential
@@ -228,6 +229,126 @@ class TestApplyTransaction:
         assert receipt.gas_used == 21_000
         assert after.nonces[outsider.address] == 1
         assert after.contract is ledger.contract
+
+
+def unsigned_tx(sender, nonce, payload):
+    """Block execution checks no signature, so none is made."""
+    return Transaction(sender, nonce, payload, contract.gas_for(payload), 0, Signature(b""))
+
+
+def funded_ledger():
+    """ORG's deployed contract, with R1 a recipient and a balance of 100."""
+    ledger, receipts = contract.execute_block_txs(contract.genesis_ledger(), (
+        unsigned_tx(ORG, 0, Deploy()), unsigned_tx(ORG, 1, AddRecipient(R1)),
+        unsigned_tx(ORG, 2, AddFunds(Amount(100)))))
+    assert all(r.status is TxStatus.SUCCESS for r in receipts)
+    return ledger
+
+
+class TestBlockDraft:
+    """A block runs on one draft; a failed transaction must leave it unwritten."""
+
+    @pytest.mark.parametrize("sender, payload, error", [
+        (ORG, Deploy(), ErrorCode.ALREADY_DEPLOYED),
+        (OTHER, AddFunds(Amount(5)), ErrorCode.UNAUTHORIZED),
+        (ORG, AddFunds(Amount(AMOUNT_MAX)), ErrorCode.OVERFLOW),
+        (ORG, RegisterBankAccount(R2, "IBAN"), ErrorCode.UNKNOWN_RECIPIENT),
+        (ORG, RegisterBankAccount(R1, ""), ErrorCode.EMPTY_ACCOUNT_STRING),
+        (ORG, SendAllowance(R1, Amount(101)), ErrorCode.INSUFFICIENT_FUNDS),
+        (OTHER, RemoveRecipient(R1), ErrorCode.UNAUTHORIZED),
+    ])
+    def test_failed_op_leaves_the_draft_unwritten(self, sender, payload, error):
+        ledger = funded_ledger()
+        parent = ledger.contract
+        draft = contract.Draft(ledger)
+        draft, receipt = contract.apply_transaction(
+            draft, unsigned_tx(sender, ledger.nonces.get(sender, 0), payload))
+        assert receipt.error is error
+        assert draft.written == []
+        assert (draft.recipients, draft.bank_accounts, draft.balances) == (
+            parent.recipients, parent.bank_accounts, parent.balances)
+        assert draft.nonces[sender] == ledger.nonces.get(sender, 0) + 1
+        after = draft.commit()
+        assert after.contract is parent and after.nonces == draft.nonces
+
+    def test_an_op_that_writes_and_reports_failure_raises(self, monkeypatch):
+        def leaky(draft, sender, amt):
+            draft.write("balances", sender, amt)
+            return contract.OpResult(ErrorCode.UNAUTHORIZED)
+
+        monkeypatch.setitem(contract._OPS, AddFunds, leaky)
+        ledger = contract.LedgerState(deployed(), {})
+        with pytest.raises(InternalInvariantViolation, match="changed contract state"):
+            contract.execute_block_txs(ledger, (unsigned_tx(ORG, 0, AddFunds(Amount(5))),))
+
+    def test_a_deploy_reported_as_failed_raises(self, monkeypatch):
+        """The deploy writes only the organization and deployed fields."""
+        apply = contract.apply_transaction
+
+        def leaky(ledger, tx):
+            ledger, receipt = apply(ledger, tx)
+            return ledger, contract.Receipt(receipt.tx_hash, TxStatus.FAILED,
+                                            ErrorCode.ALREADY_DEPLOYED, receipt.gas_used, ())
+
+        monkeypatch.setattr(contract, "apply_transaction", leaky)
+        with pytest.raises(InternalInvariantViolation, match="changed contract state"):
+            contract.execute_block_txs(contract.genesis_ledger(),
+                                       (unsigned_tx(ORG, 0, Deploy()),))
+
+
+class TestCommitCost:
+    """A commit rebuilds the leaf of each bucket its block wrote, and no other."""
+
+    # recipients in 40 buckets, none of them ORG's bucket 0x01
+    ACCOUNTS = [Address(bytes([b]) + bytes([b ^ 0x55]) * 19) for b in range(0, 240, 6)]
+
+    @pytest.fixture()
+    def leaf_builds(self, monkeypatch):
+        built = []
+        leaf = contract._leaf
+
+        def counted(state, members):
+            built.append(members[0][0])
+            return leaf(state, members)
+
+        monkeypatch.setattr(contract, "_leaf", counted)
+        return built
+
+    def parent(self):
+        state = contract.ContractState(ORG, {a: True for a in self.ACCOUNTS}, {},
+                                       {ORG: Amount(1000)}, True)
+        contract.state_root(state)  # builds every leaf
+        return contract.LedgerState(state, {})
+
+    def test_a_block_rebuilds_one_leaf_per_written_bucket(self, leaf_builds):
+        ledger = self.parent()
+        leaf_builds.clear()
+        new = [Address(b"\x10" + bytes([k]) * 19) for k in (1, 2)]  # one new bucket
+        txs = (unsigned_tx(ORG, 0, AddRecipient(new[0])),
+               unsigned_tx(ORG, 1, AddRecipient(new[1])),
+               unsigned_tx(ORG, 2, RemoveRecipient(self.ACCOUNTS[0])),      # bucket 0x00
+               unsigned_tx(ORG, 3, AddFunds(Amount(5))),                   # ORG's bucket
+               unsigned_tx(ORG, 4, SendAllowance(self.ACCOUNTS[1], Amount(7))),
+               unsigned_tx(ORG, 5, SendAllowance(R2, Amount(1))))          # fails
+        after, receipts = contract.execute_block_txs(ledger, txs)
+        assert [r.status for r in receipts] == [TxStatus.SUCCESS] * 5 + [TxStatus.FAILED]
+        assert sorted(leaf_builds) == [0x00, 0x01, 0x10]  # 4 accounts in 3 buckets
+        parent_leaves, leaves = ledger.contract._leaves, after.contract._leaves
+        assert all(leaves[i] is parent_leaves[i] for i in range(256) if i not in (0, 1, 0x10))
+        assert after.contract.bank_accounts is ledger.contract.bank_accounts  # never written
+        rebuilt = contract.ContractState(ORG, after.contract.recipients, {},
+                                         after.contract.balances, True)
+        assert contract.state_root(after.contract) == contract.state_root(rebuilt)
+
+    def test_a_block_that_writes_nothing_keeps_the_parent_state(self, leaf_builds):
+        ledger = self.parent()
+        leaf_builds.clear()
+        assert contract.execute_block_txs(ledger, ()) == (ledger, [])
+        bad_nonces = tuple(unsigned_tx(ORG, 7, AddFunds(Amount(k))) for k in (1, 2))
+        after, receipts = contract.execute_block_txs(ledger, bad_nonces)
+        assert [r.error for r in receipts] == [ErrorCode.BAD_NONCE] * 2
+        assert after.contract is ledger.contract
+        assert leaf_builds == []
 
 
 class TestStateEncoding:
