@@ -23,6 +23,10 @@ expiries and height starts, and it returns outbound messages plus an
 optional finalized block. Messages the engine broadcasts are applied to
 its own state synchronously (a validator counts its own votes), which
 makes the degenerate single-validator network finalize in one step.
+
+A message that passes `verify_message` keeps the verdict, per registry:
+a broadcast is one message object that reaches every peer, so its
+signature is checked once, not once per recipient.
 """
 
 from __future__ import annotations
@@ -57,26 +61,22 @@ def quorum_size(n: int) -> int:
 class ConsensusConfig:
     validators: tuple[Address, ...]
     base_round_timeout: int
+    # derived from the validators once, here: the engine reads them per message
+    n: int = field(init=False, repr=False, compare=False)
+    f: int = field(init=False, repr=False, compare=False)
+    quorum: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.validators) < 1:
+        n = len(self.validators)
+        if n < 1:
             raise ValueError("need at least one validator")
-        if len(set(self.validators)) != len(self.validators):
+        if len(set(self.validators)) != n:
             raise ValueError("validators must be distinct")
         if self.base_round_timeout < 1:
             raise ValueError("base_round_timeout must be >= 1")
-
-    @property
-    def n(self) -> int:
-        return len(self.validators)
-
-    @property
-    def f(self) -> int:
-        return fault_tolerance(self.n)
-
-    @property
-    def quorum(self) -> int:
-        return quorum_size(self.n)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "f", fault_tolerance(n))
+        object.__setattr__(self, "quorum", quorum_size(n))
 
 
 def proposer_for(height: int, round_: int, config: ConsensusConfig) -> Address:
@@ -90,7 +90,10 @@ class MsgKind(enum.Enum):
     ROUND_CHANGE = "ROUND_CHANGE"
 
 
-_KIND_TAG = {k: i for i, k in enumerate(MsgKind)}
+# Enum members bound once: in Python 3.11 `MsgKind.PREPARE` is a
+# Python-level `EnumType.__getattr__` call, and hashing a member is another.
+PRE_PREPARE, PREPARE, COMMIT, ROUND_CHANGE = MsgKind
+_KIND_TAG = {k.value: _u(i, 1) for i, k in enumerate(MsgKind)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,13 +105,16 @@ class ConsensusMessage:
     sender: Address
     signature: Signature
     proposal: Optional[Block] = None
+    # the Registry that verified the signature; see verify_message
+    _verified: Optional[Registry] = field(default=None, init=False, repr=False,
+                                          compare=False)
 
 
 def message_payload(kind: MsgKind, height: int, round_: int,
                     block_hash_: Hash256) -> bytes:
     """The bytes a consensus signature covers: kind tag (1), height (8),
     round (8) and block hash (32)."""
-    return _u(_KIND_TAG[kind], 1) + _u(height, 8) + _u(round_, 8) + block_hash_
+    return _KIND_TAG[kind._value_] + _u(height, 8) + _u(round_, 8) + block_hash_
 
 
 def make_message(key: KeyPair, kind: MsgKind, height: int, round_: int,
@@ -120,8 +126,18 @@ def make_message(key: KeyPair, kind: MsgKind, height: int, round_: int,
 
 
 def verify_message(msg: ConsensusMessage, registry: Registry) -> bool:
+    """Whether `msg` carries its sender's signature under `registry`. A
+    pass is kept on the message, keyed by the registry object, as `tx_hash`
+    keeps a hash, so a broadcast, one object for every peer, is checked
+    once. It rests only on immutable fields, and a registry only adds keys.
+    A failure is not kept, and another registry checks again."""
+    if msg._verified is registry:
+        return True
     payload = message_payload(msg.kind, msg.height, msg.round, msg.block_hash)
-    return registry.verify_by_address(msg.sender, payload, msg.signature)
+    if not registry.verify_by_address(msg.sender, payload, msg.signature):
+        return False
+    object.__setattr__(msg, "_verified", registry)
+    return True
 
 
 class Phase(enum.Enum):
@@ -130,13 +146,16 @@ class Phase(enum.Enum):
     FINALIZED = "FINALIZED"
 
 
+AWAITING_PROPOSAL, PREPARED, FINALIZED = Phase
+
+
 @dataclass
 class StepResult:
     outbound: list[ConsensusMessage] = field(default_factory=list)
     finalized: Optional[Block] = None
     timer: Optional[tuple[int, int]] = None  # (deadline, epoch)
-    phase_before: Phase = Phase.AWAITING_PROPOSAL
-    phase_after: Phase = Phase.AWAITING_PROPOSAL
+    phase_before: Phase = AWAITING_PROPOSAL
+    phase_after: Phase = AWAITING_PROPOSAL
     discards: list[str] = field(default_factory=list)
 
 
@@ -168,7 +187,7 @@ class Engine:
         never matches one of this height."""
         self.height = height
         self.round = 0
-        self.phase = Phase.FINALIZED
+        self.phase = FINALIZED
         self.locked_hash: Optional[Hash256] = None
         self.accepted: Optional[Block] = None
         self.rc_target = 0
@@ -196,7 +215,7 @@ class Engine:
             result.discards.append("InvalidSignature")
         elif msg.height != self.height:
             result.discards.append("WrongHeight")
-        elif self.phase is Phase.FINALIZED:
+        elif self.phase is FINALIZED:
             result.discards.append("HeightClosed")
         else:
             self._process(msg, now)
@@ -204,7 +223,7 @@ class Engine:
 
     def handle_timer(self, epoch: int, now: int) -> StepResult:
         result = self._begin()
-        if epoch != self.timer_epoch or self.phase is Phase.FINALIZED:
+        if epoch != self.timer_epoch or self.phase is FINALIZED:
             result.discards.append("StaleTimer")
             return self._finish(result)
         target = max(self.round, self.rc_target) + 1
@@ -242,7 +261,7 @@ class Engine:
     def _enter_round(self, round_: int, now: int) -> None:
         result = self._step()
         self.round = round_
-        self.phase = Phase.AWAITING_PROPOSAL
+        self.phase = AWAITING_PROPOSAL
         self.accepted = None
         self.rc_target = max(self.rc_target, round_)
         self.timer_epoch += 1
@@ -253,21 +272,21 @@ class Engine:
             if block is None:
                 block = self.build_block(self.height, round_)
             self._broadcast(make_message(
-                self.key, MsgKind.PRE_PREPARE, self.height, round_,
+                self.key, PRE_PREPARE, self.height, round_,
                 block_hash(block), proposal=block), now)
         queued = self._future_proposals.pop(round_, None)
         if queued is not None and self.round == round_:
             self._process(queued, now)
-        if self.round == round_ and self.phase is not Phase.FINALIZED:
+        if self.round == round_ and self.phase is not FINALIZED:
             self._check_quorums(now)
 
     def _process(self, msg: ConsensusMessage, now: int) -> None:
-        if self.phase is Phase.FINALIZED:
+        if self.phase is FINALIZED:
             return
         kind = msg.kind
-        if kind is MsgKind.PRE_PREPARE:
+        if kind is PRE_PREPARE:
             self._on_pre_prepare(msg, now)
-        elif kind is MsgKind.ROUND_CHANGE:
+        elif kind is ROUND_CHANGE:
             self._on_round_change(msg, now)
         else:
             self._on_vote(msg, now)
@@ -294,9 +313,9 @@ class Engine:
         self.accepted = msg.proposal
         self._known_blocks[msg.block_hash] = msg.proposal
         self._broadcast(make_message(
-            self.key, MsgKind.PREPARE, self.height, self.round,
+            self.key, PREPARE, self.height, self.round,
             msg.block_hash), now)
-        if self.phase is not Phase.FINALIZED:
+        if self.phase is not FINALIZED:
             self._check_quorums(now)
 
     def _on_vote(self, msg: ConsensusMessage, now: int) -> None:
@@ -304,7 +323,7 @@ class Engine:
         on entering their round, and a commit quorum of any round finalizes."""
         if msg.round < self.round:
             return self._discard("StaleRound")
-        votes = self._prepares if msg.kind is MsgKind.PREPARE else self._commits
+        votes = self._prepares if msg.kind is PREPARE else self._commits
         bucket = votes.setdefault((msg.round, msg.block_hash), {})
         if msg.sender in bucket:
             return self._discard("DuplicateMessage")
@@ -321,14 +340,14 @@ class Engine:
         bucket[msg.sender] = msg
 
         # quorum of round changes moves us to the smallest such round
-        while self.phase is not Phase.FINALIZED:
+        while self.phase is not FINALIZED:
             ready = [t for t, s in sorted(self._round_changes.items())
                      if t > self.round and len(s) >= self.config.quorum]
             if not ready:
                 break
             self._enter_round(ready[0], now)
 
-        if self.phase is Phase.FINALIZED:
+        if self.phase is FINALIZED:
             return
         # f+1 distinct peers already asked for a later round: echo the
         # smallest one so a live minority cannot be left behind
@@ -345,7 +364,7 @@ class Engine:
         """Broadcast a ROUND_CHANGE to `target` with this node's lock hint."""
         self.rc_target = target
         self._broadcast(make_message(
-            self.key, MsgKind.ROUND_CHANGE, self.height, target,
+            self.key, ROUND_CHANGE, self.height, target,
             self.locked_hash or ZERO_HASH), now)
 
     def _contested_block(self) -> Optional[Block]:
@@ -367,14 +386,14 @@ class Engine:
 
     def _check_quorums(self, now: int) -> None:
         q = self.config.quorum
-        if (self.phase is Phase.AWAITING_PROPOSAL and self.accepted is not None):
+        if (self.phase is AWAITING_PROPOSAL and self.accepted is not None):
             bh = block_hash(self.accepted)
             if len(self._prepares.get((self.round, bh), ())) >= q:
-                self.phase = Phase.PREPARED
+                self.phase = PREPARED
                 self.locked_hash = bh
                 self._broadcast(make_message(
-                    self.key, MsgKind.COMMIT, self.height, self.round, bh), now)
-                if self.phase is Phase.FINALIZED:
+                    self.key, COMMIT, self.height, self.round, bh), now)
+                if self.phase is FINALIZED:
                     return
         for (round_, bh), seals in self._commits.items():
             if len(seals) >= q and bh in self._known_blocks:
@@ -388,7 +407,7 @@ class Engine:
         sealed = replace_unhashed(
             block, round=round_,
             commit_seals=tuple(sorted(seals.items())))
-        self.phase = Phase.FINALIZED
+        self.phase = FINALIZED
         result.finalized = sealed
 
 
@@ -415,7 +434,7 @@ def validate_finalized_block(block: Block, config: ConsensusConfig,
         return False
     if any(addr not in config.validators for addr in signers):
         return False
-    payload = message_payload(MsgKind.COMMIT, block.height, block.round,
+    payload = message_payload(COMMIT, block.height, block.round,
                               block_hash(block))
     return all(registry.verify_by_address(addr, payload, seal)
                for addr, seal in block.commit_seals)

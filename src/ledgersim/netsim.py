@@ -11,6 +11,11 @@ Determinism contract: one simulation instance is single-threaded, all
 randomness flows from named streams derived from the master seed, and
 events are totally ordered by (time, seq) with seq assigned at
 scheduling time.
+
+An event is a `SimEvent`: time, seq, kind (DELIVER, TIMER or CLIENT),
+target node (None for a client command) and payload. It is a plain
+slotted record, not a frozen one: one is built per delivery, and nothing
+changes it after `schedule`.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .errors import EmptyQueue, InternalInvariantViolation
 from .keccak import keccak256
 from .model import Address, Block, Hash256, hx
 from .consensus import (
-    ConsensusMessage, MsgKind, Phase, block_hash, make_message, proposer_for,
+    FINALIZED, PRE_PREPARE, ConsensusMessage, block_hash, make_message, proposer_for,
 )
 from .node import ValidatorNode
 
@@ -56,6 +61,9 @@ class Behavior(enum.Enum):
     INVALID_PROPOSER = "INVALID_PROPOSER"
 
 
+SILENT, EQUIVOCATE, INVALID_PROPOSER = Behavior
+
+
 @dataclass(frozen=True)
 class ByzantineSpec:
     node: Address
@@ -68,7 +76,11 @@ class EvKind(enum.Enum):
     CLIENT = "CLIENT"
 
 
-@dataclass(frozen=True, slots=True)
+# bound once, as in consensus.py: an Enum class attribute is a slow lookup
+DELIVER, TIMER, CLIENT = EvKind
+
+
+@dataclass(slots=True)
 class SimEvent:
     time: int
     seq: int
@@ -146,7 +158,7 @@ class Network:
             if delay > self.params.delta:
                 raise InternalInvariantViolation(
                     f"post-GST delay {delay} exceeds delta {self.params.delta}")
-        ev = self.queue.schedule(now + delay, EvKind.DELIVER, to, payload)
+        ev = self.queue.schedule(now + delay, DELIVER, to, payload)
         self._record(now, ev.seq, frm, to, payload, dropped=False)
         return ev
 
@@ -192,17 +204,17 @@ def byzantine_transform(
     discard as InvalidProposer; `seen` holds the triples (node, height,
     round) already seen.
     """
-    if spec.behavior is Behavior.SILENT:
+    if spec.behavior is SILENT:
         return []
-    if spec.behavior is Behavior.EQUIVOCATE:
+    if spec.behavior is EQUIVOCATE:
         out: list[tuple[object, Optional[Address]]] = []
         half = (len(node.peers) + 1) // 2
         for msg, to in outbound:
-            if not (isinstance(msg, ConsensusMessage) and msg.kind is MsgKind.PRE_PREPARE):
+            if not (isinstance(msg, ConsensusMessage) and msg.kind is PRE_PREPARE):
                 out.append((msg, to))
                 continue
             variant = _equivocation_variant(node, msg.proposal)
-            alt = make_message(node.key, MsgKind.PRE_PREPARE, msg.height, msg.round,
+            alt = make_message(node.key, PRE_PREPARE, msg.height, msg.round,
                                block_hash(variant), proposal=variant)
             out += [(msg, peer) for peer in node.peers[:half]]
             out += [(alt, peer) for peer in node.peers[half:]]
@@ -212,11 +224,11 @@ def byzantine_transform(
     if (node.address, height, round_) in seen:
         return outbound
     seen.add((node.address, height, round_))
-    if engine.phase is Phase.FINALIZED \
+    if engine.phase is FINALIZED \
             or proposer_for(height, round_, node.config) == node.address:
         return outbound  # its own proposals are already honest
     block = node.build_block(height, round_)
-    forged = make_message(node.key, MsgKind.PRE_PREPARE, height, round_,
+    forged = make_message(node.key, PRE_PREPARE, height, round_,
                           block_hash(block), proposal=block)
     return [*outbound, (forged, None)]
 

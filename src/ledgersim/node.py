@@ -125,9 +125,14 @@ class NodeResult:
 
 
 # What a block leaves on its parent's ledger: the ledger and receipts, or
-# None if it fails the content check. Kept by block height, then block hash.
+# None if it fails the content check.
 Execution = Optional[tuple[contract.LedgerState, list[Receipt]]]
-ExecutionTable = dict[int, dict[Hash256, Execution]]
+
+
+class ExecutionTable(dict[int, dict[Hash256, Execution]]):
+    """Executions by block height, then block hash. Every height at or
+    below `floor` has left the table for good, and no writer puts it back."""
+    floor = 0
 
 
 class ValidatorNode:
@@ -169,7 +174,7 @@ class ValidatorNode:
         ledger, receipts = contract.execute_block_txs(self.chain.head_ledger, tuple(txs))
         block = Block(height, round_, block_hash(parent), self.address,
                       tuple(txs), contract.state_root(ledger.contract), ())
-        self.executions.setdefault(height, {})[block_hash(block)] = (ledger, receipts)
+        self._record(block, (ledger, receipts))
         return block
 
     def validate_block(self, block: Block) -> bool:
@@ -256,9 +261,8 @@ class ValidatorNode:
         the same on every node. So the first node to execute a block
         records the verdict in the shared table and the others read it; a
         built block is recorded by `build_block`, and passes by
-        construction. The simulation evicts a height once every node's head
-        has reached it, since no node executes at or below its own head."""
-        at_height = self.executions.setdefault(block.height, {})
+        construction."""
+        at_height = self.executions.get(block.height, {})
         bh = block_hash(block)
         if bh in at_height:
             return at_height[bh]
@@ -266,8 +270,16 @@ class ValidatorNode:
         error = contract.block_content_error(block, ledger, self.registry,
                                              self.block_gas_limit)
         executed = None if error is not None else (ledger, receipts)
-        at_height[bh] = executed
+        self._record(block, executed)
         return executed
+
+    def _record(self, block: Block, executed: Execution) -> None:
+        """Keep `executed` in the shared table, unless the simulation has
+        evicted the block's height. It evicts a height once every honest
+        node's head has reached it, since no node executes at or below its
+        own head; a faulty node left behind still executes there, on its own."""
+        if block.height > self.executions.floor:
+            self.executions.setdefault(block.height, {})[block_hash(block)] = executed
 
     def _adopt(self, block: Block, ledger: contract.LedgerState,
                receipts: list[Receipt], result: NodeResult) -> None:

@@ -24,7 +24,8 @@ from .model import (
     hx, replace_unhashed, serialize_tx, tx_hash,
 )
 from .netsim import (
-    ByzantineSpec, EvKind, EventQueue, Network, byzantine_transform, payload_kind,
+    CLIENT, DELIVER, TIMER, ByzantineSpec, EventQueue, Network, byzantine_transform,
+    payload_kind,
 )
 from .node import ExecutionTable, HeightStart, NodeResult, TimerFire, ValidatorNode
 
@@ -76,7 +77,7 @@ def genesis_setup(genesis: GenesisConfig
 class Simulation:
     """A validator network in one process. Its nodes share one execution
     table, so each distinct block is executed and checked once; a height
-    leaves the table when every node's head has reached it."""
+    leaves the table when every honest node's head has reached it."""
 
     def __init__(self, genesis: GenesisConfig, *, seed: Optional[int] = None,
                  horizon: int = 2000, collect_traces: bool = True) -> None:
@@ -86,8 +87,7 @@ class Simulation:
 
         self.validator_keys, self.registry, self.config = genesis_setup(genesis)
         genesis_block = make_genesis_block()
-        self.executions: ExecutionTable = {}
-        self._evicted_height = 0  # every height up to this one has left the table
+        self.executions = ExecutionTable()
         self.nodes: dict[Address, ValidatorNode] = {}
         for key in self.validator_keys:
             self.nodes[key.address] = ValidatorNode(
@@ -129,19 +129,18 @@ class Simulation:
 
     def schedule_tx(self, at_time: int, key: KeyPair, payload: TxPayload,
                     label: int = -1) -> None:
-        self.queue.schedule(at_time, EvKind.CLIENT, None,
-                            ClientTx(label, key, payload))
+        self.queue.schedule(at_time, CLIENT, None, ClientTx(label, key, payload))
 
     def schedule_query(self, at_time: int, caller: Address, label: int = -1) -> None:
-        self.queue.schedule(at_time, EvKind.CLIENT, None, ClientQuery(label, caller))
+        self.queue.schedule(at_time, CLIENT, None, ClientQuery(label, caller))
 
     def schedule_fault(self, at_time: int, spec: ByzantineSpec) -> None:
         # the target counts as byzantine for the whole run
         self._ever_byzantine.add(spec.node)
-        self.queue.schedule(at_time, EvKind.CLIENT, None, ClientFault(spec))
+        self.queue.schedule(at_time, CLIENT, None, ClientFault(spec))
 
     def schedule_set_gst(self, at_time: int) -> None:
-        self.queue.schedule(at_time, EvKind.CLIENT, None, ClientSetGst())
+        self.queue.schedule(at_time, CLIENT, None, ClientSetGst())
 
     # -- run loop -----------------------------------------------------------------
 
@@ -158,16 +157,17 @@ class Simulation:
 
     def step(self) -> bool:
         """Process one event; returns False when the queue is empty."""
-        self.start()
-        if len(self.queue) == 0:
+        if not self._started:
+            self.start()
+        if not self.queue._heap:
             return False
         ev = self.queue.next_event()
         now = self.queue.now
-        if ev.kind is EvKind.CLIENT:
+        if ev.kind is CLIENT:
             self._exec_client(ev.payload, now)
             return True
         node = self.nodes[ev.target]
-        if ev.kind is EvKind.TIMER:
+        if ev.kind is TIMER:
             self._route(node, node.handle_timer(ev.payload, now), "TIMER", now)
         else:
             self._route(node, node.handle_payload(ev.payload, now), ev.payload, now)
@@ -281,10 +281,10 @@ class Simulation:
 
         if result.timer is not None:
             deadline, epoch = result.timer
-            self.queue.schedule(deadline, EvKind.TIMER, node.address,
+            self.queue.schedule(deadline, TIMER, node.address,
                                 TimerFire(node.address, epoch))
         for block in result.finalized:
-            self.queue.schedule(now + 1, EvKind.DELIVER, node.address, HeightStart())
+            self.queue.schedule(now + 1, DELIVER, node.address, HeightStart())
             self._record_finalized(node, block)
         if self.consensus_trace is not None:
             input_kind = cause if isinstance(cause, str) else payload_kind(cause)
@@ -304,12 +304,15 @@ class Simulation:
     def _record_finalized(self, node: ValidatorNode, block: Block) -> None:
         """Count `node`'s new head `block`, check it against the other
         honest nodes' blocks at its height, and evict from the execution
-        table every height that the lowest head has now reached."""
+        table every height that the lowest honest head has now reached. A
+        stalled faulty node would otherwise pin every height above its head."""
         self._finalizations += 1
-        lowest = min(n.chain.head_height for n in self.nodes.values())
-        while self._evicted_height < lowest:
-            self._evicted_height += 1
-            self.executions.pop(self._evicted_height, None)
+        table = self.executions
+        honest = self.honest_addresses() or self.config.validators
+        lowest = min(self.nodes[a].chain.head_height for a in honest)
+        while table.floor < lowest:
+            table.floor += 1
+            table.pop(table.floor, None)
         entry = self.finalized_hashes.setdefault(block.height, {})
         entry[node.address] = block_hash(block)
         if node.address in self._ever_byzantine or self.safety_violation:

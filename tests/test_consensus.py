@@ -1,6 +1,8 @@
 """Consensus state machine: quorum math, voting rounds, locking, seals."""
 
+import inspect
 from collections import deque
+from dataclasses import replace
 
 import pytest
 
@@ -10,8 +12,9 @@ from ledgersim.consensus import (
     fault_tolerance, make_message, message_payload, proposer_for, quorum_size,
     validate_finalized_block, verify_message,
 )
+from ledgersim.crypto import Registry
 from ledgersim.errors import InternalInvariantViolation
-from ledgersim.model import Address, Block, Hash256, ZERO_HASH, block_hash
+from ledgersim.model import Address, Block, Hash256, Signature, ZERO_HASH, block_hash
 from ledgersim.netsim import Behavior, ByzantineSpec, EvKind, Network
 from ledgersim.simulation import Simulation, make_genesis_block
 
@@ -49,6 +52,13 @@ class TestQuorumMath:
         with pytest.raises(ValueError):
             fault_tolerance(0)
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_config_sets_its_counts_from_the_validators(self, n):
+        validators = tuple(Address(bytes([i]) * 20) for i in range(n))
+        config = ConsensusConfig(validators, 30)
+        assert (config.n, config.f, config.quorum) == \
+            (len(validators), fault_tolerance(n), quorum_size(n))
+
 
 class TestProposerRotation:
     def _config(self, keys, n):
@@ -76,13 +86,93 @@ class TestMessageSignatures:
 
     def test_tampered_round_fails(self, keys, registry):
         msg = make_message(keys[0], MsgKind.PREPARE, 3, 1, Hash256(b"\x01" * 32))
-        from dataclasses import replace
         assert not verify_message(replace(msg, round=2), registry)
 
     def test_payload_covers_kind(self):
         h = Hash256(b"\x01" * 32)
         assert message_payload(MsgKind.PREPARE, 1, 0, h) != \
             message_payload(MsgKind.COMMIT, 1, 0, h)
+
+
+@pytest.fixture()
+def verifies(monkeypatch):
+    """Every `Registry.verify_by_address` call, as its (registry, address)."""
+    calls = []
+    verify = Registry.verify_by_address
+
+    def counted(self, address, msg, sig):
+        calls.append((self, address))
+        return verify(self, address, msg, sig)
+
+    monkeypatch.setattr(Registry, "verify_by_address", counted)
+    return calls
+
+
+class TestVerdictCache:
+    """`verify_message` keeps a pass on the message, per registry object."""
+
+    def _vote(self, key):
+        return make_message(key, MsgKind.PREPARE, 1, 0, Hash256(b"\x01" * 32))
+
+    def test_a_broadcast_is_checked_once_for_every_recipient(self, keys, registry,
+                                                             verifies):
+        config = ConsensusConfig(tuple(k.address for k in keys[:4]), 30)
+        msg = self._vote(keys[0])
+        for key in keys[1:4]:
+            engine = _make_engine(key, config, registry)
+            engine.start_height(1, 0)
+            assert "InvalidSignature" not in engine.handle_message(msg, 0).discards
+        assert verifies == [(registry, keys[0].address)]
+        assert msg._verified is registry
+
+    def test_a_tampered_signature_is_never_kept(self, keys, registry, verifies):
+        msg = self._vote(keys[0])
+        forged = replace(msg, signature=Signature(bytes(32)))
+        for _ in range(2):
+            assert not verify_message(forged, registry)
+        assert len(verifies) == 2 and forged._verified is None
+        assert verify_message(msg, registry) and msg._verified is registry
+
+    def test_an_unregistered_sender_is_never_kept(self, keys, verifies):
+        partial = Registry()
+        for key in keys[1:]:
+            partial.register(key)
+        msg = self._vote(keys[0])
+        for _ in range(2):
+            assert not verify_message(msg, partial)
+        assert len(verifies) == 2 and msg._verified is None
+
+    def test_a_non_validator_sender_is_never_kept(self, keys, registry, verifies):
+        config = ConsensusConfig(tuple(k.address for k in keys[:4]), 30)
+        engine = _make_engine(keys[0], config, registry)
+        engine.start_height(1, 0)
+        msg = self._vote(keys[6])  # registered, but not a validator
+        assert engine.handle_message(msg, 0).discards == ["NotValidator"]
+        assert verifies == [] and msg._verified is None
+
+    def test_another_registry_checks_again(self, keys, registry, verifies):
+        msg = self._vote(keys[0])
+        assert verify_message(msg, registry)
+        other = Registry()
+        assert not verify_message(msg, other)  # it does not know the sender
+        assert msg._verified is registry
+        other.register(keys[0])
+        assert verify_message(msg, other) and msg._verified is other
+        assert verifies == [(registry, keys[0].address), (other, keys[0].address),
+                            (other, keys[0].address)]
+
+    def test_the_verdict_is_no_part_of_the_value(self, keys, registry):
+        msg = self._vote(keys[0])
+        twin = replace(msg)
+        assert verify_message(msg, registry)
+        assert twin._verified is None
+        assert msg == twin and hash(msg) == hash(twin) and repr(msg) == repr(twin)
+        assert "_verified" not in repr(msg)
+        assert "_verified" not in inspect.signature(ConsensusMessage).parameters
+        with pytest.raises(TypeError):
+            ConsensusMessage(*(getattr(msg, f) for f in (
+                "kind", "height", "round", "block_hash", "sender", "signature",
+                "proposal")), registry)
 
 
 def _make_engine(key, config, registry):

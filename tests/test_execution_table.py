@@ -21,7 +21,7 @@ from ledgersim.model import (
     SendAllowance, Signature, block_hash, block_to_json, receipt_to_json,
 )
 from ledgersim.netsim import Behavior, ByzantineSpec, _equivocation_variant
-from ledgersim.node import ValidatorNode
+from ledgersim.node import ExecutionTable, ValidatorNode
 from ledgersim.simulation import Simulation
 
 from conftest import SEEDS, make_genesis
@@ -47,7 +47,7 @@ def private_tables(monkeypatch):
     """Give every node built from now on a table of its own."""
     init = ValidatorNode.__init__
     monkeypatch.setattr(ValidatorNode, "__init__",
-                        lambda self, *args: init(self, *args[:-1], {}))
+                        lambda self, *args: init(self, *args[:-1], ExecutionTable()))
 
 
 def first_proposal(sim):
@@ -129,10 +129,10 @@ def flood(sim, n_txs=200, rate=4.0, seed=0):
             gap += rng.expovariate(rate)
 
 
-def flood_run(checked):
+def flood_run(checked, seed=5):
     """A 200-transaction flood with V3 silent, run until every transaction
     is final."""
-    sim = Simulation(make_genesis(seed=5, gst=0, pre_gst_max_delay=0,
+    sim = Simulation(make_genesis(seed=seed, gst=0, pre_gst_max_delay=0,
                                   pre_gst_loss_prob=0.0), horizon=250)
     sim.inject_fault(ByzantineSpec(sim.config.validators[3], Behavior.SILENT))
     flood(sim)
@@ -142,9 +142,9 @@ def flood_run(checked):
     return sim
 
 
-def equivocation_run(checked):
+def equivocation_run(checked, seed=8):
     """An equivocating V0 with pre-GST loss, run to height 30."""
-    sim = Simulation(make_genesis(seed=8), horizon=10_000)
+    sim = Simulation(make_genesis(seed=seed), horizon=10_000)
     sim.inject_fault(ByzantineSpec(sim.config.validators[0], Behavior.EQUIVOCATE))
     for i, tick in enumerate(range(0, 400, 40)):
         sim.schedule_tx(tick, ORG, Deploy() if i == 0 else AddFunds(Amount(i)))
@@ -193,3 +193,75 @@ class TestSharedTable:
         sim = run(checked)
         assert seen[-1] >= 11
         assert all(n.executions is sim.executions for n in sim.nodes.values())
+
+
+def check_honest_floor(sim, seen):
+    """After every finalization, require that the table is evicted up to the
+    lowest honest head and holds no height at or below it; `seen` gets that
+    head."""
+    record = sim._record_finalized
+
+    def then_check(node, block):
+        record(node, block)
+        lowest = sim.min_honest_height()
+        assert sim.executions.floor == lowest
+        assert all(h > lowest for h in sim.executions)
+        seen.append(lowest)
+
+    sim._record_finalized = then_check
+
+
+def stalled_silent_run(checked):
+    """A flood whose silent V3 misses height 2 and never catches up: it
+    sends nothing, so no peer ever shows it a sealed block."""
+    return flood_run(checked, seed=0)
+
+
+def lagging_equivocator_run(checked):
+    """An equivocating V0 that falls behind and is shown sealed blocks at
+    or below the lowest honest head, which it then executes."""
+    return equivocation_run(checked, seed=10)
+
+
+class TestHonestFloor:
+    """A height leaves the table once every honest head has reached it,
+    whatever a faulty node's head, and no writer puts it back."""
+
+    def test_a_stalled_silent_node_pins_no_height(self):
+        seen = []
+        sim = stalled_silent_run(lambda s: check_honest_floor(s, seen))
+        stalled = sim.config.validators[3]
+        assert sim.finalized_height(stalled) == 1
+        assert seen[-1] >= 10
+        assert sorted(sim.executions) == [seen[-1] + 1]
+
+    def test_a_lagging_faulty_node_executes_below_the_floor_on_its_own(self,
+                                                                       monkeypatch):
+        kept_out = []  # (node, height) of every execution the floor kept out
+        record = ValidatorNode._record
+
+        def counted(node, block, executed):
+            if block.height <= node.executions.floor:
+                kept_out.append((node.address, block.height))
+            record(node, block, executed)
+
+        monkeypatch.setattr(ValidatorNode, "_record", counted)
+        seen = []
+        sim = lagging_equivocator_run(lambda s: check_honest_floor(s, seen))
+        assert len(kept_out) >= 3
+        assert {address for address, _ in kept_out} == {sim.config.validators[0]}
+
+    def test_with_no_honest_node_every_head_counts(self):
+        sim = Simulation(make_genesis(n_validators=1, gst=0), horizon=100)
+        sim.inject_fault(ByzantineSpec(sim.config.validators[0], Behavior.SILENT))
+        sim.run()
+        assert sim.executions.floor == sim.finalized_height(sim.config.validators[0]) > 1
+        assert not sim.executions
+
+    @pytest.mark.parametrize("run", [stalled_silent_run, lagging_equivocator_run])
+    def test_outputs_equal_those_of_private_tables(self, run, monkeypatch):
+        shared = run(lambda sim: None)
+        with monkeypatch.context() as patch:
+            private_tables(patch)
+            private = run(lambda sim: None)
+        assert outputs(shared) == outputs(private)

@@ -11,7 +11,7 @@ from ledgersim.model import (
     Signature, Transaction, block_hash, tx_hash,
 )
 from ledgersim.netsim import Behavior, ByzantineSpec
-from ledgersim.node import ValidatorNode
+from ledgersim.node import ExecutionTable, ValidatorNode
 from ledgersim.simulation import Simulation, make_genesis_block
 
 from conftest import make_genesis
@@ -28,7 +28,7 @@ def _tx(key, nonce, payload, gas_limit=None):
 def node(keys, registry):
     config = ConsensusConfig(tuple(k.address for k in keys[:4]), 30)
     return ValidatorNode(keys[0], config, registry, make_genesis_block(),
-                         4_500_000, {})
+                         4_500_000, ExecutionTable())
 
 
 class TestMempool:
