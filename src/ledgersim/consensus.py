@@ -412,21 +412,14 @@ class Engine:
 
 
 def validate_finalized_block(block: Block, config: ConsensusConfig,
-                             registry: Registry,
-                             parent: Optional[Block]) -> bool:
-    """Quorum-seal and linkage check for a block claimed final.
-
-    Genesis (height 0) needs correct constants and no seals; any other
-    block needs a quorum of distinct validator seals, each a valid
-    commit signature over this block's height, round and hash.
+                             registry: Registry, parent: Block) -> bool:
+    """Quorum-seal and linkage check for a block claimed final: it extends
+    `parent`, and it carries a quorum of distinct validator seals, each a
+    valid commit signature over this block's height, round and hash.
+    Genesis is checked by equality with `make_genesis_block()` instead.
     """
-    if parent is not None:
-        if block.height != parent.height + 1:
-            return False
-        if block.parent_hash != block_hash(parent):
-            return False
-    if block.height == 0:
-        return block.parent_hash == ZERO_HASH and not block.commit_seals
+    if block.height != parent.height + 1 or block.parent_hash != block_hash(parent):
+        return False
     if len(block.commit_seals) < config.quorum:
         return False
     signers = [addr for addr, _ in block.commit_seals]

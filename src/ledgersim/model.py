@@ -3,7 +3,8 @@
 Value types are immutable and hashable; every type serializes through a
 bespoke fixed-order format (integers big-endian fixed-width, lists and
 text length-prefixed) so that any two nodes agree byte-for-byte on
-hashes. Deliberately not RLP or any wire-compatible encoding.
+hashes. Deliberately not RLP or any wire-compatible encoding. It is only
+written; its decoder is the test oracle `tests/codec_reference.py`.
 
 Widths: amounts are u128, heights/rounds/nonces/gas are u64, lengths are
 u32, enum tags and booleans are u8.
@@ -252,17 +253,14 @@ def _json_account(value: object) -> str:
     return value
 
 
-# A payload field's binary write and read, and its JSON write and read. One
-# codec per field name: a 20-byte address or 0x-hex, a length-prefixed
-# UTF-8 string or a JSON string, a u128 or a canonical decimal string.
-_Codec = namedtuple("_Codec", "write read to_json from_json")
-_AMOUNT = _Codec(lambda v: _u(v, 16), lambda r: Amount(r.u(16)),
-                 lambda v: str(int(v)), _json_amount)
+# A payload field's binary write, and its JSON write and read. One codec
+# per field name: a 20-byte address or 0x-hex, a length-prefixed UTF-8
+# string or a JSON string, a u128 or a canonical decimal string.
+_Codec = namedtuple("_Codec", "write to_json from_json")
+_AMOUNT = _Codec(lambda v: _u(v, 16), lambda v: str(int(v)), _json_amount)
 _CODECS = {
-    "recipient": _Codec(lambda v: v, lambda r: Address(r.take(20)), hx,
-                        lambda v: Address(unhx(v))),
-    "account": _Codec(_text, lambda r: r.take(r.u(4)).decode("utf-8"), lambda v: v,
-                      _json_account),
+    "recipient": _Codec(lambda v: v, hx, lambda v: Address(unhx(v))),
+    "account": _Codec(_text, lambda v: v, _json_account),
     "amt": _AMOUNT,
     "amount": _AMOUNT,
 }
@@ -372,70 +370,6 @@ def replace_unhashed(value, **changes):
     copy = replace(value, **changes)
     object.__setattr__(copy, "_hash", value._hash)
     return copy
-
-
-# --- deserialization ------------------------------------------------------
-
-class _Reader:
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise ValueError("truncated input")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u(self, width: int) -> int:
-        return int.from_bytes(self.take(width), "big")
-
-    def done(self) -> bool:
-        return self.pos == len(self.data)
-
-
-def _read_payload(r: _Reader) -> TxPayload:
-    tag = r.u(1)
-    if tag >= len(PAYLOAD_KINDS):
-        raise ValueError(f"bad payload tag {tag}")
-    kind = PAYLOAD_KINDS[tag]
-    return kind.cls(*[c.read(r) for c in kind.codecs])
-
-
-def _read_tx(r: _Reader) -> Transaction:
-    sender = Address(r.take(20))
-    nonce = r.u(8)
-    payload = _read_payload(r)
-    gas_limit = r.u(8)
-    gas_price = r.u(8)
-    signature = Signature(r.take(r.u(4)))
-    return Transaction(sender, nonce, payload, gas_limit, gas_price, signature)
-
-
-def deserialize_tx(data: bytes) -> Transaction:
-    r = _Reader(data)
-    tx = _read_tx(r)
-    if not r.done():
-        raise ValueError("trailing bytes after transaction")
-    return tx
-
-
-def deserialize_block(data: bytes) -> Block:
-    r = _Reader(data)
-    height = r.u(8)
-    round_ = r.u(8)
-    parent = Hash256(r.take(32))
-    proposer = Address(r.take(20))
-    txs = tuple(_read_tx(r) for _ in range(r.u(4)))
-    state_root = Hash256(r.take(32))
-    seals = tuple((Address(r.take(20)), Signature(r.take(r.u(4))))
-                  for _ in range(r.u(4)))
-    if not r.done():
-        raise ValueError("trailing bytes after block")
-    return Block(height, round_, parent, proposer, txs, state_root, seals)
 
 
 # --- JSON codecs for chain artifacts ---------------------------------------

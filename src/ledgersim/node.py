@@ -226,8 +226,6 @@ class ValidatorNode:
         return self._wrap(self.engine.handle_timer(fire.epoch, now), now)
 
     def handle_announce(self, block: Block, now: int) -> NodeResult:
-        if block.height != self.chain.head_height + 1:
-            return NodeResult()
         if not validate_finalized_block(block, self.config, self.registry,
                                         parent=self.chain.head):
             return NodeResult()

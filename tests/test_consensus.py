@@ -356,6 +356,32 @@ class TestDiscards:
         step = engine.handle_message(stale, 41)
         assert "StaleRound" in step.discards
 
+    def test_a_flipped_signature_bit_counts_toward_no_quorum(self, keys, registry):
+        """V0 holds the proposal and two prepares, its own and the
+        proposer's; V2's prepare would make the quorum of three."""
+        config = ConsensusConfig(tuple(k.address for k in keys[:4]), 30)
+        engine = _make_engine(keys[0], config, registry)
+        engine.start_height(1, 0)
+        proposer = next(k for k in keys if k.address == proposer_for(1, 0, config))
+        block = _make_engine(proposer, config, registry).build_block(1, 0)
+        bh = block_hash(block)
+        for msg in (make_message(proposer, MsgKind.PRE_PREPARE, 1, 0, bh, proposal=block),
+                    make_message(proposer, MsgKind.PREPARE, 1, 0, bh)):
+            assert not engine.handle_message(msg, 0).discards
+        assert len(engine._prepares[(0, bh)]) == 2
+
+        vote = make_message(keys[2], MsgKind.PREPARE, 1, 0, bh)
+        sig = bytearray(vote.signature)
+        sig[5] ^= 0x10
+        step = engine.handle_message(replace(vote, signature=Signature(bytes(sig))), 1)
+        assert step.discards == ["InvalidSignature"] and not step.outbound
+        assert keys[2].address not in engine._prepares[(0, bh)]
+        assert engine.phase is Phase.AWAITING_PROPOSAL and engine.locked_hash is None
+
+        step = engine.handle_message(vote, 2)
+        assert [m.kind for m in step.outbound] == [MsgKind.COMMIT]
+        assert engine.phase is Phase.PREPARED and engine.locked_hash == bh
+
     def test_unknown_sender_rejected(self, keys, registry):
         pump = Pump(keys, registry, 4)
         outsider = keys[6]  # registered key, but not a validator

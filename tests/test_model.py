@@ -12,11 +12,12 @@ from ledgersim.model import (
     Address, AddFunds, AddRecipient, Amount, Block, Deploy, ErrorCode,
     FundsAdded, Hash256, Receipt, RegisterBankAccount, RemoveRecipient,
     SendAllowance, Signature, Transaction, TxStatus, ZERO_HASH,
-    block_from_json, block_hash, block_hashes, block_to_json, deserialize_block,
-    deserialize_tx, hx, payload_from_json, payload_to_json, replace_unhashed,
-    serialize_block, serialize_payload, serialize_tx, tx_from_json, tx_hash,
-    tx_to_json, unhx, _u,
+    PAYLOAD_KINDS, block_from_json, block_hash, block_hashes, block_to_json, hx,
+    payload_from_json, payload_to_json, replace_unhashed, serialize_block,
+    serialize_payload, serialize_tx, tx_from_json, tx_hash, tx_to_json, unhx,
+    _CODECS, _u,
 )
+from codec_reference import READS, deserialize_block, deserialize_tx
 from keccak_reference import keccak256_reference
 
 addresses = st.binary(min_size=20, max_size=20).map(Address)
@@ -159,6 +160,45 @@ def test_payload_golden_vectors(payload, wire, obj):
     tx = deserialize_tx(bytes.fromhex(tx_wire))
     assert tx == Transaction(Address(b"\xaa" * 20), 7, payload, 21000, 1, Signature(b"\xbe\xef"))
     assert serialize_tx(tx).hex() == tx_wire
+
+
+class TestCodecReference:
+    """The binary encoding is only written by the product; the test
+    oracle `codec_reference` decodes it. A payload field cannot land
+    without a read, so every encoding stays shown to be injective."""
+
+    def test_reads_cover_exactly_the_product_codecs(self):
+        assert READS.keys() == _CODECS.keys()
+
+    def test_every_payload_tag_decodes(self):
+        vectors = {type(payload): payload for payload, _, _ in PAYLOAD_VECTORS}
+        for kind in PAYLOAD_KINDS:
+            wire = _tx_wire(vectors[kind.cls])
+            assert wire[28:29] == kind.tag  # after the sender and the nonce
+            assert deserialize_tx(wire).payload == vectors[kind.cls]
+
+    def test_an_unknown_tag_is_refused(self):
+        wire = bytearray(_tx_wire(Deploy()))
+        wire[28] = len(PAYLOAD_KINDS)
+        with pytest.raises(ValueError, match="bad payload tag"):
+            deserialize_tx(bytes(wire))
+
+    def test_trailing_bytes_after_a_transaction_are_refused(self):
+        with pytest.raises(ValueError, match="trailing bytes after transaction"):
+            deserialize_tx(_tx_wire(Deploy()) + b"\x00")
+
+    def test_trailing_bytes_after_a_block_are_refused(self):
+        tx = deserialize_tx(_tx_wire(AddFunds(Amount(5))))
+        wire = serialize_block(Block(1, 0, ZERO_HASH, Address(bytes(20)), (tx,), ZERO_HASH, ()))
+        assert deserialize_block(wire).txs == (tx,)
+        with pytest.raises(ValueError, match="trailing bytes after block"):
+            deserialize_block(wire + b"\x00")
+
+
+def _tx_wire(payload) -> bytes:
+    return serialize_tx(Transaction(Address(b"\xaa" * 20), 7, payload, 21000, 1,
+                                    Signature(b"\xbe\xef")))
+
 
 def _random_tx(rng: random.Random) -> Transaction:
     payload_kind = rng.randrange(6)

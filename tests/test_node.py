@@ -1,9 +1,11 @@
 """Mempool, block assembly, execution, event feeds, replication."""
 
+from dataclasses import replace
+
 import pytest
 
 from ledgersim import contract
-from ledgersim.consensus import ConsensusConfig
+from ledgersim.consensus import ConsensusConfig, MsgKind, message_payload
 from ledgersim.crypto import KeyPair, sign
 from ledgersim.errors import InternalInvariantViolation
 from ledgersim.model import (
@@ -11,7 +13,7 @@ from ledgersim.model import (
     Signature, Transaction, block_hash, tx_hash,
 )
 from ledgersim.netsim import Behavior, ByzantineSpec
-from ledgersim.node import ExecutionTable, ValidatorNode
+from ledgersim.node import BlockAnnounce, ExecutionTable, ValidatorNode
 from ledgersim.simulation import Simulation, make_genesis_block
 
 from conftest import make_genesis
@@ -91,20 +93,17 @@ class TestValidateBlock:
 
     def test_tampered_state_root_refused(self, node):
         block = node.build_block(1, 0)
-        from dataclasses import replace
         bad = replace(block, state_root=Hash256(b"\x13" * 32))
         assert not node.validate_block(bad)
 
     def test_wrong_height_refused(self, node):
         block = node.build_block(1, 0)
-        from dataclasses import replace
         assert not node.validate_block(replace(block, height=2))
 
     def test_overweight_block_refused(self, node, keys):
         txs = tuple(_tx(keys[0], n, AddFunds(Amount(1)), gas_limit=2_000_000)
                     for n in range(3))
         base = node.build_block(1, 0)
-        from dataclasses import replace
         fat = replace(base, txs=txs)
         assert not node.validate_block(fat)
 
@@ -112,7 +111,6 @@ class TestValidateBlock:
         tx = _tx(keys[0], 0, Deploy())
         node.submit_transaction(tx)
         block = node.build_block(1, 0)
-        from dataclasses import replace
         sig = tx.signature
         forged = replace(tx, signature=Signature(bytes([sig[0] ^ 1]) + sig[1:]))
         # execution ignores the signature, so the state root still matches
@@ -121,10 +119,47 @@ class TestValidateBlock:
     def test_tx_from_unknown_sender_refused(self, node):
         tx = _tx(KeyPair.from_seed(b"\x99" * 32), 0, Deploy())
         ledger, _ = contract.execute_block_txs(node.chain.head_ledger, (tx,))
-        from dataclasses import replace
         block = replace(node.build_block(1, 0), txs=(tx,),
                         state_root=contract.state_root(ledger.contract))
         assert not node.validate_block(block)
+
+
+class TestAnnounceRefusals:
+    """A `BlockAnnounce` of the next block is adopted only with a quorum
+    of genuine commit seals."""
+
+    @staticmethod
+    def announce(keys, node, seals):
+        config = node.config
+        builder = ValidatorNode(keys[1], config, node.registry, make_genesis_block(),
+                                4_500_000, ExecutionTable())
+        builder.submit_transaction(_tx(keys[0], 0, Deploy()))
+        block = builder.build_block(1, 0)
+        payload = message_payload(MsgKind.COMMIT, 1, 0, block_hash(block))
+        sealed = replace(block, commit_seals=tuple(
+            (k.address, sign(k, payload)) for k in keys[1:4]))
+        return sealed, node.handle_payload(BlockAnnounce(seals(sealed)), 5)
+
+    def test_a_quorum_of_seals_is_adopted(self, node, keys):
+        block, result = self.announce(keys, node, lambda b: b)
+        assert result.finalized == [block] and node.chain.head == block
+
+    def test_seals_short_of_a_quorum_are_refused(self, node, keys):
+        _, result = self.announce(
+            keys, node, lambda b: replace(b, commit_seals=b.commit_seals[:2]))
+        assert result.finalized == [] and not result.outbound
+        assert node.chain.head_height == 0 and not node.executions
+
+    def test_one_forged_seal_is_refused(self, node, keys):
+        def forge(block):
+            seals = list(block.commit_seals)
+            addr, sig = seals[1]
+            seals[1] = (addr, Signature(bytes([sig[0] ^ 1]) + sig[1:]))
+            return replace(block, commit_seals=tuple(seals))
+
+        _, result = self.announce(keys, node, forge)
+        assert result.finalized == [] and not result.outbound
+        assert node.chain.head_height == 0 and not node.executions
 
 
 def run_paper_flow_sim(seed=11, gst=0, horizon=600):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from ledgersim.cli import main
-from ledgersim.config import parse_genesis
+from ledgersim.config import active_keys, parse_genesis
 from ledgersim.errors import MalformedScenario
 from ledgersim.replay import replay_chain
 from ledgersim.scenario import parse_scenario, run_scenario
@@ -168,6 +168,52 @@ class TestByzantineScenarios:
         code, report = run_scenario(genesis, scenario)
         assert code == 0, report["expectations"]
         assert all(h == 0 for h in report["finalizedHeight"].values())
+
+
+class TestDocumentedInputs:
+    """Scenario inputs that the shipped scenarios do not use."""
+
+    def _run_lossy(self, commands):
+        """Paper genesis with every message lost until a GST that never
+        comes by itself; seed 5, horizon 1,500."""
+        obj = json.loads(GENESIS.read_text())
+        obj.update(gst=10**6, preGstLossProb=1.0, seed=5)
+        scenario = {"name": "lossy", "horizon": 1500, "commands": commands,
+                    "expectations": [{"kind": "minFinalizedHeight", "value": 1}]}
+        return run_scenario(parse_genesis(json.dumps(obj).encode()),
+                            parse_scenario(json.dumps(scenario).encode()))
+
+    def test_set_gst_now_lets_a_lossy_network_finalize(self):
+        code, report = self._run_lossy([])
+        assert code == 3
+        assert set(report["finalizedHeight"].values()) == {0}
+        code, report = self._run_lossy(
+            [{"atTime": 300, "actor": 0, "action": {"type": "setGstNow"}}])
+        assert code == 0, report["expectations"]
+        assert set(report["finalizedHeight"].values()) == {45}
+
+    def test_hex_addresses_act_as_their_actor_indices(self):
+        """Paper flow with every recipient and address written as 0x-hex,
+        and each getBalance naming its caller, gives the same report as
+        the shipped file, which names them by actor index."""
+        genesis = parse_genesis(GENESIS.read_bytes())
+        addresses = ["0x" + key.address.hex() for key in active_keys(genesis.key_provider)]
+        obj = json.loads(PAPER_FLOW.read_text())
+        for command in obj["commands"]:
+            action = command["action"]
+            if "recipient" in action:
+                action["recipient"] = addresses[action["recipient"]]
+            if action["type"] == "getBalance":
+                action["address"] = addresses[command["actor"]]
+        for expectation in obj["expectations"]:
+            if "address" in expectation:
+                expectation["address"] = addresses[expectation["address"]]
+        by_index = run_scenario(genesis, parse_scenario(PAPER_FLOW.read_bytes()))
+        by_hex = run_scenario(genesis, parse_scenario(json.dumps(obj).encode()))
+        assert by_hex == by_index and by_hex[0] == 0
+        queries = by_hex[1]["queries"]
+        assert [q["caller"] for q in queries] == addresses[:2]
+        assert [{v["value"] for v in q["values"]} for q in queries] == [{"700"}, {"0"}]
 
 
 class TestCli:

@@ -1,5 +1,5 @@
 """Simulation run loop: client intake, the client-transaction prehash at
-start() and the minimum-height stop rule.
+start(), the minimum-height stop rule and the safety checker.
 
 `Simulation.start()` batch-hashes the unsigned encoding and bank-account
 string of every scheduled client transaction, guessing the nonces
@@ -10,17 +10,19 @@ including the cases where the guess is wrong.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from ledgersim import contract, keccak, model
 from ledgersim.deploy import migrate_deploy
 from ledgersim.model import (
-    AddFunds, AddRecipient, Amount, Deploy, RegisterBankAccount, SendAllowance,
-    block_to_json,
+    AddFunds, AddRecipient, Amount, Block, Deploy, Hash256, RegisterBankAccount,
+    SendAllowance, Signature, block_hash, block_to_json, hx,
 )
 from ledgersim.netsim import Behavior, ByzantineSpec
-from ledgersim.simulation import Simulation
+from ledgersim.scenario import parse_scenario, run_scenario
+from ledgersim.simulation import Simulation, make_genesis_block
 
 from conftest import make_genesis
 
@@ -233,3 +235,59 @@ class TestRunUntilMinHeight:
         assert len(fast.queue) == len(slow.queue)
         assert fast.min_honest_height() == slow.min_honest_height()
         assert steps > 100
+
+
+class TestSafetyChecker:
+    """`_record_finalized` compares each honest node's block at a height
+    with the other honest nodes' blocks there; a faulty node's block
+    takes no part."""
+
+    @staticmethod
+    def conflicting_blocks(sim):
+        """Two sealed blocks at height 1 that differ in their state root."""
+        parent = block_hash(make_genesis_block())
+        v0, v1 = sim.config.validators[:2]
+        return [Block(1, 0, parent, v0, (), Hash256(bytes([i]) * 32),
+                      ((v1, Signature(bytes([i]) * 32)),)) for i in (1, 2)]
+
+    def test_two_honest_nodes_on_different_blocks_are_recorded(self):
+        sim = new_sim()
+        first, second = self.conflicting_blocks(sim)
+        a, b = sim.config.validators[1:3]
+        sim._record_finalized(sim.nodes[a], first)
+        assert sim.safety_violation is None
+        sim._record_finalized(sim.nodes[b], second)
+        assert sim.safety_violation == {
+            "height": 1,
+            "nodes": [hx(b), hx(a)],
+            "hashes": [hx(block_hash(second)), hx(block_hash(first))],
+        }
+
+    @pytest.mark.parametrize("faulty_first", [True, False])
+    def test_a_faulty_node_in_the_conflict_records_nothing(self, faulty_first):
+        sim = new_sim()
+        honest, faulty = sim.config.validators[1], sim.config.validators[2]
+        sim.inject_fault(ByzantineSpec(faulty, Behavior.EQUIVOCATE))
+        order = (faulty, honest) if faulty_first else (honest, faulty)
+        for address, block in zip(order, self.conflicting_blocks(sim)):
+            sim._record_finalized(sim.nodes[address], block)
+        assert sim.safety_violation is None
+        assert len(sim.finalized_hashes[1]) == 2
+
+    def test_run_scenario_reports_a_violation_with_exit_4(self, monkeypatch):
+        """V0 records a block at height 1 that no other node finalized."""
+        record = Simulation._record_finalized
+
+        def forked(sim, node, block):
+            if block.height == 1 and node.address == sim.config.validators[0]:
+                block = replace(block, state_root=Hash256(b"\x99" * 32))
+            record(sim, node, block)
+
+        monkeypatch.setattr(Simulation, "_record_finalized", forked)
+        scenario = parse_scenario(json.dumps(
+            {"name": "fork", "horizon": 200, "commands": []}).encode())
+        code, report = run_scenario(make_genesis(seed=TWIN_SEED, gst=0), scenario)
+        assert code == 4 and report["exitCode"] == 4
+        assert report["safety"] is False
+        assert report["safetyViolation"]["height"] == 1
+        assert report["config"]["validators"][0] in report["safetyViolation"]["nodes"]
