@@ -315,8 +315,6 @@ class Engine:
         self._broadcast(make_message(
             self.key, PREPARE, self.height, self.round,
             msg.block_hash), now)
-        if self.phase is not FINALIZED:
-            self._check_quorums(now)
 
     def _on_vote(self, msg: ConsensusMessage, now: int) -> None:
         """A PREPARE or COMMIT. Future-round votes are kept: prepares count

@@ -48,14 +48,6 @@ class HeightStart:
     """Self-addressed continuation: begin consensus on the next height."""
 
 
-@dataclass(frozen=True, slots=True)
-class EventRecord:
-    height: int
-    tx_index: int
-    emission_index: int
-    event: Event
-
-
 class Mempool:
     """FIFO pending pool; duplicates and unverifiable signatures never enter."""
 
@@ -90,7 +82,6 @@ class Chain:
         self.head_ledger = genesis_ledger
         self.receipts: dict[Hash256, Receipt] = {}
         self.receipts_by_height: list[list[Receipt]] = [[]]
-        self.events: list[EventRecord] = []
 
     @property
     def head(self) -> Block:
@@ -109,11 +100,15 @@ class Chain:
         self.blocks.append(block)
         self.head_ledger = ledger
         self.receipts_by_height.append(receipts)
-        for tx_index, receipt in enumerate(receipts):
+        for receipt in receipts:
             self.receipts[receipt.tx_hash] = receipt
-            for emission_index, event in enumerate(receipt.events):
-                self.events.append(EventRecord(block.height, tx_index,
-                                               emission_index, event))
+
+    def events(self) -> list[tuple[int, int, int, Event]]:
+        """Every event on the chain as (height, tx index, emission index, event)."""
+        return [(height, tx_index, emission_index, event)
+                for height, receipts in enumerate(self.receipts_by_height)
+                for tx_index, receipt in enumerate(receipts)
+                for emission_index, event in enumerate(receipt.events)]
 
 
 @dataclass
@@ -291,5 +286,5 @@ class ValidatorNode:
         return contract.get_balance(self.chain.head_ledger.contract, caller)
 
     def poll_events(self, since_cursor: int = 0) -> list[tuple[int, Event]]:
-        records = self.chain.events[since_cursor:]
-        return [(since_cursor + i + 1, rec.event) for i, rec in enumerate(records)]
+        events = self.chain.events()[since_cursor:]
+        return [(since_cursor + i + 1, event) for i, (*_, event) in enumerate(events)]

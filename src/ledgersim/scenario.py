@@ -235,7 +235,7 @@ def _evaluate_expectations(runner: _Runner) -> list[dict]:
                 ok = got == 0
                 detail = f"max honest height {got}"
             elif kind == "events":
-                got = [event_to_json(rec.event) for rec in ref.chain.events]
+                got = [event_to_json(event) for *_, event in ref.chain.events()]
                 want = exp["value"]
                 if not isinstance(want, list) or \
                         not all(isinstance(w, dict) for w in want):
@@ -376,10 +376,10 @@ def _write_artifacts(runner: _Runner, report: dict, out_dir: Path) -> None:
             fh.write(json.dumps(block_to_json(block), sort_keys=True) + "\n")
 
     with open(out_dir / "events.jsonl", "w", encoding="utf-8") as fh:
-        for rec in ref.chain.events:
-            obj = {"height": rec.height, "txIndex": rec.tx_index,
-                   "emissionIndex": rec.emission_index}
-            obj.update(event_to_json(rec.event))
+        for height, tx_index, emission_index, event in ref.chain.events():
+            obj = {"height": height, "txIndex": tx_index,
+                   "emissionIndex": emission_index}
+            obj.update(event_to_json(event))
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
     state = ref.chain.head_ledger.contract

@@ -1,5 +1,6 @@
 """Hash implementation against published vectors and the bit-level oracle."""
 
+import inspect
 import random
 
 import pytest
@@ -124,3 +125,34 @@ def test_many_digests_a_tuple_as_its_concatenation(cold_memo):
     digests = keccak256_many(messages)
     assert all(keccak._memo[p] == d for p, d in zip(parts, digests))
     assert digests == _scalar([b"".join(m) if type(m) is tuple else m for m in messages])
+
+
+def test_memo_is_cleared_at_its_limit(monkeypatch):
+    limit = 5
+
+    class BoundedMemo(dict):
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            assert len(self) <= limit
+
+    monkeypatch.setattr(keccak, "_MEMO_LIMIT", limit)
+    monkeypatch.setattr(keccak, "_memo", BoundedMemo())
+    rng = random.Random(17)
+    for _ in range(3):
+        singles = [rng.randbytes(n) for n in BATCH_LENGTHS]
+        assert [keccak256(m) for m in singles] == [keccak256_reference(m) for m in singles]
+        batch = [rng.randbytes(n) for n in BATCH_LENGTHS] + [(rng.randbytes(90), b"", b"xy")]
+        joined = [b"".join(m) if type(m) is tuple else m for m in batch]
+        assert keccak256_many(batch) == [keccak256_reference(m) for m in joined]
+        assert len(keccak._memo) <= limit
+
+
+@pytest.mark.parametrize("kernel,rho_line", [
+    ("_f1600", "b24 = (t << 2 | t >> 62) & M"),
+    ("_f1600_packed", "b24 = t << 2 & h2 | t >> 62 & l2"),
+])
+def test_emitted_kernels_show_their_unrolled_source(kernel, rho_line):
+    source = inspect.getsource(getattr(keccak, kernel))
+    assert source.startswith(f"def {kernel}(lanes")
+    assert f"        {rho_line}\n" in source
+    assert "        a24 = b24 ^ (~b20 & b21)\n" in source
