@@ -12,8 +12,8 @@ new round, whose proposer re-proposes its locked block if it has one.
 Simplifications relative to full IBFT 2.0, on purpose:
   - no prepared-certificate piggybacking on round changes; instead a
     node never unlocks, re-proposes its locked block on its own turn,
-    and lagging nodes are rescued out-of-band by sealed-block announces
-    (see node.py);
+    and a lagging node's ROUND_CHANGE for a finalized height is answered
+    out-of-band with the sealed blocks it is missing (see node.py);
   - commit quorums are accepted as finality proof for any round of the
     current height, so a node that missed the prepare phase can still
     finalize once it holds the proposal and a quorum of commits.

@@ -9,10 +9,11 @@ all adopt the same immutable ledger object.
 
 Finality is instant and the chain is append-only; there are no forks or
 reorgs. A node that falls behind (for example the odd victim of an
-equivocating proposer) is rescued out-of-band: whenever a peer receives
-a consensus message for a height it has already finalized, it replies
-with the sealed block, which the laggard verifies against the quorum
-seals and adopts.
+equivocating proposer) is caught up out-of-band, as Besu's block sync
+would: it times out and sends a ROUND_CHANGE for its old height, and a
+peer that has finalized that height replies with every sealed block
+from there to its head, at most `CATCH_UP_BLOCKS` of them. The laggard
+verifies each against the quorum seals and adopts it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Optional
 
 from . import contract
 from .consensus import (
-    ConsensusConfig, ConsensusMessage, Engine, StepResult,
+    ROUND_CHANGE, ConsensusConfig, ConsensusMessage, Engine, StepResult,
     validate_finalized_block,
 )
 from .crypto import KeyPair, Registry
@@ -30,6 +31,10 @@ from .errors import InternalInvariantViolation
 from .model import (
     Address, Block, Event, Hash256, Receipt, Transaction, block_hash, tx_hash,
 )
+
+# The most sealed blocks one ROUND_CHANGE for a finalized height brings
+# back, so one old message cannot make a node send its whole chain.
+CATCH_UP_BLOCKS = 32
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,14 +87,11 @@ class Chain:
         self.head_ledger = genesis_ledger
         self.receipts: dict[Hash256, Receipt] = {}
         self.receipts_by_height: list[list[Receipt]] = [[]]
+        self.head_height = 0
 
     @property
     def head(self) -> Block:
         return self.blocks[-1]
-
-    @property
-    def head_height(self) -> int:
-        return len(self.blocks) - 1
 
     def append(self, block: Block, ledger: contract.LedgerState,
                receipts: list[Receipt]) -> None:
@@ -98,6 +100,7 @@ class Chain:
             raise InternalInvariantViolation(
                 f"block {block.height} does not extend the head at {self.head_height}")
         self.blocks.append(block)
+        self.head_height += 1
         self.head_ledger = ledger
         self.receipts_by_height.append(receipts)
         for receipt in receipts:
@@ -207,11 +210,13 @@ class ValidatorNode:
 
     def handle_consensus(self, msg: ConsensusMessage, now: int) -> NodeResult:
         if msg.height <= self.chain.head_height:
-            # the sender lags behind; show it the sealed block it is missing
+            # A ROUND_CHANGE here means the sender is stuck behind: send it
+            # the sealed blocks it is missing. A late vote needs nothing.
             result = NodeResult()
-            if msg.height >= 1 and msg.sender in self.config.validators:
-                sealed = self.chain.blocks[msg.height]
-                result.outbound.append((BlockAnnounce(sealed), msg.sender))
+            if (msg.kind is ROUND_CHANGE and msg.height >= 1
+                    and msg.sender in self.config.validators):
+                for sealed in self.chain.blocks[msg.height:msg.height + CATCH_UP_BLOCKS]:
+                    result.outbound.append((BlockAnnounce(sealed), msg.sender))
             return result
         if msg.height > self.engine.height:
             return NodeResult()  # cannot use future heights yet

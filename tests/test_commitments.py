@@ -261,9 +261,9 @@ class TestGoldenValues:
 
     def test_paper_flow_head(self, paper_flow_chain):
         head = paper_flow_chain[-1]
-        assert head["height"] == 26
+        assert head["height"] == 36
         assert head["hash"] == (
-            "0x49ce211b1c213aa33523731285696c9b6f8585489a03f090a8988faf465291fe")
+            "0xe0c5b3d0040502b54066516f53fed24371a68a1279179e4ec4f9b3849cba56e0")
         assert head["stateRoot"] == (
             "0xaa15e9e1087de94efd22767880cc864f060fc08ddf9eb9091d88f2aed6649d69")
 

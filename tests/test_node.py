@@ -5,7 +5,9 @@ from dataclasses import replace
 import pytest
 
 from ledgersim import contract
-from ledgersim.consensus import ConsensusConfig, MsgKind, message_payload
+from ledgersim.consensus import (
+    ConsensusConfig, MsgKind, make_message, message_payload,
+)
 from ledgersim.crypto import KeyPair, sign
 from ledgersim.errors import InternalInvariantViolation
 from ledgersim.model import (
@@ -13,10 +15,18 @@ from ledgersim.model import (
     Signature, Transaction, block_hash, tx_hash,
 )
 from ledgersim.netsim import Behavior, ByzantineSpec
-from ledgersim.node import BlockAnnounce, ExecutionTable, ValidatorNode
+from ledgersim.node import (
+    CATCH_UP_BLOCKS, BlockAnnounce, ExecutionTable, ValidatorNode,
+)
 from ledgersim.simulation import Simulation, make_genesis_block
 
 from conftest import make_genesis
+
+
+def _sealed(block, signers):
+    """`block` with a commit seal from each key in `signers`."""
+    payload = message_payload(MsgKind.COMMIT, block.height, block.round, block_hash(block))
+    return replace(block, commit_seals=tuple((k.address, sign(k, payload)) for k in signers))
 
 
 def _tx(key, nonce, payload, gas_limit=None):
@@ -134,10 +144,7 @@ class TestAnnounceRefusals:
         builder = ValidatorNode(keys[1], config, node.registry, make_genesis_block(),
                                 4_500_000, ExecutionTable())
         builder.submit_transaction(_tx(keys[0], 0, Deploy()))
-        block = builder.build_block(1, 0)
-        payload = message_payload(MsgKind.COMMIT, 1, 0, block_hash(block))
-        sealed = replace(block, commit_seals=tuple(
-            (k.address, sign(k, payload)) for k in keys[1:4]))
+        sealed = _sealed(builder.build_block(1, 0), keys[1:4])
         return sealed, node.handle_payload(BlockAnnounce(seals(sealed)), 5)
 
     def test_a_quorum_of_seals_is_adopted(self, node, keys):
@@ -160,6 +167,46 @@ class TestAnnounceRefusals:
         _, result = self.announce(keys, node, forge)
         assert result.finalized == [] and not result.outbound
         assert node.chain.head_height == 0 and not node.executions
+
+
+class TestCatchUpReply:
+    """A ROUND_CHANGE for a height the receiver has finalized is answered
+    with the sealed blocks from that height to its head, at most
+    `CATCH_UP_BLOCKS`, one `BlockAnnounce` each, to the sender alone."""
+
+    @staticmethod
+    def peer_ahead(keys, node, heights):
+        """keys[1]'s node with `heights` sealed empty blocks on its chain."""
+        peer = ValidatorNode(keys[1], node.config, node.registry,
+                             make_genesis_block(), 4_500_000, ExecutionTable())
+        for h in range(1, heights + 1):
+            sealed = _sealed(peer.build_block(h, 0), keys[1:4])
+            assert peer.handle_payload(BlockAnnounce(sealed), h).finalized == [sealed]
+        return peer
+
+    @staticmethod
+    def old_message(keys, kind, height):
+        return make_message(keys[0], kind, height, 1, Hash256(b"\x00" * 32))
+
+    def test_a_round_change_brings_the_laggard_to_the_head(self, node, keys):
+        peer = self.peer_ahead(keys, node, 3)
+        result = peer.handle_payload(self.old_message(keys, MsgKind.ROUND_CHANGE, 1), 9)
+        assert result.outbound == [(BlockAnnounce(b), keys[0].address)
+                                   for b in peer.chain.blocks[1:4]]
+        for announce, _ in result.outbound:
+            node.handle_payload(announce, 10)
+        assert node.chain.head_height == 3 and node.chain.head == peer.chain.head
+
+    def test_the_reply_is_capped(self, node, keys):
+        peer = self.peer_ahead(keys, node, 40)
+        result = peer.handle_payload(self.old_message(keys, MsgKind.ROUND_CHANGE, 1), 9)
+        assert CATCH_UP_BLOCKS == 32
+        assert [a.block for a, _ in result.outbound] == peer.chain.blocks[1:33]
+
+    @pytest.mark.parametrize("kind", [MsgKind.PREPARE, MsgKind.COMMIT])
+    def test_a_late_vote_gets_no_reply(self, node, keys, kind):
+        peer = self.peer_ahead(keys, node, 3)
+        assert not peer.handle_payload(self.old_message(keys, kind, 1), 9).outbound
 
 
 def run_paper_flow_sim(seed=11, gst=0, horizon=600):

@@ -190,7 +190,7 @@ class TestDocumentedInputs:
         code, report = self._run_lossy(
             [{"atTime": 300, "actor": 0, "action": {"type": "setGstNow"}}])
         assert code == 0, report["expectations"]
-        assert set(report["finalizedHeight"].values()) == {45}
+        assert set(report["finalizedHeight"].values()) == {69}
 
     def test_hex_addresses_act_as_their_actor_indices(self):
         """Paper flow with every recipient and address written as 0x-hex,
@@ -372,23 +372,23 @@ class TestPinnedArtifacts:
 
     ARTIFACTS = {
         "paper_flow": {
-            "chain.jsonl": "001926c3cddfb05bf0a0175a2782b8f4cb8e16d6e835fe41e4f4bac53151b159",
+            "chain.jsonl": "9edfa93cea9e42e455aa05c0bb65dc6ff21fcf83180534d53f3af632aa4b5caa",
             "consensus_trace.jsonl":
-                "c4a349dd277a55c803225b63f436f0e25832fff71df04f1f3df25fd4084300ff",
+                "9df262e4a1336df60d76bd4cfc1151d41d4bacb58a48926a4d14048545835bd0",
             "events.jsonl": "a8e5609f859efa7cb98a03cec967b5ae0fbbee579ae38a2a8ae37e9062a7c7ef",
             "network_trace.jsonl":
-                "72d2a9fb30cb3926de334e75d33bcf08c8feaec63d6b201044301ab0a20ada7d",
-            "report.json": "cf5fae3dff74b814363ae8654736f31badd9917acdd4b18c1340b6462b521d10",
+                "2cbfc8a4e9e349c9094b60d0d1f325eb9bc6943cadf6abfb71996298f91990da",
+            "report.json": "d408f04e0c5a1997bdb0d9af8a2b89be5e3f958b4c8447c14fdf15f13766f065",
             "state.json": "f8f9f4746a76059637bfd4a0b4c24863caed7e62b530de2836ee29f2637c22ff",
         },
         "byzantine_equivocate": {
-            "chain.jsonl": "46e5d88f7c4ad83528f5ae2baffdf132d189cfc38f69d5584cc83339f176b8ec",
+            "chain.jsonl": "0b5c4fe19776a3d27dfdf9ae515d1768224a5c1355cc5dea750f1f60014c3a68",
             "consensus_trace.jsonl":
-                "0fde16fe0bd2bf7641404827929129cc1a352a3bfb4e37864a737c3c347ff961",
-            "events.jsonl": "326fd7eb0fd6fdc4476358483c0f3fbbd479396bf047b90e652c78ea46cb5faf",
+                "6eafe09b3c43f57e4b571d2e757d3713ae96710c85262e6566ca367724c8b5c4",
+            "events.jsonl": "f252161026cb689f6eca2ebb8cabb5c9df193cfe3ee34a3fef7083bf9202e2ae",
             "network_trace.jsonl":
-                "ded214a8337d8a5ab9f0aacca1519d6261a3da4676c202a55bfeb00b32afea7e",
-            "report.json": "84740c5dbf573214791cb38ead9b5f798fe901e8e6b78c5deb4794ccae3c6dd5",
+                "176c0041cd379b43fd4fdb086a46be1c25c9db3d9d493e704b463e7e01b8a772",
+            "report.json": "2536eeedaaa4a843942023a7f62d9d0743df7011562c3a2ad7a55e9e04691ae1",
             "state.json": "cbb3a4f77e32a83562a461cfa256a8db1807364f3ebb64cb275e73b4981cda61",
         },
         "silent_majority": {
