@@ -29,13 +29,17 @@ from .replay import receipt_from_dump, replay_chain
 from .scenario import parse_scenario, run_scenario
 
 
+def _config_error(message: object) -> int:
+    print(f"config error: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         genesis = parse_genesis(Path(args.genesis).read_bytes())
         scenario = parse_scenario(Path(args.scenario).read_bytes())
     except (OSError, MalformedConfig, MalformedScenario) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _config_error(exc)
 
     seed = args.seed
     env_seed = os.environ.get("SIM_SEED")
@@ -43,18 +47,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
         try:
             seed = int(env_seed)
         except ValueError:
-            print(f"config error: bad SIM_SEED {env_seed!r}", file=sys.stderr)
-            return 2
+            return _config_error(f"bad SIM_SEED {env_seed!r}")
     if seed is not None and not 0 <= seed < 2 ** 64:
-        print(f"config error: seed {seed} does not fit in 64 bits", file=sys.stderr)
-        return 2
+        return _config_error(f"seed {seed} does not fit in 64 bits")
 
     out_dir = Path(args.out) if args.out else None
     try:
         code, report = run_scenario(genesis, scenario, seed=seed, out_dir=out_dir)
     except MalformedScenario as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _config_error(exc)
     name = report.get("scenario", "?")
     if code == 4:
         print(f"{name}: INVARIANT VIOLATION", file=sys.stderr)
@@ -81,8 +82,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         genesis = parse_genesis(Path(args.genesis).read_bytes())
         dump = Path(args.chain).read_bytes()
     except (OSError, MalformedConfig) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _config_error(exc)
     try:
         verdict = replay_chain(genesis, dump)
     except CorruptDump as exc:
@@ -98,8 +98,7 @@ def _cmd_receipt(args: argparse.Namespace) -> int:
         dump = Path(args.chain).read_bytes()
         wanted = unhx(args.tx)
     except (OSError, MalformedConfig, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _config_error(exc)
     try:
         receipt = receipt_from_dump(genesis, dump, wanted)
     except CorruptDump as exc:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .crypto import KeyPair
 from .errors import InvalidRange, MalformedConfig, MissingField
-from .model import Address, _json_int, hx, unhx
+from .model import Address, _json_document, _json_int, _json_object, hx, unhx
 from .netsim import NetworkParams
 
 
@@ -72,15 +72,6 @@ INT_FIELDS = (("networkId", "network_id", 1), ("blockGasLimit", "block_gas_limit
 _PROVIDER_FIELDS = ("privateKeys", "rpcUrl", "min", "max")
 
 
-def _require(obj: dict, fields: tuple[str, ...], where: str) -> None:
-    for name in fields:
-        if name not in obj:
-            raise MissingField(f"{where}: missing field {name!r}")
-    for name in obj:
-        if name not in fields:
-            raise MalformedConfig(f"{where}: unknown field {name!r}")
-
-
 def _uint(obj: dict, name: str, minimum: int = 0) -> int:
     value = _json_int(obj[name], f"field {name!r}", MalformedConfig)
     if value < minimum:
@@ -89,18 +80,10 @@ def _uint(obj: dict, name: str, minimum: int = 0) -> int:
 
 
 def parse_genesis(data: bytes) -> GenesisConfig:
-    try:
-        obj = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MalformedConfig(f"genesis is not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise MalformedConfig("genesis must be a JSON object")
-    _require(obj, _TOP_FIELDS, "genesis")
-
-    provider_obj = obj["keyProvider"]
-    if not isinstance(provider_obj, dict):
-        raise MalformedConfig("keyProvider must be an object")
-    _require(provider_obj, _PROVIDER_FIELDS, "keyProvider")
+    obj = _json_object(_json_document(data, "genesis", MalformedConfig), _TOP_FIELDS,
+                       (), "genesis", MalformedConfig, MissingField)
+    provider_obj = _json_object(obj["keyProvider"], _PROVIDER_FIELDS, (), "keyProvider",
+                                MalformedConfig, MissingField)
 
     raw_keys = provider_obj["privateKeys"]
     if not isinstance(raw_keys, list) or not raw_keys:

@@ -275,9 +275,9 @@ class Engine:
                 self.key, PRE_PREPARE, self.height, round_,
                 block_hash(block), proposal=block), now)
         queued = self._future_proposals.pop(round_, None)
-        if queued is not None and self.round == round_:
+        if queued is not None:
             self._process(queued, now)
-        if self.round == round_ and self.phase is not FINALIZED:
+        if self.phase is not FINALIZED:
             self._check_quorums(now)
 
     def _process(self, msg: ConsensusMessage, now: int) -> None:
@@ -336,15 +336,9 @@ class Engine:
         if msg.sender in bucket:
             return self._discard("DuplicateMessage")
         bucket[msg.sender] = msg
-
-        # quorum of round changes moves us to the smallest such round
-        while self.phase is not FINALIZED:
-            ready = [t for t, s in sorted(self._round_changes.items())
-                     if t > self.round and len(s) >= self.config.quorum]
-            if not ready:
-                break
-            self._enter_round(ready[0], now)
-
+        # no bucket above self.round holds a quorum: the vote completing one enters it
+        if len(bucket) >= self.config.quorum:
+            self._enter_round(target, now)
         if self.phase is FINALIZED:
             return
         # f+1 distinct peers already asked for a later round: echo the
@@ -389,10 +383,10 @@ class Engine:
             if len(self._prepares.get((self.round, bh), ())) >= q:
                 self.phase = PREPARED
                 self.locked_hash = bh
+                # counting this COMMIT runs the commit scan below
                 self._broadcast(make_message(
                     self.key, COMMIT, self.height, self.round, bh), now)
-                if self.phase is FINALIZED:
-                    return
+                return
         for (round_, bh), seals in self._commits.items():
             if len(seals) >= q and bh in self._known_blocks:
                 self._finalize(round_, bh, seals)

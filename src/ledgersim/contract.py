@@ -15,8 +15,7 @@ place, and every operation writes through `Draft.write`, which records
 the address written. The block then commits one new `ContractState`,
 which shares the tables it did not write with its parent, or the
 parent's own object if nothing was written. A committed state is never mutated, apart from
-filling its slots. `apply_transaction` on a `LedgerState` is a block of
-one transaction, and the public operations (`deploy`, `add_funds`, ...)
+filling its slots. The public operations (`deploy`, `add_funds`, ...)
 are pure functions that run their operation on a draft of its own.
 
 The state root is a two-level Keccak tree. Each account is one record:
@@ -262,33 +261,27 @@ def get_balance(state: ContractState, caller: Address) -> Amount:
 
 # --- transaction dispatch ---------------------------------------------------
 
-def apply_transaction(ledger: LedgerState | Draft, tx: Transaction
-                      ) -> tuple[LedgerState | Draft, Receipt]:
-    """Route a transaction; gas is charged per the flat table either way.
-
-    On a Draft the transaction is written in place and the draft is
-    returned; a LedgerState runs it as a block of one transaction.
+def apply_transaction(draft: Draft, tx: Transaction) -> tuple[Draft, Receipt]:
+    """Route a transaction, written in place, and return the draft and its
+    receipt; gas is charged per the flat table either way.
 
     A wrong nonce fails the whole transaction without consuming the
     nonce; any other guard failure still consumes it (the transaction
     was validly sequenced, it just did nothing).
     """
-    if isinstance(ledger, LedgerState):
-        after, (receipt,) = execute_block_txs(ledger, (tx,))
-        return after, receipt
     gas = gas_for(tx.payload)
-    expected = ledger.nonces.get(tx.sender, 0)
+    expected = draft.nonces.get(tx.sender, 0)
     if tx.nonce != expected:
-        return ledger, Receipt(tx_hash(tx), TxStatus.FAILED, ErrorCode.BAD_NONCE, gas, ())
+        return draft, Receipt(tx_hash(tx), TxStatus.FAILED, ErrorCode.BAD_NONCE, gas, ())
 
     cls = type(tx.payload)
-    result = _OPS[cls](ledger, tx.sender, *KIND_BY_TYPE[cls].values(tx.payload))
-    ledger.nonces[tx.sender] = expected + 1
+    result = _OPS[cls](draft, tx.sender, *KIND_BY_TYPE[cls].values(tx.payload))
+    draft.nonces[tx.sender] = expected + 1
     if result.ok:
         receipt = Receipt(tx_hash(tx), TxStatus.SUCCESS, None, gas, result.events)
     else:
         receipt = Receipt(tx_hash(tx), TxStatus.FAILED, result.error, gas, ())
-    return ledger, receipt
+    return draft, receipt
 
 
 # --- state commitment --------------------------------------------------------

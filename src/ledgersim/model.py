@@ -36,6 +36,7 @@ changes only fields outside the hashing view and so keeps the hash.
 from __future__ import annotations
 
 import enum
+import json
 from collections import namedtuple
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
@@ -393,6 +394,31 @@ def _json_int(value: object, what: str = "value",
     if type(value) is not int:
         raise error(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def _json_object(value: object, required: tuple[str, ...], optional: tuple[str, ...],
+                 where: str, error: type[Exception],
+                 missing: Optional[type[Exception]] = None) -> dict:
+    """A JSON object that holds every `required` key and no key outside
+    `required` and `optional`. A missing key raises `missing`, or `error`
+    if that is None; anything else wrong raises `error`."""
+    if not isinstance(value, dict):
+        raise error(f"{where} must be a JSON object")
+    for name in required:
+        if name not in value:
+            raise (missing or error)(f"{where}: missing field {name!r}")
+    for name in value:
+        if name not in required and name not in optional:
+            raise error(f"{where}: unknown field {name!r}")
+    return value
+
+
+def _json_document(data: bytes, what: str, error: type[Exception]) -> object:
+    """`data` read as one UTF-8 JSON document."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from None
 
 
 def tx_to_json(tx: Transaction) -> dict:

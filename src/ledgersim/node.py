@@ -43,12 +43,6 @@ class BlockAnnounce:
 
 
 @dataclass(frozen=True, slots=True)
-class TimerFire:
-    node: Address
-    epoch: int
-
-
-@dataclass(frozen=True, slots=True)
 class HeightStart:
     """Self-addressed continuation: begin consensus on the next height."""
 
@@ -132,6 +126,19 @@ class ExecutionTable(dict[int, dict[Hash256, Execution]]):
     below `floor` has left the table for good, and no writer puts it back."""
     floor = 0
 
+    def record(self, block: Block, executed: Execution) -> None:
+        """Keep `executed`, unless the block's height has been evicted. The
+        simulation evicts a height once every honest node's head has reached
+        it, since no node executes at or below its own head; a faulty node
+        left behind still executes there, on its own."""
+        if block.height > self.floor:
+            self.setdefault(block.height, {})[block_hash(block)] = executed
+
+    def evict_through(self, height: int) -> None:
+        while self.floor < height:
+            self.floor += 1
+            self.pop(self.floor, None)
+
 
 class ValidatorNode:
     def __init__(self, key: KeyPair, config: ConsensusConfig, registry: Registry,
@@ -172,7 +179,7 @@ class ValidatorNode:
         ledger, receipts = contract.execute_block_txs(self.chain.head_ledger, tuple(txs))
         block = Block(height, round_, block_hash(parent), self.address,
                       tuple(txs), contract.state_root(ledger.contract), ())
-        self._record(block, (ledger, receipts))
+        self.executions.record(block, (ledger, receipts))
         return block
 
     def validate_block(self, block: Block) -> bool:
@@ -222,8 +229,8 @@ class ValidatorNode:
             return NodeResult()  # cannot use future heights yet
         return self._wrap(self.engine.handle_message(msg, now), now)
 
-    def handle_timer(self, fire: TimerFire, now: int) -> NodeResult:
-        return self._wrap(self.engine.handle_timer(fire.epoch, now), now)
+    def handle_timer(self, epoch: int, now: int) -> NodeResult:
+        return self._wrap(self.engine.handle_timer(epoch, now), now)
 
     def handle_announce(self, block: Block, now: int) -> NodeResult:
         if not validate_finalized_block(block, self.config, self.registry,
@@ -268,16 +275,8 @@ class ValidatorNode:
         error = contract.block_content_error(block, ledger, self.registry,
                                              self.block_gas_limit)
         executed = None if error is not None else (ledger, receipts)
-        self._record(block, executed)
+        self.executions.record(block, executed)
         return executed
-
-    def _record(self, block: Block, executed: Execution) -> None:
-        """Keep `executed` in the shared table, unless the simulation has
-        evicted the block's height. It evicts a height once every honest
-        node's head has reached it, since no node executes at or below its
-        own head; a faulty node left behind still executes there, on its own."""
-        if block.height > self.executions.floor:
-            self.executions.setdefault(block.height, {})[block_hash(block)] = executed
 
     def _adopt(self, block: Block, ledger: contract.LedgerState,
                receipts: list[Receipt], result: NodeResult) -> None:

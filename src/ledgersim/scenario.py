@@ -2,10 +2,11 @@
 
 A scenario is declarative JSON: named, with an ordered list of client
 commands at non-decreasing logical times, plus optional expectations
-evaluated after the run. Actors are indices into the key provider's
-active range; recipient and address parameters accept either an actor
-index or a 0x-hex address. Amounts and node indices are JSON integers,
-and an account is a JSON string. An action takes only its parameters in
+evaluated after the run. A command takes exactly `atTime`, `actor` and
+`action`. Actors are indices into the key provider's active range;
+recipient and address parameters accept either an actor index or a
+0x-hex address. Amounts and node indices are JSON integers, and an
+account is a JSON string. An action takes only its parameters in
 `_ACTIONS`. Expectation numbers (value, command) are JSON integers, and a
 `queryResult` value is a JSON string, as query results are.
 
@@ -30,15 +31,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import contract
 from .config import INT_FIELDS, GenesisConfig, active_keys
 from .crypto import KeyPair
 from .errors import InternalInvariantViolation, MalformedScenario
 from .model import (
-    KIND_BY_NAME, Address, Amount, Hash256, TxPayload, _json_account, _json_int,
-    block_to_json, event_to_json, hx, unhx,
+    KIND_BY_NAME, Address, Amount, Hash256, TxPayload, _json_account, _json_document,
+    _json_int, _json_object, block_to_json, event_to_json, hx, unhx,
 )
 from .netsim import Behavior, ByzantineSpec
 from .simulation import Simulation
@@ -74,18 +75,9 @@ class Scenario:
 
 
 def parse_scenario(data: bytes) -> Scenario:
-    try:
-        obj = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MalformedScenario(f"scenario is not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise MalformedScenario("scenario must be a JSON object")
-    for required in ("name", "commands"):
-        if required not in obj:
-            raise MalformedScenario(f"missing field {required!r}")
-    unknown = set(obj) - {"name", "commands", "expectations", "horizon"}
-    if unknown:
-        raise MalformedScenario(f"unknown fields {sorted(unknown)}")
+    obj = _json_object(_json_document(data, "scenario", MalformedScenario),
+                       ("name", "commands"), ("expectations", "horizon"), "scenario",
+                       MalformedScenario)
     if not isinstance(obj["name"], str):
         raise MalformedScenario("name must be a JSON string")
 
@@ -94,26 +86,19 @@ def parse_scenario(data: bytes) -> Scenario:
     commands = []
     last_time = 0
     for i, raw in enumerate(obj["commands"]):
-        if not isinstance(raw, dict):
-            raise MalformedScenario(f"command {i} must be an object")
-        missing = {"atTime", "actor", "action"} - set(raw)
-        if missing:
-            raise MalformedScenario(f"command {i}: missing {sorted(missing)}")
+        _json_object(raw, ("atTime", "actor", "action"), (), f"command {i}",
+                     MalformedScenario)
         action_obj = raw["action"]
-        if not isinstance(action_obj, dict) or "type" not in action_obj:
-            raise MalformedScenario(f"command {i}: action must carry a type")
-        action = action_obj["type"]
+        action = action_obj.get("type") if isinstance(action_obj, dict) else None
         if not isinstance(action, str) or action not in _ACTIONS:
             raise MalformedScenario(f"command {i}: unknown action {action!r}")
+        _json_object(action_obj, ("type",), _ACTIONS[action], f"command {i}: {action}",
+                     MalformedScenario)
         at_time = _json_int(raw["atTime"], f"command {i}: atTime", MalformedScenario)
         if at_time < last_time:
             raise MalformedScenario("command times must be non-decreasing")
         last_time = at_time
         params = {k: v for k, v in action_obj.items() if k != "type"}
-        unknown = set(params) - set(_ACTIONS[action])
-        if unknown:
-            raise MalformedScenario(
-                f"command {i}: unknown {action} parameters {sorted(unknown)}")
         actor = _json_int(raw["actor"], f"command {i}: actor", MalformedScenario)
         commands.append(Command(at_time, actor, action, params))
 
@@ -121,22 +106,15 @@ def parse_scenario(data: bytes) -> Scenario:
     if horizon < 0:
         raise MalformedScenario("horizon must be >= 0")
     expectations = obj.get("expectations", [])
-    if not isinstance(expectations, list) or \
-            not all(isinstance(exp, dict) for exp in expectations):
-        raise MalformedScenario("expectations must be a list of objects")
+    if not isinstance(expectations, list):
+        raise MalformedScenario("expectations must be a list")
     for i, exp in enumerate(expectations):
-        kind = exp.get("kind")
+        kind = exp.get("kind") if isinstance(exp, dict) else None
         if not isinstance(kind, str) or kind not in _EXPECTATIONS:
             raise MalformedScenario(f"expectation {i}: unknown kind {kind!r}")
         required, optional = _EXPECTATIONS[kind]
-        unknown = set(exp) - {"kind", *required, *optional}
-        if unknown:
-            raise MalformedScenario(
-                f"expectation {i}: unknown {kind} keys {sorted(unknown)}")
-        missing = set(required) - set(exp)
-        if missing:
-            raise MalformedScenario(
-                f"expectation {i}: {kind} missing keys {sorted(missing)}")
+        _json_object(exp, ("kind", *required), optional, f"expectation {i}: {kind}",
+                     MalformedScenario)
     return Scenario(obj["name"], tuple(commands), tuple(expectations), horizon)
 
 
@@ -366,30 +344,23 @@ def _dump_json(obj: dict) -> bytes:
     return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
+def _write_jsonl(path: Path, rows: Iterable[dict]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+
 def _write_artifacts(runner: _Runner, report: dict, out_dir: Path) -> None:
     sim = runner.sim
     ref = sim.reference_node()
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    with open(out_dir / "chain.jsonl", "w", encoding="utf-8") as fh:
-        for block in ref.chain.blocks:
-            fh.write(json.dumps(block_to_json(block), sort_keys=True) + "\n")
-
-    with open(out_dir / "events.jsonl", "w", encoding="utf-8") as fh:
-        for height, tx_index, emission_index, event in ref.chain.events():
-            obj = {"height": height, "txIndex": tx_index,
-                   "emissionIndex": emission_index}
-            obj.update(event_to_json(event))
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
-
+    _write_jsonl(out_dir / "chain.jsonl", map(block_to_json, ref.chain.blocks))
+    _write_jsonl(out_dir / "events.jsonl", (
+        {"height": height, "txIndex": tx_index, "emissionIndex": emission_index,
+         **event_to_json(event)}
+        for height, tx_index, emission_index, event in ref.chain.events()))
     state = ref.chain.head_ledger.contract
     (out_dir / "state.json").write_bytes(_dump_json(contract.state_to_json(state)))
-
     (out_dir / "report.json").write_bytes(_dump_json(report))
-
-    with open(out_dir / "consensus_trace.jsonl", "w", encoding="utf-8") as fh:
-        for entry in sim.consensus_trace or ():
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    with open(out_dir / "network_trace.jsonl", "w", encoding="utf-8") as fh:
-        for entry in sim.net_trace or ():
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+    _write_jsonl(out_dir / "consensus_trace.jsonl", sim.consensus_trace or ())
+    _write_jsonl(out_dir / "network_trace.jsonl", sim.net_trace or ())

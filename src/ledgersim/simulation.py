@@ -27,7 +27,7 @@ from .netsim import (
     CLIENT, DELIVER, TIMER, ByzantineSpec, EventQueue, Network, byzantine_transform,
     payload_kind,
 )
-from .node import ExecutionTable, HeightStart, NodeResult, TimerFire, ValidatorNode
+from .node import ExecutionTable, HeightStart, NodeResult, ValidatorNode
 
 
 @dataclass(frozen=True, slots=True)
@@ -281,8 +281,7 @@ class Simulation:
 
         if result.timer is not None:
             deadline, epoch = result.timer
-            self.queue.schedule(deadline, TIMER, node.address,
-                                TimerFire(node.address, epoch))
+            self.queue.schedule(deadline, TIMER, node.address, epoch)
         for block in result.finalized:
             self.queue.schedule(now + 1, DELIVER, node.address, HeightStart())
             self._record_finalized(node, block)
@@ -307,12 +306,8 @@ class Simulation:
         table every height that the lowest honest head has now reached. A
         stalled faulty node would otherwise pin every height above its head."""
         self._finalizations += 1
-        table = self.executions
         honest = self.honest_addresses() or self.config.validators
-        lowest = min(self.nodes[a].chain.head_height for a in honest)
-        while table.floor < lowest:
-            table.floor += 1
-            table.pop(table.floor, None)
+        self.executions.evict_through(min(self.nodes[a].chain.head_height for a in honest))
         entry = self.finalized_hashes.setdefault(block.height, {})
         entry[node.address] = block_hash(block)
         if node.address in self._ever_byzantine or self.safety_violation:

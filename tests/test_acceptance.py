@@ -248,7 +248,7 @@ class TestCriterion7Conservation:
             for tx_obj in json.loads(line)["txs"]:
                 tx = tx_from_json(tx_obj)
                 before = ledger.contract
-                ledger, receipt = contract.apply_transaction(ledger, tx)
+                ledger, (receipt,) = contract.execute_block_txs(ledger, (tx,))
                 if receipt.status is TxStatus.FAILED:
                     ok = ok and ledger.contract is before
                 checked += 1

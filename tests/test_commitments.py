@@ -235,7 +235,7 @@ class TestCommittedRoots:
             assert state_root(ledger.contract) == _root_oracle(ledger.contract)
         one_by_one = start
         for tx in txs:
-            one_by_one, _ = contract.apply_transaction(one_by_one, tx)
+            one_by_one, _ = contract.execute_block_txs(one_by_one, (tx,))
         assert one_by_one.contract == ledger.contract
         assert one_by_one.nonces == ledger.nonces
 

@@ -5,6 +5,7 @@ from collections import deque
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ledgersim import contract
 from ledgersim.consensus import (
@@ -436,6 +437,36 @@ class TestFutureRoundVotes:
         assert step.finalized is not None and block_hash(step.finalized) == bh
         assert step.finalized.round == 1 and len(step.finalized.commit_seals) == 4
         assert validate_finalized_block(step.finalized, config, registry, parent=GENESIS)
+
+
+# a ROUND_CHANGE as (sender index, target round), or None for a timer fire
+_ROUND_CHANGE_STEPS = st.lists(st.none() | st.tuples(st.integers(0, 6), st.integers(1, 6)),
+                               max_size=40)
+
+
+class TestRoundChangeQuorum:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(n=st.sampled_from([4, 7]), steps=_ROUND_CHANGE_STEPS)
+    def test_no_round_above_the_current_one_holds_a_quorum(self, keys, n, steps):
+        """The message that completes a quorum of ROUND_CHANGEs for a round
+        above the current one moves the engine to that round at once, so
+        `_on_round_change` need only look at the bucket it just filled."""
+        registry = Registry()
+        for key in keys[:n]:
+            registry.register(key)
+        config = ConsensusConfig(tuple(k.address for k in keys[:n]), 30)
+        engine = _make_engine(keys[0], config, registry)
+        engine.start_height(1, 0)
+        for now, step in enumerate(steps, start=1):
+            if step is None:
+                engine.handle_timer(engine.timer_epoch, now)
+            else:
+                sender, target = step
+                engine.handle_message(make_message(
+                    keys[sender % n], MsgKind.ROUND_CHANGE, 1, target, ZERO_HASH), now)
+            assert all(len(bucket) < config.quorum
+                       for target, bucket in engine._round_changes.items()
+                       if target > engine.round)
 
 
 class TestLockHintReproposal:

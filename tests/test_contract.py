@@ -199,10 +199,10 @@ class TestApplyTransaction:
     def test_add_funds_tx_success(self, keys):
         org = keys[0]
         ledger = contract.genesis_ledger()
-        ledger, r0 = contract.apply_transaction(ledger, make_tx(org, 0, Deploy()))
+        ledger, (r0,) = contract.execute_block_txs(ledger, (make_tx(org, 0, Deploy()),))
         assert r0.status is TxStatus.SUCCESS and r0.gas_used == 200_000
-        ledger, r1 = contract.apply_transaction(
-            ledger, make_tx(org, 1, AddFunds(Amount(5))))
+        ledger, (r1,) = contract.execute_block_txs(
+            ledger, (make_tx(org, 1, AddFunds(Amount(5))),))
         assert r1.status is TxStatus.SUCCESS
         assert r1.events == (FundsAdded(Amount(5)),)
         assert r1.gas_used == 21_000
@@ -210,9 +210,9 @@ class TestApplyTransaction:
     def test_same_nonce_twice_is_bad_nonce(self, keys):
         org = keys[0]
         ledger = contract.genesis_ledger()
-        ledger, _ = contract.apply_transaction(ledger, make_tx(org, 0, Deploy()))
+        ledger, _ = contract.execute_block_txs(ledger, (make_tx(org, 0, Deploy()),))
         replay = make_tx(org, 0, AddFunds(Amount(1)))
-        after, receipt = contract.apply_transaction(ledger, replay)
+        after, (receipt,) = contract.execute_block_txs(ledger, (replay,))
         assert receipt.status is TxStatus.FAILED
         assert receipt.error is ErrorCode.BAD_NONCE
         assert after.contract is ledger.contract
@@ -221,9 +221,9 @@ class TestApplyTransaction:
     def test_guard_failure_still_consumes_nonce_and_charges_gas(self, keys):
         org, outsider = keys[0], keys[1]
         ledger = contract.genesis_ledger()
-        ledger, _ = contract.apply_transaction(ledger, make_tx(org, 0, Deploy()))
+        ledger, _ = contract.execute_block_txs(ledger, (make_tx(org, 0, Deploy()),))
         bad = make_tx(outsider, 0, AddFunds(Amount(9)))
-        after, receipt = contract.apply_transaction(ledger, bad)
+        after, (receipt,) = contract.execute_block_txs(ledger, (bad,))
         assert receipt.status is TxStatus.FAILED
         assert receipt.error is ErrorCode.UNAUTHORIZED
         assert receipt.gas_used == 21_000

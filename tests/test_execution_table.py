@@ -238,14 +238,22 @@ class TestHonestFloor:
     def test_a_lagging_faulty_node_executes_below_the_floor_on_its_own(self,
                                                                        monkeypatch):
         kept_out = []  # (node, height) of every execution the floor kept out
-        record = ValidatorNode._record
+        checked, build = ValidatorNode._checked_execution, ValidatorNode.build_block
 
-        def counted(node, block, executed):
-            if block.height <= node.executions.floor:
-                kept_out.append((node.address, block.height))
-            record(node, block, executed)
+        def kept(node, height):
+            if height <= node.executions.floor:
+                kept_out.append((node.address, height))
 
-        monkeypatch.setattr(ValidatorNode, "_record", counted)
+        def counted_check(node, block):
+            kept(node, block.height)
+            return checked(node, block)
+
+        def counted_build(node, height, round_):
+            kept(node, height)
+            return build(node, height, round_)
+
+        monkeypatch.setattr(ValidatorNode, "_checked_execution", counted_check)
+        monkeypatch.setattr(ValidatorNode, "build_block", counted_build)
         seen = []
         sim = lagging_equivocator_run(lambda s: check_honest_floor(s, seen))
         assert len(kept_out) >= 3

@@ -245,7 +245,7 @@ class TestReplication:
         ledger = contract.genesis_ledger()
         for block in node.chain.blocks[1:]:
             for tx in block.txs:
-                ledger, _ = contract.apply_transaction(ledger, tx)
+                ledger, _ = contract.execute_block_txs(ledger, (tx,))
         live = node.chain.head_ledger
         assert contract.state_root(ledger.contract) == \
             contract.state_root(live.contract)

@@ -279,6 +279,7 @@ class TestCli:
         lambda s: s["expectations"][0].pop("value"),  # orgBalance
         lambda s: s["expectations"][1].pop("address"),  # balance
         lambda s: s["expectations"][5].pop("value"),  # queryResult
+        lambda s: s["commands"][0].update(atTme=5),
     ], ids=["atTime", "commands", "amt", "recipient", "horizon", "actor",
             "behavior", "expectations", "expectation", "account",
             "float_atTime", "string_actor", "bool_horizon", "float_horizon",
@@ -288,7 +289,7 @@ class TestCli:
             "negative_horizon", "misspelt_value", "misspelt_error",
             "unknown_kind", "list_action_type", "list_kind",
             "missing_orgBalance_value", "missing_balance_address",
-            "missing_queryResult_value"])
+            "missing_queryResult_value", "misspelt_command_key"])
     def test_malformed_scenario_exits_2(self, tmp_path, edit):
         obj = json.loads(PAPER_FLOW.read_text())
         edit(obj)
