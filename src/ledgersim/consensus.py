@@ -226,7 +226,7 @@ class Engine:
         if epoch != self.timer_epoch or self.phase is FINALIZED:
             result.discards.append("StaleTimer")
             return self._finish(result)
-        target = max(self.round, self.rc_target) + 1
+        target = self.rc_target + 1
         self.timer_epoch += 1
         result.timer = (now + self._timeout(target), self.timer_epoch)
         self._request_round(target, now)

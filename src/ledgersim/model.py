@@ -417,7 +417,7 @@ def _json_document(data: bytes, what: str, error: type[Exception]) -> object:
     """`data` read as one UTF-8 JSON document."""
     try:
         return json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise error(f"{what} is not valid JSON: {exc}") from None
 
 

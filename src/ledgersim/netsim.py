@@ -12,10 +12,11 @@ randomness flows from named streams derived from the master seed, and
 events are totally ordered by (time, seq) with seq assigned at
 scheduling time.
 
-An event is a `SimEvent`: time, seq, kind (DELIVER, TIMER or CLIENT),
-target node (None for a client command) and payload. It is a plain
-slotted record, not a frozen one: one is built per delivery, and nothing
-changes it after `schedule`.
+An event is a `SimEvent`: time, seq, kind, target node and payload. A
+DELIVER event carries a network payload to its target, a TIMER event its
+target's timer epoch, and a CALL event, with the target None, a function
+of the simulation. It is a plain slotted record, not a frozen one: one
+is built per delivery, and nothing changes it after `schedule`.
 """
 
 from __future__ import annotations
@@ -73,11 +74,11 @@ class ByzantineSpec:
 class EvKind(enum.Enum):
     DELIVER = "DELIVER"
     TIMER = "TIMER"
-    CLIENT = "CLIENT"
+    CALL = "CALL"
 
 
 # bound once, as in consensus.py: an Enum class attribute is a slow lookup
-DELIVER, TIMER, CLIENT = EvKind
+DELIVER, TIMER, CALL = EvKind
 
 
 @dataclass(slots=True)

@@ -42,11 +42,6 @@ class BlockAnnounce:
     block: Block
 
 
-@dataclass(frozen=True, slots=True)
-class HeightStart:
-    """Self-addressed continuation: begin consensus on the next height."""
-
-
 class Mempool:
     """FIFO pending pool; duplicates and unverifiable signatures never enter."""
 
@@ -205,8 +200,6 @@ class ValidatorNode:
             return self.handle_consensus(payload, now)
         if isinstance(payload, BlockAnnounce):
             return self.handle_announce(payload.block, now)
-        if isinstance(payload, HeightStart):
-            return self.handle_height_start(now)
         raise TypeError(f"unknown payload {payload!r}")
 
     def handle_height_start(self, now: int) -> NodeResult:

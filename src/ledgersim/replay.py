@@ -63,7 +63,7 @@ def _load_blocks(data: bytes) -> list[tuple[Block, object, list]]:
             obj = json.loads(line)
             block = block_from_json(obj)
             serialize_block(block)  # a field its encoding cannot hold
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             raise CorruptDump(f"line {lineno}: {exc}") from None
         blocks.append((block, obj.get("hash"), [tx.get("hash") for tx in obj["txs"]]))
     if not blocks:

@@ -10,6 +10,7 @@ with the same inputs produce byte-identical traces.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 from . import contract
@@ -24,10 +25,10 @@ from .model import (
     hx, replace_unhashed, serialize_tx, tx_hash,
 )
 from .netsim import (
-    CLIENT, DELIVER, TIMER, ByzantineSpec, EventQueue, Network, byzantine_transform,
+    CALL, TIMER, ByzantineSpec, EventQueue, Network, byzantine_transform,
     payload_kind,
 )
-from .node import ExecutionTable, HeightStart, NodeResult, ValidatorNode
+from .node import ExecutionTable, NodeResult, ValidatorNode
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,21 +37,8 @@ class ClientTx:
     key: KeyPair
     payload: TxPayload
 
-
-@dataclass(frozen=True, slots=True)
-class ClientQuery:
-    label: int
-    caller: Address
-
-
-@dataclass(frozen=True, slots=True)
-class ClientFault:
-    spec: ByzantineSpec
-
-
-@dataclass(frozen=True, slots=True)
-class ClientSetGst:
-    pass
+    def __call__(self, sim: Simulation) -> None:
+        sim.submit_to_all(sim.build_tx(self.key, self.payload), self.label)
 
 
 def make_genesis_block() -> Block:
@@ -129,18 +117,19 @@ class Simulation:
 
     def schedule_tx(self, at_time: int, key: KeyPair, payload: TxPayload,
                     label: int = -1) -> None:
-        self.queue.schedule(at_time, CLIENT, None, ClientTx(label, key, payload))
+        self.queue.schedule(at_time, CALL, None, ClientTx(label, key, payload))
 
     def schedule_query(self, at_time: int, caller: Address, label: int = -1) -> None:
-        self.queue.schedule(at_time, CLIENT, None, ClientQuery(label, caller))
+        self.queue.schedule(at_time, CALL, None,
+                            partial(Simulation._query, caller=caller, label=label))
 
     def schedule_fault(self, at_time: int, spec: ByzantineSpec) -> None:
         # the target counts as byzantine for the whole run
         self._ever_byzantine.add(spec.node)
-        self.queue.schedule(at_time, CLIENT, None, ClientFault(spec))
+        self.queue.schedule(at_time, CALL, None, partial(Simulation.inject_fault, spec=spec))
 
     def schedule_set_gst(self, at_time: int) -> None:
-        self.queue.schedule(at_time, CLIENT, None, ClientSetGst())
+        self.queue.schedule(at_time, CALL, None, lambda sim: sim.network.set_gst_now())
 
     # -- run loop -----------------------------------------------------------------
 
@@ -156,15 +145,18 @@ class Simulation:
             self._route(node, node.start(0), "START", 0)
 
     def step(self) -> bool:
-        """Process one event; returns False when the queue is empty."""
+        """Process one event; returns False when the queue is empty. A CALL
+        event's payload takes the simulation as its argument: a call that
+        held it would close a cycle through the queue, which would keep a
+        finished run in memory until the cyclic collector ran."""
         if not self._started:
             self.start()
         if not self.queue._heap:
             return False
         ev = self.queue.next_event()
         now = self.queue.now
-        if ev.kind is CLIENT:
-            self._exec_client(ev.payload, now)
+        if ev.kind is CALL:
+            ev.payload(self)
             return True
         node = self.nodes[ev.target]
         if ev.kind is TIMER:
@@ -239,35 +231,23 @@ class Simulation:
         self.submissions.append(record)
         return record
 
-    def _exec_client(self, payload: object, now: int) -> None:
-        if isinstance(payload, ClientTx):
-            tx = self.build_tx(payload.key, payload.payload)
-            self.submit_to_all(tx, payload.label)
-        elif isinstance(payload, ClientQuery):
-            values = []
-            for address in self.honest_addresses():
-                node = self.nodes[address]
-                try:
-                    value = str(int(node.get_balance(payload.caller)))
-                except NotDeployed:
-                    value = "NotDeployed"
-                values.append({"node": hx(address), "value": value})
-            self.queries.append({"label": payload.label,
-                                 "caller": hx(payload.caller),
-                                 "time": now, "values": values})
-        elif isinstance(payload, ClientFault):
-            self.byzantine[payload.spec.node] = payload.spec
-        elif isinstance(payload, ClientSetGst):
-            self.network.set_gst_now()
-        else:
-            raise TypeError(f"unknown client payload {payload!r}")
+    def _query(self, caller: Address, label: int) -> None:
+        values = []
+        for address in self.honest_addresses():
+            try:
+                value = str(int(self.nodes[address].get_balance(caller)))
+            except NotDeployed:
+                value = "NotDeployed"
+            values.append({"node": hx(address), "value": value})
+        self.queries.append({"label": label, "caller": hx(caller),
+                             "time": self.queue.now, "values": values})
 
     # -- routing -------------------------------------------------------------------
 
     def _route(self, node: ValidatorNode, result: NodeResult, cause: object,
                now: int) -> None:
         """Send, schedule and record what `node` did on `cause`: the payload
-        it handled, or the label "START" or "TIMER"."""
+        it handled, or the label "START", "TIMER" or "HEIGHTSTART"."""
         outbound = result.outbound
         spec = self.byzantine.get(node.address)
         if spec is not None:
@@ -283,7 +263,8 @@ class Simulation:
             deadline, epoch = result.timer
             self.queue.schedule(deadline, TIMER, node.address, epoch)
         for block in result.finalized:
-            self.queue.schedule(now + 1, DELIVER, node.address, HeightStart())
+            self.queue.schedule(now + 1, CALL, None,
+                                partial(Simulation._start_next_height, node=node))
             self._record_finalized(node, block)
         if self.consensus_trace is not None:
             input_kind = cause if isinstance(cause, str) else payload_kind(cause)
@@ -297,6 +278,13 @@ class Simulation:
                     "outbound": len(step.outbound),
                     "discards": step.discards,
                 })
+
+    def _start_next_height(self, node: ValidatorNode) -> None:
+        """Start `node`'s next height, one tick after it finalized one. The
+        call holds the node, which does not hold the simulation, and takes
+        the simulation as its argument, as every call does (see `step`)."""
+        now = self.queue.now
+        self._route(node, node.handle_height_start(now), "HEIGHTSTART", now)
 
     # -- bookkeeping ------------------------------------------------------------------
 

@@ -5,7 +5,7 @@ from collections import deque
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ledgersim import contract
 from ledgersim.consensus import (
@@ -325,6 +325,39 @@ class TestDiscards:
         assert "InvalidProposer" in step.discards
         assert engine.accepted is None or engine.accepted.proposer == victim
 
+    @staticmethod
+    def proposal_at_a_peer(keys, registry):
+        """The proposer of height 1, round 0, its block, and a started
+        engine of another validator."""
+        config = ConsensusConfig(tuple(k.address for k in keys[:4]), 30)
+        proposer = next(k for k in keys if k.address == proposer_for(1, 0, config))
+        peer = next(k for k in keys[:4] if k is not proposer)
+        engine = _make_engine(peer, config, registry)
+        engine.start_height(1, 0)
+        return proposer, _make_engine(proposer, config, registry).build_block(1, 0), engine
+
+    @pytest.mark.parametrize("proposal", ["none", "other_block"])
+    def test_malformed_pre_prepare_discarded(self, keys, registry, proposal):
+        """A PRE_PREPARE with no block, or with a block that does not hash
+        to the one it names."""
+        proposer, block, engine = self.proposal_at_a_peer(keys, registry)
+        other = replace(block, state_root=Hash256(b"\x07" * 32))
+        msg = make_message(proposer, MsgKind.PRE_PREPARE, 1, 0, block_hash(block),
+                           proposal=None if proposal == "none" else other)
+        step = engine.handle_message(msg, 0)
+        assert step.discards == ["MalformedProposal"] and not step.outbound
+        assert engine.accepted is None
+
+    def test_second_pre_prepare_in_a_round_discarded(self, keys, registry):
+        proposer, block, engine = self.proposal_at_a_peer(keys, registry)
+        other = replace(block, state_root=Hash256(b"\x07" * 32))
+        first, second = (make_message(proposer, MsgKind.PRE_PREPARE, 1, 0, block_hash(b),
+                                      proposal=b) for b in (block, other))
+        assert [m.kind for m in engine.handle_message(first, 0).outbound] == [MsgKind.PREPARE]
+        step = engine.handle_message(second, 1)
+        assert step.discards == ["DuplicateMessage"] and not step.outbound
+        assert engine.accepted == block
+
     def test_duplicate_prepare_discarded(self, keys, registry):
         pump = Pump(keys, registry, 4)
         target = pump.config.validators[0]
@@ -447,10 +480,14 @@ _ROUND_CHANGE_STEPS = st.lists(st.none() | st.tuples(st.integers(0, 6), st.integ
 class TestRoundChangeQuorum:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(n=st.sampled_from([4, 7]), steps=_ROUND_CHANGE_STEPS)
+    # the echo requests round 1, then a quorum for round 2 enters round 2
+    @example(n=4, steps=[(1, 2), (2, 1), (2, 2), (3, 2)])
     def test_no_round_above_the_current_one_holds_a_quorum(self, keys, n, steps):
         """The message that completes a quorum of ROUND_CHANGEs for a round
         above the current one moves the engine to that round at once, so
-        `_on_round_change` need only look at the bucket it just filled."""
+        `_on_round_change` need only look at the bucket it just filled.
+        And `rc_target` never falls below the round, so a timer's target
+        `rc_target + 1` is always a later round."""
         registry = Registry()
         for key in keys[:n]:
             registry.register(key)
@@ -467,6 +504,7 @@ class TestRoundChangeQuorum:
             assert all(len(bucket) < config.quorum
                        for target, bucket in engine._round_changes.items()
                        if target > engine.round)
+            assert engine.rc_target >= engine.round
 
 
 class TestLockHintReproposal:

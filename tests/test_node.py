@@ -110,6 +110,14 @@ class TestValidateBlock:
         block = node.build_block(1, 0)
         assert not node.validate_block(replace(block, height=2))
 
+    def test_wrong_parent_refused(self, node):
+        block = node.build_block(1, 0)
+        assert not node.validate_block(replace(block, parent_hash=Hash256(b"\x13" * 32)))
+
+    def test_proposer_outside_the_validators_refused(self, node, keys):
+        block = node.build_block(1, 0)
+        assert not node.validate_block(replace(block, proposer=keys[5].address))
+
     def test_overweight_block_refused(self, node, keys):
         txs = tuple(_tx(keys[0], n, AddFunds(Amount(1)), gas_limit=2_000_000)
                     for n in range(3))

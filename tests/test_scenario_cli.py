@@ -20,6 +20,8 @@ GENESIS = ROOT / "scenarios" / "genesis_paper.json"
 PAPER_FLOW = ROOT / "scenarios" / "paper_flow.json"
 EQUIVOCATE = ROOT / "scenarios" / "byzantine_equivocate.json"
 SILENT = ROOT / "scenarios" / "silent_majority.json"
+# valid JSON, but nested deeper than the decoder's recursion limit
+NESTED = "[" * 1000 + "]" * 1000
 
 
 def cli(*args, env=None):
@@ -115,6 +117,26 @@ class TestPaperFlow:
         code, report = run_scenario(genesis, parse_scenario(json.dumps(obj).encode()))
         assert code == 3
         assert report["expectations"][0]["detail"].startswith("unevaluable")
+
+    def test_expectations_naming_no_result_fail_with_a_detail(self):
+        """receiptStatus for a query or for a transaction sent at the
+        horizon, and queryResult for a transaction."""
+        genesis = parse_genesis(GENESIS.read_bytes())
+        obj = json.loads(PAPER_FLOW.read_text())
+        obj["commands"].append(
+            {"atTime": 600, "actor": 0, "action": {"type": "addFunds", "amt": 5}})
+        obj["expectations"] = [
+            {"kind": "receiptStatus", "command": 5, "status": "SUCCESS"},
+            {"kind": "receiptStatus", "command": 7, "status": "SUCCESS"},
+            {"kind": "queryResult", "command": 0, "value": "0"},
+        ]
+        code, report = run_scenario(genesis, parse_scenario(json.dumps(obj).encode()))
+        assert code == 3
+        assert [(r["ok"], r["detail"]) for r in report["expectations"]] == [
+            (False, "no submission for command"),
+            (False, "transaction never finalized"),
+            (False, "no query for command"),
+        ]
 
     def test_non_org_allowance_expected_success_exits_3(self):
         genesis = parse_genesis(GENESIS.read_bytes())
@@ -238,9 +260,11 @@ class TestCli:
 
     def test_malformed_genesis_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text("{}")
-        proc = cli("run", "--genesis", str(bad), "--scenario", str(PAPER_FLOW))
-        assert proc.returncode == 2
+        for text in ("{}", NESTED):
+            bad.write_text(text)
+            proc = cli("run", "--genesis", str(bad), "--scenario", str(PAPER_FLOW))
+            assert proc.returncode == 2, text[:8]
+            assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("edit", [
         lambda s: s["commands"][0].update(atTime="soon"),
@@ -280,6 +304,7 @@ class TestCli:
         lambda s: s["expectations"][1].pop("address"),  # balance
         lambda s: s["expectations"][5].pop("value"),  # queryResult
         lambda s: s["commands"][0].update(atTme=5),
+        NESTED,  # the whole file
     ], ids=["atTime", "commands", "amt", "recipient", "horizon", "actor",
             "behavior", "expectations", "expectation", "account",
             "float_atTime", "string_actor", "bool_horizon", "float_horizon",
@@ -289,12 +314,15 @@ class TestCli:
             "negative_horizon", "misspelt_value", "misspelt_error",
             "unknown_kind", "list_action_type", "list_kind",
             "missing_orgBalance_value", "missing_balance_address",
-            "missing_queryResult_value", "misspelt_command_key"])
+            "missing_queryResult_value", "misspelt_command_key", "nested"])
     def test_malformed_scenario_exits_2(self, tmp_path, edit):
-        obj = json.loads(PAPER_FLOW.read_text())
-        edit(obj)
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(obj))
+        if isinstance(edit, str):
+            bad.write_text(edit)
+        else:
+            obj = json.loads(PAPER_FLOW.read_text())
+            edit(obj)
+            bad.write_text(json.dumps(obj))
         proc = cli("run", "--genesis", str(GENESIS), "--scenario", str(bad))
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
@@ -472,13 +500,15 @@ class TestReplay:
 
     @pytest.mark.parametrize("command", ["replay", "receipt"])
     def test_cli_non_utf8_dump_exits_4(self, tmp_path, command):
+        """A dump that is not UTF-8, or one whose line nests too deeply."""
         bad = tmp_path / "chain.jsonl"
-        bad.write_bytes(b"\xff\xfe{}\n")
         tx = ["--tx", "0x" + "ab" * 32] if command == "receipt" else []
-        proc = cli(command, "--chain", str(bad), "--genesis", str(GENESIS), *tx)
-        assert proc.returncode == 4
-        assert "CORRUPT" in proc.stdout
-        assert "Traceback" not in proc.stderr
+        for data in (b"\xff\xfe{}\n", NESTED.encode() + b"\n"):
+            bad.write_bytes(data)
+            proc = cli(command, "--chain", str(bad), "--genesis", str(GENESIS), *tx)
+            assert proc.returncode == 4, data[:8]
+            assert "CORRUPT" in proc.stdout
+            assert "Traceback" not in proc.stderr
 
 
 class TestReceiptQuery:

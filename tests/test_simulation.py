@@ -9,7 +9,9 @@ tests schedule the same commands before start() (prehashed) and after it
 including the cases where the guess is wrong.
 """
 
+import gc
 import json
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -194,6 +196,30 @@ class TestClientIntake:
         for node in sim.nodes.values():
             assert tx in node.mempool.pending.values()
         assert (len(sim.queue), len(sim.net_trace)) == (queued, rows)
+
+
+class TestScheduledCalls:
+    def test_pending_calls_keep_no_finished_simulation_alive(self):
+        """A scheduled call takes the simulation as its argument and holds
+        no reference to it, so dropping the last reference frees a run
+        with calls still pending, without the cyclic collector."""
+        sim = new_sim()
+        org = sim.validator_keys[0]
+        sim.schedule_tx(1000, org, Deploy())
+        sim.schedule_query(1000, org.address)
+        sim.schedule_fault(1000, ByzantineSpec(sim.config.validators[3], Behavior.SILENT))
+        sim.schedule_set_gst(1000)
+        gc.disable()
+        try:
+            sim.run(until=200)
+            # stop just after a finalization, so a height start is pending too
+            assert sim.run_until_min_height(sim.min_honest_height() + 1)
+            assert [ev.time for ev in sim.queue.pending()][-4:] == [1000] * 4
+            ref = weakref.ref(sim)
+            del sim
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestRunUntilMinHeight:
