@@ -19,10 +19,11 @@ Simplifications relative to full IBFT 2.0, on purpose:
     finalize once it holds the proposal and a quorum of commits.
 
 The engine is a pure state machine: callers feed it messages, timer
-expiries and height starts, and it returns outbound messages plus an
-optional finalized block. Messages the engine broadcasts are applied to
-its own state synchronously (a validator counts its own votes), which
-makes the degenerate single-validator network finalize in one step.
+expiries and height starts, and it returns outbound (message, None)
+pairs, a None recipient meaning every peer, plus an optional finalized
+block. Messages the engine broadcasts are applied to its own state
+synchronously (a validator counts its own votes), which makes the
+degenerate single-validator network finalize in one step.
 
 A message that passes `verify_message` keeps the verdict, per registry:
 a broadcast is one message object that reaches every peer, so its
@@ -151,11 +152,15 @@ AWAITING_PROPOSAL, PREPARED, FINALIZED = Phase
 
 @dataclass
 class StepResult:
-    outbound: list[ConsensusMessage] = field(default_factory=list)
+    """What a node did on one event. `outbound` holds (payload, recipient)
+    pairs: the engine broadcasts, with recipient None, and a node replies
+    to one sender. `finalized` is the block the engine sealed or the node
+    adopted. The phases are None when the engine took no step."""
+    outbound: list[tuple[object, Optional[Address]]] = field(default_factory=list)
     finalized: Optional[Block] = None
     timer: Optional[tuple[int, int]] = None  # (deadline, epoch)
-    phase_before: Phase = AWAITING_PROPOSAL
-    phase_after: Phase = AWAITING_PROPOSAL
+    phase_before: Optional[Phase] = None
+    phase_after: Optional[Phase] = None
     discards: list[str] = field(default_factory=list)
 
 
@@ -254,7 +259,7 @@ class Engine:
         return self.config.base_round_timeout * (2 ** round_)
 
     def _broadcast(self, msg: ConsensusMessage, now: int) -> None:
-        self._step().outbound.append(msg)
+        self._step().outbound.append((msg, None))
         # a validator counts its own vote immediately
         self._process(msg, now)
 

@@ -417,8 +417,10 @@ def _json_document(data: bytes, what: str, error: type[Exception]) -> object:
     """`data` read as one UTF-8 JSON document."""
     try:
         return json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise error(f"{what} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise error(f"{what} is nested too deeply") from None
 
 
 def tx_to_json(tx: Transaction) -> dict:

@@ -30,7 +30,7 @@ from typing import Optional
 from . import contract
 from .errors import EmptyQueue, InternalInvariantViolation
 from .keccak import keccak256
-from .model import Address, Block, Hash256, hx
+from .model import Address, Block, Hash256
 from .consensus import (
     FINALIZED, PRE_PREPARE, ConsensusMessage, block_hash, make_message, proposer_for,
 )
@@ -135,15 +135,14 @@ class EventQueue:
 
 
 class Network:
-    """Delivery layer: samples per-message loss and delay, keeps a trace."""
+    """Delivery layer: samples per-message loss and delay. `send` returns
+    the scheduled delivery, or None for a drop; the caller records it."""
 
-    def __init__(self, params: NetworkParams, queue: EventQueue,
-                 trace: Optional[list] = None) -> None:
+    def __init__(self, params: NetworkParams, queue: EventQueue) -> None:
         self.params = params
         self.gst = params.gst
         self.queue = queue
         self.rng = rng_stream(params.seed, "net")
-        self.trace = trace
 
     def set_gst_now(self) -> None:
         self.gst = self.queue.now
@@ -151,7 +150,6 @@ class Network:
     def send(self, payload: object, frm: Address, to: Address, now: int) -> Optional[SimEvent]:
         if now < self.gst:
             if self.rng.random() < self.params.pre_gst_loss_prob:
-                self._record(now, None, frm, to, payload, dropped=True)
                 return None
             delay = self.rng.randint(1, max(1, self.params.pre_gst_max_delay))
         else:
@@ -159,23 +157,7 @@ class Network:
             if delay > self.params.delta:
                 raise InternalInvariantViolation(
                     f"post-GST delay {delay} exceeds delta {self.params.delta}")
-        ev = self.queue.schedule(now + delay, DELIVER, to, payload)
-        self._record(now, ev.seq, frm, to, payload, dropped=False)
-        return ev
-
-    def _record(self, now: int, seq: Optional[int], frm: Address, to: Address,
-                payload: object, dropped: bool) -> None:
-        if self.trace is None:
-            return
-        self.trace.append({
-            "time": now,
-            "seq": seq,
-            "kind": "DELIVER",
-            "from": hx(frm),
-            "to": hx(to),
-            "msgKind": payload_kind(payload),
-            "dropped": dropped,
-        })
+        return self.queue.schedule(now + delay, DELIVER, to, payload)
 
 
 def payload_kind(payload: object) -> str:

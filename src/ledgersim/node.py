@@ -18,7 +18,7 @@ verifies each against the quorum seals and adopts it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import contract
@@ -103,14 +103,6 @@ class Chain:
                 for emission_index, event in enumerate(receipt.events)]
 
 
-@dataclass
-class NodeResult:
-    outbound: list[tuple[object, Optional[Address]]] = field(default_factory=list)
-    timer: Optional[tuple[int, int]] = None
-    finalized: list[Block] = field(default_factory=list)
-    steps: list[StepResult] = field(default_factory=list)
-
-
 # What a block leaves on its parent's ledger: the ledger and receipts, or
 # None if it fails the content check.
 Execution = Optional[tuple[contract.LedgerState, list[Receipt]]]
@@ -154,8 +146,8 @@ class ValidatorNode:
 
     # -- lifecycle -------------------------------------------------------------
 
-    def start(self, now: int) -> NodeResult:
-        return self._wrap(self.engine.start_height(1, now), now)
+    def start(self, now: int) -> StepResult:
+        return self._wrap(self.engine.start_height(1, now))
 
     # -- block assembly and validation ------------------------------------------
 
@@ -195,60 +187,57 @@ class ValidatorNode:
 
     # -- event handlers ------------------------------------------------------------
 
-    def handle_payload(self, payload: object, now: int) -> NodeResult:
+    def handle_payload(self, payload: object, now: int) -> StepResult:
         if isinstance(payload, ConsensusMessage):
             return self.handle_consensus(payload, now)
         if isinstance(payload, BlockAnnounce):
             return self.handle_announce(payload.block, now)
         raise TypeError(f"unknown payload {payload!r}")
 
-    def handle_height_start(self, now: int) -> NodeResult:
+    def handle_height_start(self, now: int) -> StepResult:
         target = self.chain.head_height + 1
         if self.engine.height >= target:
-            return NodeResult()  # already working on it
-        return self._wrap(self.engine.start_height(target, now), now)
+            return StepResult()  # already working on it
+        return self._wrap(self.engine.start_height(target, now))
 
-    def handle_consensus(self, msg: ConsensusMessage, now: int) -> NodeResult:
+    def handle_consensus(self, msg: ConsensusMessage, now: int) -> StepResult:
         if msg.height <= self.chain.head_height:
             # A ROUND_CHANGE here means the sender is stuck behind: send it
             # the sealed blocks it is missing. A late vote needs nothing.
-            result = NodeResult()
+            result = StepResult()
             if (msg.kind is ROUND_CHANGE and msg.height >= 1
                     and msg.sender in self.config.validators):
                 for sealed in self.chain.blocks[msg.height:msg.height + CATCH_UP_BLOCKS]:
                     result.outbound.append((BlockAnnounce(sealed), msg.sender))
             return result
         if msg.height > self.engine.height:
-            return NodeResult()  # cannot use future heights yet
-        return self._wrap(self.engine.handle_message(msg, now), now)
+            return StepResult()  # cannot use future heights yet
+        return self._wrap(self.engine.handle_message(msg, now))
 
-    def handle_timer(self, epoch: int, now: int) -> NodeResult:
-        return self._wrap(self.engine.handle_timer(epoch, now), now)
+    def handle_timer(self, epoch: int, now: int) -> StepResult:
+        return self._wrap(self.engine.handle_timer(epoch, now))
 
-    def handle_announce(self, block: Block, now: int) -> NodeResult:
+    def handle_announce(self, block: Block, now: int) -> StepResult:
         if not validate_finalized_block(block, self.config, self.registry,
                                         parent=self.chain.head):
-            return NodeResult()
+            return StepResult()
         executed = self._checked_execution(block)
-        result = NodeResult()
-        if executed is not None:
-            self._adopt(block, *executed, result)
-        return result
+        if executed is None:
+            return StepResult()
+        self._adopt(block, *executed)
+        return StepResult(finalized=block)
 
     # -- internals ------------------------------------------------------------------
 
-    def _wrap(self, step: StepResult, now: int) -> NodeResult:
-        result = NodeResult(steps=[step])
-        result.timer = step.timer
-        for msg in step.outbound:
-            result.outbound.append((msg, None))
+    def _wrap(self, step: StepResult) -> StepResult:
+        """`step`, once the block it finalized, if any, is adopted."""
         if step.finalized is not None:
             executed = self._checked_execution(step.finalized)
             if executed is None:
                 raise InternalInvariantViolation(
                     f"finalized block {step.finalized.height} fails the content check")
-            self._adopt(step.finalized, *executed, result)
-        return result
+            self._adopt(step.finalized, *executed)
+        return step
 
     def _checked_execution(self, block: Block) -> Execution:
         """The ledger and receipts after `block` on the head, or None if it
@@ -272,10 +261,9 @@ class ValidatorNode:
         return executed
 
     def _adopt(self, block: Block, ledger: contract.LedgerState,
-               receipts: list[Receipt], result: NodeResult) -> None:
+               receipts: list[Receipt]) -> None:
         self.chain.append(block, ledger, receipts)
         self.mempool.remove_included(block.txs)
-        result.finalized.append(block)
 
     # -- reads ----------------------------------------------------------------------
 

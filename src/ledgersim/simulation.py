@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import contract
 from .config import GenesisConfig
-from .consensus import ConsensusConfig
+from .consensus import ConsensusConfig, StepResult
 from .crypto import KeyPair, Registry, sign
 from .errors import NotDeployed
 from .keccak import keccak256_many
@@ -28,7 +28,7 @@ from .netsim import (
     CALL, TIMER, ByzantineSpec, EventQueue, Network, byzantine_transform,
     payload_kind,
 )
-from .node import ExecutionTable, NodeResult, ValidatorNode
+from .node import ExecutionTable, ValidatorNode
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,6 +39,31 @@ class ClientTx:
 
     def __call__(self, sim: Simulation) -> None:
         sim.submit_to_all(sim.build_tx(self.key, self.payload), self.label)
+
+
+class Traces:
+    """The consensus and network trace rows of a run: an observer of
+    `Simulation._route`. It holds its two lists and no simulation, so a
+    finished run is freed by reference counting (see `Simulation.step`)."""
+
+    def __init__(self) -> None:
+        self.consensus: list[dict] = []
+        self.network: list[dict] = []
+
+    def __call__(self, node: ValidatorNode, cause: object, now: int,
+                 result: StepResult, sent: list) -> None:
+        sender = hx(node.address)
+        for payload, peer, ev in sent:
+            self.network.append({"time": now, "seq": None if ev is None else ev.seq,
+                                 "kind": "DELIVER", "from": sender, "to": hx(peer),
+                                 "msgKind": payload_kind(payload), "dropped": ev is None})
+        if result.phase_before is not None:
+            self.consensus.append({
+                "node": sender, "logicalTime": now,
+                "input": cause if isinstance(cause, str) else payload_kind(cause),
+                "phaseBefore": result.phase_before.value,
+                "phaseAfter": result.phase_after.value,
+                "outbound": len(result.outbound), "discards": result.discards})
 
 
 def make_genesis_block() -> Block:
@@ -83,10 +108,11 @@ class Simulation:
                 genesis.block_gas_limit, self.executions)
 
         self.queue = EventQueue()
-        self.net_trace: Optional[list] = [] if collect_traces else None
-        params = replace(genesis.network_params, seed=self.seed)
-        self.network = Network(params, self.queue, self.net_trace)
-        self.consensus_trace: Optional[list] = [] if collect_traces else None
+        self.network = Network(replace(genesis.network_params, seed=self.seed), self.queue)
+        traces = Traces() if collect_traces else None
+        self.observers: list = [] if traces is None else [traces]  # see _route
+        self.consensus_trace = None if traces is None else traces.consensus
+        self.net_trace = None if traces is None else traces.network
 
         self.byzantine: dict[Address, ByzantineSpec] = {}
         self._ever_byzantine: set[Address] = set()
@@ -244,40 +270,31 @@ class Simulation:
 
     # -- routing -------------------------------------------------------------------
 
-    def _route(self, node: ValidatorNode, result: NodeResult, cause: object,
+    def _route(self, node: ValidatorNode, result: StepResult, cause: object,
                now: int) -> None:
         """Send, schedule and record what `node` did on `cause`: the payload
-        it handled, or the label "START", "TIMER" or "HEIGHTSTART"."""
+        it handled, or the label "START", "TIMER" or "HEIGHTSTART". Then
+        hand the step to each observer, with `sent`: a (payload, peer,
+        delivery event or None for a drop) entry for each message put on
+        the wire after the adversary hook. This is the one reader of a step."""
         outbound = result.outbound
         spec = self.byzantine.get(node.address)
         if spec is not None:
             outbound = byzantine_transform(spec, node, outbound, self._adversary_seen)
+        send, sent = self.network.send, []
         for payload, to in outbound:
-            if to is None:
-                for peer in node.peers:
-                    self.network.send(payload, node.address, peer, now)
-            else:
-                self.network.send(payload, node.address, to, now)
+            for peer in node.peers if to is None else (to,):
+                sent.append((payload, peer, send(payload, node.address, peer, now)))
 
         if result.timer is not None:
             deadline, epoch = result.timer
             self.queue.schedule(deadline, TIMER, node.address, epoch)
-        for block in result.finalized:
+        if result.finalized is not None:
             self.queue.schedule(now + 1, CALL, None,
                                 partial(Simulation._start_next_height, node=node))
-            self._record_finalized(node, block)
-        if self.consensus_trace is not None:
-            input_kind = cause if isinstance(cause, str) else payload_kind(cause)
-            for step in result.steps:
-                self.consensus_trace.append({
-                    "node": hx(node.address),
-                    "logicalTime": now,
-                    "input": input_kind,
-                    "phaseBefore": step.phase_before.value,
-                    "phaseAfter": step.phase_after.value,
-                    "outbound": len(step.outbound),
-                    "discards": step.discards,
-                })
+            self._record_finalized(node, result.finalized)
+        for observe in self.observers:
+            observe(node, cause, now, result, sent)
 
     def _start_next_height(self, node: ValidatorNode) -> None:
         """Start `node`'s next height, one tick after it finalized one. The

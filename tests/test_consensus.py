@@ -19,6 +19,7 @@ from ledgersim.model import Address, Block, Hash256, Signature, ZERO_HASH, block
 from ledgersim.netsim import Behavior, ByzantineSpec, EvKind, Network
 from ledgersim.simulation import Simulation, make_genesis_block
 
+from bft_monitor import install as install_monitor
 from conftest import make_genesis
 
 GENESIS = make_genesis_block()
@@ -227,7 +228,7 @@ class Pump:
             self.finalized.setdefault(sender, step.finalized)
         if sender in self.muted:
             return
-        for msg in step.outbound:
+        for msg, _ in step.outbound:
             self.queue.append((sender, msg))
 
     def deliver_all(self, now=0, limit=10_000):
@@ -272,7 +273,7 @@ class TestHonestRun:
         pump = Pump(keys, registry, 4)
         proposer = proposer_for(1, 0, pump.config)
         step = pump.engines[proposer].start_height(1, 0)
-        kinds = [m.kind for m in step.outbound]
+        kinds = [m.kind for m, _ in step.outbound]
         assert MsgKind.PRE_PREPARE in kinds and MsgKind.PREPARE in kinds
 
 
@@ -353,7 +354,7 @@ class TestDiscards:
         other = replace(block, state_root=Hash256(b"\x07" * 32))
         first, second = (make_message(proposer, MsgKind.PRE_PREPARE, 1, 0, block_hash(b),
                                       proposal=b) for b in (block, other))
-        assert [m.kind for m in engine.handle_message(first, 0).outbound] == [MsgKind.PREPARE]
+        assert [m.kind for m, _ in engine.handle_message(first, 0).outbound] == [MsgKind.PREPARE]
         step = engine.handle_message(second, 1)
         assert step.discards == ["DuplicateMessage"] and not step.outbound
         assert engine.accepted == block
@@ -413,7 +414,7 @@ class TestDiscards:
         assert engine.phase is Phase.AWAITING_PROPOSAL and engine.locked_hash is None
 
         step = engine.handle_message(vote, 2)
-        assert [m.kind for m in step.outbound] == [MsgKind.COMMIT]
+        assert [m.kind for m, _ in step.outbound] == [MsgKind.COMMIT]
         assert engine.phase is Phase.PREPARED and engine.locked_hash == bh
 
     def test_unknown_sender_rejected(self, keys, registry):
@@ -465,7 +466,7 @@ class TestFutureRoundVotes:
 
         step = engine.handle_message(make_message(
             proposer, MsgKind.PRE_PREPARE, 1, 1, bh, proposal=block), 3)
-        assert [m.kind for m in step.outbound] == [MsgKind.PREPARE, MsgKind.COMMIT]
+        assert [m.kind for m, _ in step.outbound] == [MsgKind.PREPARE, MsgKind.COMMIT]
         assert engine.locked_hash == bh
         assert step.finalized is not None and block_hash(step.finalized) == bh
         assert step.finalized.round == 1 and len(step.finalized.commit_seals) == 4
@@ -536,7 +537,7 @@ class TestLockHintReproposal:
                 step = engine.handle_message(make_message(
                     keys[i], MsgKind.ROUND_CHANGE, 1, round_ + 1, named[i - 1]), now)
         assert engine.round == 3 and engine.locked_hash is None
-        proposals = [m for m in step.outbound if m.kind is MsgKind.PRE_PREPARE]
+        proposals = [m for m, _ in step.outbound if m.kind is MsgKind.PRE_PREPARE]
         assert len(proposals) == 1 and proposals[0].sender == keys[0].address
         return proposals[0].proposal, [block_hash(b) for b in blocks]
 
@@ -577,6 +578,7 @@ class TestLockSplit:
         sim = Simulation(make_genesis(seed=1, gst=0, delta=1, pre_gst_loss_prob=0))
         v = sim.config.validators
         sim.inject_fault(ByzantineSpec(v[1], Behavior.SILENT))
+        monitor = install_monitor(sim)
         send = Network.send
 
         def lossy_send(net, payload, frm, to, now):
@@ -600,19 +602,25 @@ class TestLockSplit:
             for i in recipients:
                 sim.queue.schedule(at, EvKind.DELIVER, v[i], msg)
         sim.run(until=100)
-        return sim, block_hash(b1), block_hash(b2)
+        return sim, monitor, block_hash(b1), block_hash(b2)
 
     def test_schedule_splits_the_honest_locks(self, split):
-        sim, b1, b2 = split
+        sim, monitor, b1, b2 = split
         locks = [sim.nodes[a].engine.locked_hash for a in sim.config.validators]
         assert (locks[0], locks[2], locks[3]) == (b1, b2, b2)
         assert sim.min_honest_height() == 0
+        assert monitor.violations == []
+
+    def test_split_locks_stay_safe_at_every_step(self, split):
+        sim, monitor, _, _ = split
+        sim.run(until=20_000)
+        assert monitor.violations == [] and sim.safety_violation is None
 
     @pytest.mark.xfail(strict=True, reason=(
         "ROADMAP item 1: an engine never unlocks and ROUND_CHANGE carries no "
         "prepared certificate, so split locks stall the height forever"))
     def test_split_locks_finalize_after_gst(self, split):
-        sim, _, _ = split
+        sim, _, _, _ = split
         sim.run(until=20_000)
         assert sim.safety_violation is None
         assert sim.min_honest_height() >= 1

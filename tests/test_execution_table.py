@@ -92,7 +92,7 @@ class TestFailedVerdicts:
                            block_hash(bad), proposal=bad)
         for node in sim.nodes.values():
             if node is not proposer:
-                assert node.handle_consensus(msg, 0).steps[0].discards == ["InvalidBlock"]
+                assert node.handle_consensus(msg, 0).discards == ["InvalidBlock"]
         assert executions == [bad.txs]
         assert sim.executions[1][block_hash(bad)] is None
 
@@ -180,15 +180,14 @@ class TestSharedTable:
         seen = []
 
         def checked(sim):
-            record = sim._record_finalized
-
-            def then_check(node, block):
-                record(node, block)
+            def then_check(node, cause, now, result, sent):
+                if result.finalized is None:
+                    return
                 lowest = min(n.chain.head_height for n in sim.nodes.values())
                 assert all(h > lowest for h in sim.executions)
                 seen.append(lowest)
 
-            sim._record_finalized = then_check
+            sim.observers.append(then_check)
 
         sim = run(checked)
         assert seen[-1] >= 11
@@ -199,16 +198,15 @@ def check_honest_floor(sim, seen):
     """After every finalization, require that the table is evicted up to the
     lowest honest head and holds no height at or below it; `seen` gets that
     head."""
-    record = sim._record_finalized
-
-    def then_check(node, block):
-        record(node, block)
+    def then_check(node, cause, now, result, sent):
+        if result.finalized is None:
+            return
         lowest = sim.min_honest_height()
         assert sim.executions.floor == lowest
         assert all(h > lowest for h in sim.executions)
         seen.append(lowest)
 
-    sim._record_finalized = then_check
+    sim.observers.append(then_check)
 
 
 def stalled_silent_run(checked):

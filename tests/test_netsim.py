@@ -125,11 +125,9 @@ class TestDelayRegimes:
 
     def test_twin_runs_produce_identical_schedules(self):
         def run():
-            trace = []
-            net = Network(params(), EventQueue(), trace)
-            for i in range(500):
-                net.send(f"m{i}", A, B, now=i)
-            return trace
+            net = Network(params(), EventQueue())
+            sent = [net.send(f"m{i}", A, B, now=i) for i in range(500)]
+            return [None if ev is None else (ev.time, ev.seq) for ev in sent]
         assert run() == run()
 
 

@@ -157,12 +157,12 @@ class TestAnnounceRefusals:
 
     def test_a_quorum_of_seals_is_adopted(self, node, keys):
         block, result = self.announce(keys, node, lambda b: b)
-        assert result.finalized == [block] and node.chain.head == block
+        assert result.finalized == block and node.chain.head == block
 
     def test_seals_short_of_a_quorum_are_refused(self, node, keys):
         _, result = self.announce(
             keys, node, lambda b: replace(b, commit_seals=b.commit_seals[:2]))
-        assert result.finalized == [] and not result.outbound
+        assert result.finalized is None and not result.outbound
         assert node.chain.head_height == 0 and not node.executions
 
     def test_one_forged_seal_is_refused(self, node, keys):
@@ -173,7 +173,7 @@ class TestAnnounceRefusals:
             return replace(block, commit_seals=tuple(seals))
 
         _, result = self.announce(keys, node, forge)
-        assert result.finalized == [] and not result.outbound
+        assert result.finalized is None and not result.outbound
         assert node.chain.head_height == 0 and not node.executions
 
 
@@ -189,7 +189,7 @@ class TestCatchUpReply:
                              make_genesis_block(), 4_500_000, ExecutionTable())
         for h in range(1, heights + 1):
             sealed = _sealed(peer.build_block(h, 0), keys[1:4])
-            assert peer.handle_payload(BlockAnnounce(sealed), h).finalized == [sealed]
+            assert peer.handle_payload(BlockAnnounce(sealed), h).finalized == sealed
         return peer
 
     @staticmethod

@@ -265,6 +265,9 @@ class TestCli:
             proc = cli("run", "--genesis", str(bad), "--scenario", str(PAPER_FLOW))
             assert proc.returncode == 2, text[:8]
             assert "Traceback" not in proc.stderr
+            if text == NESTED:
+                assert "genesis is nested too deeply" in proc.stderr
+                assert "not valid JSON" not in proc.stderr
 
     @pytest.mark.parametrize("edit", [
         lambda s: s["commands"][0].update(atTime="soon"),
@@ -326,6 +329,9 @@ class TestCli:
         proc = cli("run", "--genesis", str(GENESIS), "--scenario", str(bad))
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
+        if edit == NESTED:
+            assert "scenario is nested too deeply" in proc.stderr
+            assert "not valid JSON" not in proc.stderr
 
     def test_invariant_violation_exits_4_under_python_O(self):
         """A deploy that changes state but reports failure breaks

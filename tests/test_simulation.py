@@ -1,5 +1,6 @@
 """Simulation run loop: client intake, the client-transaction prehash at
-start(), the minimum-height stop rule and the safety checker.
+start(), the minimum-height stop rule, the safety checker, and runs of
+seven validators with two faulty.
 
 `Simulation.start()` batch-hashes the unsigned encoding and bank-account
 string of every scheduled client transaction, guessing the nonces
@@ -26,6 +27,7 @@ from ledgersim.netsim import Behavior, ByzantineSpec
 from ledgersim.scenario import parse_scenario, run_scenario
 from ledgersim.simulation import Simulation, make_genesis_block
 
+from bft_monitor import install as install_monitor
 from conftest import make_genesis
 
 TWIN_SEED = 3
@@ -317,3 +319,28 @@ class TestSafetyChecker:
         assert report["safety"] is False
         assert report["safetyViolation"]["height"] == 1
         assert report["config"]["validators"][0] in report["safetyViolation"]["nodes"]
+
+
+class TestTwoFaultsOfSeven:
+    """n=7 tolerates f=2: with two faulty validators, every run reaches
+    height 30, the monitor finds no step that breaks the safety invariants,
+    and the honest nodes agree on every state root."""
+
+    @pytest.mark.parametrize("behaviors", [
+        (Behavior.EQUIVOCATE, Behavior.EQUIVOCATE),
+        (Behavior.EQUIVOCATE, Behavior.SILENT),
+        (Behavior.INVALID_PROPOSER, Behavior.EQUIVOCATE),
+    ], ids=lambda b: "+".join(x.value for x in b))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_reaches_height_30_safely(self, behaviors, seed):
+        sim = Simulation(make_genesis(seed=seed, n_validators=7), horizon=10_000,
+                         collect_traces=False)
+        for address, behavior in zip(sim.config.validators, behaviors):
+            sim.inject_fault(ByzantineSpec(address, behavior))
+        monitor = install_monitor(sim)
+        assert sim.config.f == 2
+        assert sim.run_until_min_height(30, cap=10_000)
+        assert sim.safety_violation is None and monitor.violations == []
+        honest = [sim.nodes[a].chain for a in sim.honest_addresses()]
+        for h in range(31):
+            assert len({chain.blocks[h].state_root for chain in honest}) == 1
