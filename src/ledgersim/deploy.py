@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from . import contract
 from .crypto import KeyPair
 from .errors import AlreadyDeployedByOther, DeployTimeout
 from .keccak import keccak256

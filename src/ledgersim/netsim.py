@@ -12,11 +12,12 @@ randomness flows from named streams derived from the master seed, and
 events are totally ordered by (time, seq) with seq assigned at
 scheduling time.
 
-An event is a `SimEvent`: time, seq, kind, target node and payload. A
-DELIVER event carries a network payload to its target, a TIMER event its
-target's timer epoch, and a CALL event, with the target None, a function
-of the simulation. It is a plain slotted record, not a frozen one: one
-is built per delivery, and nothing changes it after `schedule`.
+An event is a `SimEvent`: time, seq, target node and payload. An event
+with a target delivers a network payload to that node. One with the
+target None is a call, a function of the simulation: a node's round
+timer, its next height's start, or a scheduled client command or fault.
+It is a plain slotted record, not a frozen one: one is built per
+delivery, and nothing changes it after `schedule`.
 """
 
 from __future__ import annotations
@@ -71,21 +72,12 @@ class ByzantineSpec:
     behavior: Behavior
 
 
-class EvKind(enum.Enum):
-    DELIVER = "DELIVER"
-    TIMER = "TIMER"
-    CALL = "CALL"
-
-
-# bound once, as in consensus.py: an Enum class attribute is a slow lookup
-DELIVER, TIMER, CALL = EvKind
-
-
 @dataclass(slots=True)
 class SimEvent:
+    """The delivery of `payload` to the node `target` at `time`, or, with
+    the target None, a call of the simulation (see `Simulation.step`)."""
     time: int
     seq: int
-    kind: EvKind
     target: Optional[Address]
     payload: object
 
@@ -107,11 +99,10 @@ class EventQueue:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def schedule(self, time: int, kind: EvKind, target: Optional[Address],
-                 payload: object) -> SimEvent:
+    def schedule(self, time: int, target: Optional[Address], payload: object) -> SimEvent:
         if time < self.now:
             raise ValueError("cannot schedule into the past")
-        ev = SimEvent(time, self._next_seq, kind, target, payload)
+        ev = SimEvent(time, self._next_seq, target, payload)
         self._next_seq += 1
         heapq.heappush(self._heap, (time, ev.seq, ev))
         return ev
@@ -157,7 +148,7 @@ class Network:
             if delay > self.params.delta:
                 raise InternalInvariantViolation(
                     f"post-GST delay {delay} exceeds delta {self.params.delta}")
-        return self.queue.schedule(now + delay, DELIVER, to, payload)
+        return self.queue.schedule(now + delay, to, payload)
 
 
 def payload_kind(payload: object) -> str:

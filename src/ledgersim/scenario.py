@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -38,7 +39,7 @@ from .config import INT_FIELDS, GenesisConfig, active_keys
 from .crypto import KeyPair
 from .errors import InternalInvariantViolation, MalformedScenario
 from .model import (
-    KIND_BY_NAME, Address, Amount, Hash256, TxPayload, _json_account, _json_document,
+    KIND_BY_NAME, Address, Amount, Hash256, _json_account, _json_document,
     _json_int, _json_object, block_to_json, event_to_json, hx, unhx,
 )
 from .netsim import Behavior, ByzantineSpec
@@ -118,71 +119,45 @@ def parse_scenario(data: bytes) -> Scenario:
     return Scenario(obj["name"], tuple(commands), tuple(expectations), horizon)
 
 
-class _Runner:
-    def __init__(self, genesis: GenesisConfig, scenario: Scenario,
-                 seed: Optional[int]) -> None:
-        self.genesis = genesis
-        self.scenario = scenario
-        self.keys = active_keys(genesis.key_provider)
-        self.sim = Simulation(genesis, seed=seed, horizon=scenario.horizon)
-        amount = lambda v: Amount(_json_int(v))
-        self._parse = {"recipient": self._resolve_address, "account": _json_account,
-                       "amt": amount, "amount": amount}  # each payload field's parse
+def _resolve_key(keys: list[KeyPair], index: int) -> KeyPair:
+    if not 0 <= index < len(keys):
+        raise MalformedScenario(f"actor index {index} out of range")
+    return keys[index]
 
-    def _resolve_key(self, index: int) -> KeyPair:
-        if not 0 <= index < len(self.keys):
-            raise MalformedScenario(f"actor index {index} out of range")
-        return self.keys[index]
 
-    def _resolve_address(self, value) -> Address:
-        if type(value) is int:
-            return self._resolve_key(value).address
-        if isinstance(value, str):
-            return Address(unhx(value))
-        raise MalformedScenario(f"cannot resolve address from {value!r}")
+def _resolve_address(keys: list[KeyPair], value) -> Address:
+    if type(value) is int:
+        return _resolve_key(keys, value).address
+    if isinstance(value, str):
+        return Address(unhx(value))
+    raise MalformedScenario(f"cannot resolve address from {value!r}")
 
-    def _payload(self, command: Command) -> TxPayload:
+
+def _schedule(sim: Simulation, keys: list[KeyPair], index: int, command: Command) -> None:
+    if command.action in KIND_BY_NAME:
+        key = _resolve_key(keys, command.actor)
         kind = KIND_BY_NAME[command.action]
-        return kind.cls(*[self._parse[n](command.params[n]) for n in kind.fields])
-
-    def schedule_all(self) -> None:
-        for index, command in enumerate(self.scenario.commands):
-            try:
-                self._schedule(index, command)
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise MalformedScenario(
-                    f"command {index} ({command.action}): bad parameters: {exc!r}"
-                ) from None
-
-    def _schedule(self, index: int, command: Command) -> None:
-        if command.action in KIND_BY_NAME:
-            key = self._resolve_key(command.actor)
-            self.sim.schedule_tx(command.at_time, key,
-                                 self._payload(command), label=index)
-        elif command.action == "getBalance":
-            target = command.params.get("address", command.actor)
-            self.sim.schedule_query(command.at_time,
-                                    self._resolve_address(target),
-                                    label=index)
-        elif command.action == "injectFault":
-            node_index = _json_int(command.params["node"])
-            validators = self.sim.config.validators
-            if not 0 <= node_index < len(validators):
-                raise MalformedScenario(f"fault node {node_index} out of range")
-            behavior = Behavior(command.params["behavior"])
-            self.sim.schedule_fault(
-                command.at_time,
-                ByzantineSpec(validators[node_index], behavior))
-        else:
-            self.sim.schedule_set_gst(command.at_time)
-
-    def run(self) -> None:
-        self.schedule_all()
-        self.sim.run()
+        amount = lambda v: Amount(_json_int(v))
+        parse = {"recipient": partial(_resolve_address, keys), "account": _json_account,
+                 "amt": amount, "amount": amount}  # each payload field's parse
+        payload = kind.cls(*[parse[n](command.params[n]) for n in kind.fields])
+        sim.schedule_tx(command.at_time, key, payload, label=index)
+    elif command.action == "getBalance":
+        target = command.params.get("address", command.actor)
+        sim.schedule_query(command.at_time, _resolve_address(keys, target), label=index)
+    elif command.action == "injectFault":
+        node_index = _json_int(command.params["node"])
+        validators = sim.config.validators
+        if not 0 <= node_index < len(validators):
+            raise MalformedScenario(f"fault node {node_index} out of range")
+        behavior = Behavior(command.params["behavior"])
+        sim.schedule_fault(command.at_time, ByzantineSpec(validators[node_index], behavior))
+    else:
+        sim.schedule_set_gst(command.at_time)
 
 
-def _evaluate_expectations(runner: _Runner) -> list[dict]:
-    sim = runner.sim
+def _evaluate_expectations(sim: Simulation, keys: list[KeyPair],
+                           expectations: tuple[dict, ...]) -> list[dict]:
     ref = sim.reference_node()
     results = []
     contract_state = ref.chain.head_ledger.contract
@@ -190,7 +165,7 @@ def _evaluate_expectations(runner: _Runner) -> list[dict]:
     def balance_of(address: Address) -> int:
         return int(contract_state.balances.get(address, 0))
 
-    for index, exp in enumerate(runner.scenario.expectations):
+    for index, exp in enumerate(expectations):
         kind = exp.get("kind")
         ok = False
         detail = ""
@@ -200,7 +175,7 @@ def _evaluate_expectations(runner: _Runner) -> list[dict]:
                 ok = got == _json_int(exp["value"])
                 detail = f"organization balance {got}"
             elif kind == "balance":
-                address = runner._resolve_address(exp["address"])
+                address = _resolve_address(keys, exp["address"])
                 got = balance_of(address)
                 ok = got == _json_int(exp["value"])
                 detail = f"balance[{hx(address)}] = {got}"
@@ -282,19 +257,19 @@ def _evaluate_expectations(runner: _Runner) -> list[dict]:
     return results
 
 
-def build_report(runner: _Runner, expectation_results: list[dict]) -> dict:
-    sim = runner.sim
-    genesis = runner.genesis
+def build_report(sim: Simulation, scenario: Scenario,
+                 expectation_results: list[dict]) -> dict:
+    genesis = sim.genesis
     honest = sim.honest_addresses()
     conservation = {hx(a): sim.conservation_ok(a) for a in sim.config.validators}
-    report = {
-        "scenario": runner.scenario.name,
+    return {
+        "scenario": scenario.name,
         "config": {
             **{name: getattr(genesis, attr) for name, attr, _ in INT_FIELDS},
             "validators": [hx(a) for a in sim.config.validators],
             "preGstLossProb": genesis.pre_gst_loss_prob,
             "seed": sim.seed,  # the run's seed, which --seed may override
-            "horizon": runner.scenario.horizon,
+            "horizon": scenario.horizon,
         },
         "finalizedHeight": {hx(a): sim.finalized_height(a)
                             for a in sim.config.validators},
@@ -308,16 +283,23 @@ def build_report(runner: _Runner, expectation_results: list[dict]) -> dict:
         "queries": sim.queries,
         "expectations": expectation_results,
     }
-    return report
 
 
 def run_scenario(genesis: GenesisConfig, scenario: Scenario, *,
                  seed: Optional[int] = None,
                  out_dir: Optional[Path] = None) -> tuple[int, dict]:
     """Execute a scenario and write artifacts; returns (exit code, report)."""
-    runner = _Runner(genesis, scenario, seed)
+    keys = active_keys(genesis.key_provider)
+    sim = Simulation(genesis, seed=seed, horizon=scenario.horizon)
+    for index, command in enumerate(scenario.commands):
+        try:
+            _schedule(sim, keys, index, command)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise MalformedScenario(
+                f"command {index} ({command.action}): bad parameters: {exc!r}"
+            ) from None
     try:
-        runner.run()
+        sim.run()
     except InternalInvariantViolation as exc:
         report = {"scenario": scenario.name, "internalError": str(exc)}
         if out_dir is not None:
@@ -325,9 +307,8 @@ def run_scenario(genesis: GenesisConfig, scenario: Scenario, *,
             (out_dir / "report.json").write_bytes(_dump_json(report))
         return 4, report
 
-    sim = runner.sim
-    expectation_results = _evaluate_expectations(runner)
-    report = build_report(runner, expectation_results)
+    expectation_results = _evaluate_expectations(sim, keys, scenario.expectations)
+    report = build_report(sim, scenario, expectation_results)
 
     invariant_broken = (sim.safety_violation is not None
                         or not all(report["conservation"].values()))
@@ -336,7 +317,7 @@ def run_scenario(genesis: GenesisConfig, scenario: Scenario, *,
     report["exitCode"] = exit_code
 
     if out_dir is not None:
-        _write_artifacts(runner, report, out_dir)
+        _write_artifacts(sim, report, out_dir)
     return exit_code, report
 
 
@@ -350,8 +331,7 @@ def _write_jsonl(path: Path, rows: Iterable[dict]) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def _write_artifacts(runner: _Runner, report: dict, out_dir: Path) -> None:
-    sim = runner.sim
+def _write_artifacts(sim: Simulation, report: dict, out_dir: Path) -> None:
     ref = sim.reference_node()
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_jsonl(out_dir / "chain.jsonl", map(block_to_json, ref.chain.blocks))

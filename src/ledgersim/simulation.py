@@ -20,14 +20,11 @@ from .crypto import KeyPair, Registry, sign
 from .errors import NotDeployed
 from .keccak import keccak256_many
 from .model import (
-    Address, AllowanceSent, Block, FundsAdded, Hash256, RegisterBankAccount,
-    Transaction, TxPayload, TxStatus, Signature, ZERO_ADDRESS, ZERO_HASH, block_hash,
-    hx, replace_unhashed, serialize_tx, tx_hash,
+    Address, AllowanceSent, Block, FundsAdded, RegisterBankAccount, Transaction,
+    TxPayload, Signature, ZERO_ADDRESS, ZERO_HASH, block_hash, hx, replace_unhashed,
+    serialize_tx, tx_hash,
 )
-from .netsim import (
-    CALL, TIMER, ByzantineSpec, EventQueue, Network, byzantine_transform,
-    payload_kind,
-)
+from .netsim import ByzantineSpec, EventQueue, Network, byzantine_transform, payload_kind
 from .node import ExecutionTable, ValidatorNode
 
 
@@ -114,14 +111,14 @@ class Simulation:
         self.consensus_trace = None if traces is None else traces.consensus
         self.net_trace = None if traces is None else traces.network
 
-        self.byzantine: dict[Address, ByzantineSpec] = {}
-        self._ever_byzantine: set[Address] = set()
+        # A key is a validator that is faulty for the whole run; its value is
+        # None until its scheduled fault is injected.
+        self.faults: dict[Address, Optional[ByzantineSpec]] = {}
         self._adversary_seen: set[tuple[Address, int, int]] = set()
 
         self.client_nonces: dict[Address, int] = {}
         self.submissions: list[dict] = []
         self.queries: list[dict] = []
-        self.finalized_hashes: dict[int, dict[Address, Hash256]] = {}
         self.safety_violation: Optional[dict] = None
         self._finalizations = 0  # blocks recorded by _record_finalized
         self._started = False
@@ -131,11 +128,10 @@ class Simulation:
     def inject_fault(self, spec: ByzantineSpec) -> None:
         if spec.node not in self.nodes:
             raise ValueError("fault target is not a validator")
-        self.byzantine[spec.node] = spec
-        self._ever_byzantine.add(spec.node)
+        self.faults[spec.node] = spec
 
     def honest_addresses(self) -> list[Address]:
-        return [a for a in self.config.validators if a not in self._ever_byzantine]
+        return [a for a in self.config.validators if a not in self.faults]
 
     def reference_node(self) -> ValidatorNode:
         honest = self.honest_addresses()
@@ -143,19 +139,19 @@ class Simulation:
 
     def schedule_tx(self, at_time: int, key: KeyPair, payload: TxPayload,
                     label: int = -1) -> None:
-        self.queue.schedule(at_time, CALL, None, ClientTx(label, key, payload))
+        self.queue.schedule(at_time, None, ClientTx(label, key, payload))
 
     def schedule_query(self, at_time: int, caller: Address, label: int = -1) -> None:
-        self.queue.schedule(at_time, CALL, None,
+        self.queue.schedule(at_time, None,
                             partial(Simulation._query, caller=caller, label=label))
 
     def schedule_fault(self, at_time: int, spec: ByzantineSpec) -> None:
         # the target counts as byzantine for the whole run
-        self._ever_byzantine.add(spec.node)
-        self.queue.schedule(at_time, CALL, None, partial(Simulation.inject_fault, spec=spec))
+        self.faults.setdefault(spec.node, None)
+        self.queue.schedule(at_time, None, partial(Simulation.inject_fault, spec=spec))
 
     def schedule_set_gst(self, at_time: int) -> None:
-        self.queue.schedule(at_time, CALL, None, lambda sim: sim.network.set_gst_now())
+        self.queue.schedule(at_time, None, lambda sim: sim.network.set_gst_now())
 
     # -- run loop -----------------------------------------------------------------
 
@@ -171,23 +167,20 @@ class Simulation:
             self._route(node, node.start(0), "START", 0)
 
     def step(self) -> bool:
-        """Process one event; returns False when the queue is empty. A CALL
-        event's payload takes the simulation as its argument: a call that
-        held it would close a cycle through the queue, which would keep a
-        finished run in memory until the cyclic collector ran."""
+        """Process one event; returns False when the queue is empty. An event
+        with a target delivers its payload there; one without is a call, which
+        takes the simulation as its argument: a call that held it would close
+        a cycle through the queue, which would keep a finished run in memory
+        until the cyclic collector ran."""
         if not self._started:
             self.start()
         if not self.queue._heap:
             return False
         ev = self.queue.next_event()
-        now = self.queue.now
-        if ev.kind is CALL:
+        if ev.target is None:
             ev.payload(self)
-            return True
-        node = self.nodes[ev.target]
-        if ev.kind is TIMER:
-            self._route(node, node.handle_timer(ev.payload, now), "TIMER", now)
         else:
+            node, now = self.nodes[ev.target], self.queue.now
             self._route(node, node.handle_payload(ev.payload, now), ev.payload, now)
         return True
 
@@ -278,7 +271,7 @@ class Simulation:
         delivery event or None for a drop) entry for each message put on
         the wire after the adversary hook. This is the one reader of a step."""
         outbound = result.outbound
-        spec = self.byzantine.get(node.address)
+        spec = self.faults.get(node.address)
         if spec is not None:
             outbound = byzantine_transform(spec, node, outbound, self._adversary_seen)
         send, sent = self.network.send, []
@@ -288,13 +281,20 @@ class Simulation:
 
         if result.timer is not None:
             deadline, epoch = result.timer
-            self.queue.schedule(deadline, TIMER, node.address, epoch)
+            self.queue.schedule(deadline, None,
+                                partial(Simulation._fire_timer, node=node, epoch=epoch))
         if result.finalized is not None:
-            self.queue.schedule(now + 1, CALL, None,
+            self.queue.schedule(now + 1, None,
                                 partial(Simulation._start_next_height, node=node))
             self._record_finalized(node, result.finalized)
         for observe in self.observers:
             observe(node, cause, now, result, sent)
+
+    def _fire_timer(self, node: ValidatorNode, epoch: int) -> None:
+        """Fire `node`'s round timer of `epoch`, which the engine ignores if
+        it is stale. The call holds the node, as `_start_next_height`'s does."""
+        now = self.queue.now
+        self._route(node, node.handle_timer(epoch, now), "TIMER", now)
 
     def _start_next_height(self, node: ValidatorNode) -> None:
         """Start `node`'s next height, one tick after it finalized one. The
@@ -309,23 +309,27 @@ class Simulation:
         """Count `node`'s new head `block`, check it against the other
         honest nodes' blocks at its height, and evict from the execution
         table every height that the lowest honest head has now reached. A
-        stalled faulty node would otherwise pin every height above its head."""
+        stalled faulty node would otherwise pin every height above its head.
+        Every chain append (`ValidatorNode._adopt`) comes here, so the chains
+        are the record of finality. The check stops at the first honest chain,
+        in validator order, with another block at the height."""
         self._finalizations += 1
-        honest = self.honest_addresses() or self.config.validators
-        self.executions.evict_through(min(self.nodes[a].chain.head_height for a in honest))
-        entry = self.finalized_hashes.setdefault(block.height, {})
-        entry[node.address] = block_hash(block)
-        if node.address in self._ever_byzantine or self.safety_violation:
+        honest = self.honest_addresses()
+        self.executions.evict_through(min(self.nodes[a].chain.head_height
+                                          for a in honest or self.config.validators))
+        if node.address in self.faults or self.safety_violation:
             return
-        for other, other_hash in entry.items():
-            if other in self._ever_byzantine:
+        height, own = block.height, block_hash(block)
+        for other in honest:
+            chain = self.nodes[other].chain
+            if other == node.address or chain.head_height < height:
                 continue
-            if other_hash != entry[node.address]:
-                self.safety_violation = {
-                    "height": block.height,
-                    "nodes": [hx(node.address), hx(other)],
-                    "hashes": [hx(entry[node.address]), hx(other_hash)],
-                }
+            theirs = block_hash(chain.blocks[height])
+            if theirs != own:
+                self.safety_violation = {"height": height,
+                                         "nodes": [hx(node.address), hx(other)],
+                                         "hashes": [hx(own), hx(theirs)]}
+                return
 
     # -- end-of-run inspection ----------------------------------------------------------
 
@@ -336,17 +340,13 @@ class Simulation:
         return min(self.finalized_height(a) for a in self.honest_addresses())
 
     def conservation_ok(self, address: Address) -> bool:
-        node = self.nodes[address]
+        chain = self.nodes[address].chain
         total = 0
-        for receipts in node.chain.receipts_by_height:
-            for receipt in receipts:
-                if receipt.status is not TxStatus.SUCCESS:
-                    continue
-                for event in receipt.events:
-                    if isinstance(event, FundsAdded):
-                        total += int(event.value)
-                    elif isinstance(event, AllowanceSent):
-                        total -= int(event.amount)
-        state = node.chain.head_ledger.contract
+        for *_, event in chain.events():  # a failed receipt carries no events
+            if isinstance(event, FundsAdded):
+                total += int(event.value)
+            elif isinstance(event, AllowanceSent):
+                total -= int(event.amount)
+        state = chain.head_ledger.contract
         org_balance = int(state.balances.get(state.organization, 0))
         return org_balance == total

@@ -16,10 +16,10 @@ from ledgersim.consensus import (
 from ledgersim.crypto import Registry
 from ledgersim.errors import InternalInvariantViolation
 from ledgersim.model import Address, Block, Hash256, Signature, ZERO_HASH, block_hash
-from ledgersim.netsim import Behavior, ByzantineSpec, EvKind, Network
+from ledgersim.netsim import Behavior, ByzantineSpec, Network
 from ledgersim.simulation import Simulation, make_genesis_block
 
-from bft_monitor import install as install_monitor
+from bft_monitor import install as install_monitor, install_watchdog
 from conftest import make_genesis
 
 GENESIS = make_genesis_block()
@@ -600,7 +600,7 @@ class TestLockSplit:
         ]
         for at, msg, recipients in script:
             for i in recipients:
-                sim.queue.schedule(at, EvKind.DELIVER, v[i], msg)
+                sim.queue.schedule(at, v[i], msg)
         sim.run(until=100)
         return sim, monitor, block_hash(b1), block_hash(b2)
 
@@ -621,9 +621,11 @@ class TestLockSplit:
         "prepared certificate, so split locks stall the height forever"))
     def test_split_locks_finalize_after_gst(self, split):
         sim, _, _, _ = split
+        watchdog = install_watchdog(sim, gst=100)  # the scripted loss ends at t=100
         sim.run(until=20_000)
         assert sim.safety_violation is None
         assert sim.min_honest_height() >= 1
+        assert watchdog.violations == []
 
 
 class TestValidateFinalizedBlock:

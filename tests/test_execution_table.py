@@ -154,15 +154,17 @@ def equivocation_run(checked, seed=8):
 
 
 def outputs(sim):
-    """What a run shows: every honest node's chain and receipts, the
-    finalized hashes and both traces."""
+    """What a run shows: every honest node's chain and receipts, every
+    validator's chain block hashes and both traces."""
     chains = {}
     for address in sim.honest_addresses():
         chain = sim.nodes[address].chain
         chains[address] = ([block_to_json(b) for b in chain.blocks],
                            [[receipt_to_json(r) for r in receipts]
                             for receipts in chain.receipts_by_height])
-    return chains, sim.finalized_hashes, sim.consensus_trace, sim.net_trace
+    hashes = {address: [block_hash(b) for b in node.chain.blocks]
+              for address, node in sim.nodes.items()}
+    return chains, hashes, sim.consensus_trace, sim.net_trace
 
 
 @pytest.mark.parametrize("run", [flood_run, equivocation_run])

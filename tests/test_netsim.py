@@ -11,7 +11,7 @@ from ledgersim.consensus import (
 from ledgersim.errors import EmptyQueue, InternalInvariantViolation
 from ledgersim.model import AddFunds, Address, Amount, Deploy, block_hash, hx
 from ledgersim.netsim import (
-    Behavior, ByzantineSpec, EvKind, EventQueue, Network, NetworkParams,
+    Behavior, ByzantineSpec, EventQueue, Network, NetworkParams,
     byzantine_transform, rng_stream,
 )
 from ledgersim.node import BlockAnnounce
@@ -46,24 +46,24 @@ class TestParams:
 class TestEventQueue:
     def test_tie_break_by_seq(self):
         q = EventQueue()
-        first = q.schedule(3, EvKind.TIMER, A, "x")
-        second = q.schedule(3, EvKind.TIMER, A, "y")
+        first = q.schedule(3, A, "x")
+        second = q.schedule(3, A, "y")
         assert first.seq < second.seq
         assert q.next_event().payload == "x"
         assert q.next_event().payload == "y"
 
     def test_clock_advances_to_popped_time(self):
         q = EventQueue()
-        q.schedule(7, EvKind.TIMER, A, "x")
+        q.schedule(7, A, "x")
         q.next_event()
         assert q.now == 7
 
     def test_cannot_schedule_into_the_past(self):
         q = EventQueue()
-        q.schedule(5, EvKind.TIMER, A, "x")
+        q.schedule(5, A, "x")
         q.next_event()
         with pytest.raises(ValueError):
-            q.schedule(3, EvKind.TIMER, A, "y")
+            q.schedule(3, A, "y")
 
     def test_empty_queue_raises(self):
         with pytest.raises(EmptyQueue):
@@ -74,7 +74,7 @@ class TestEventQueue:
         q = EventQueue()
         times = [rng.randrange(0, 500) for _ in range(1000)]
         for t in times:
-            q.schedule(t, EvKind.TIMER, A, t)
+            q.schedule(t, A, t)
         popped = [q.next_event() for _ in range(1000)]
         keys = [(ev.time, ev.seq) for ev in popped]
         assert keys == sorted(keys)  # sort oracle
@@ -84,7 +84,7 @@ class TestEventQueue:
         rng = random.Random(5)
         q = EventQueue()
         for i in range(200):
-            q.schedule(rng.randrange(0, 20), EvKind.TIMER, A, i)
+            q.schedule(rng.randrange(0, 20), A, i)
         pending = q.pending()
         assert len(q) == 200
         assert pending == [q.next_event() for _ in range(200)]

@@ -271,6 +271,13 @@ class TestSafetyChecker:
     takes no part."""
 
     @staticmethod
+    def finalize(sim, address, block):
+        """Put `block` on `address`'s chain and record it, as `_route` does."""
+        node = sim.nodes[address]
+        node.chain.append(block, node.chain.head_ledger, [])
+        sim._record_finalized(node, block)
+
+    @staticmethod
     def conflicting_blocks(sim):
         """Two sealed blocks at height 1 that differ in their state root."""
         parent = block_hash(make_genesis_block())
@@ -282,9 +289,9 @@ class TestSafetyChecker:
         sim = new_sim()
         first, second = self.conflicting_blocks(sim)
         a, b = sim.config.validators[1:3]
-        sim._record_finalized(sim.nodes[a], first)
+        self.finalize(sim, a, first)
         assert sim.safety_violation is None
-        sim._record_finalized(sim.nodes[b], second)
+        self.finalize(sim, b, second)
         assert sim.safety_violation == {
             "height": 1,
             "nodes": [hx(b), hx(a)],
@@ -298,17 +305,34 @@ class TestSafetyChecker:
         sim.inject_fault(ByzantineSpec(faulty, Behavior.EQUIVOCATE))
         order = (faulty, honest) if faulty_first else (honest, faulty)
         for address, block in zip(order, self.conflicting_blocks(sim)):
-            sim._record_finalized(sim.nodes[address], block)
+            self.finalize(sim, address, block)
         assert sim.safety_violation is None
-        assert len(sim.finalized_hashes[1]) == 2
+
+    @pytest.mark.parametrize("agreeing", [(1, 2), (2, 1)], ids=["V1_first", "V2_first"])
+    def test_the_report_names_the_first_disagreeing_validator(self, agreeing):
+        """V1 and V2 hold one block and V3 another: whichever of V1 and V2
+        finalized first, the report names V1, the first in validator order."""
+        sim = new_sim()
+        first, second = self.conflicting_blocks(sim)
+        v = sim.config.validators
+        for i in agreeing:
+            self.finalize(sim, v[i], first)
+        self.finalize(sim, v[3], second)
+        assert sim.safety_violation == {
+            "height": 1,
+            "nodes": [hx(v[3]), hx(v[1])],
+            "hashes": [hx(block_hash(second)), hx(block_hash(first))],
+        }
 
     def test_run_scenario_reports_a_violation_with_exit_4(self, monkeypatch):
-        """V0 records a block at height 1 that no other node finalized."""
+        """V0's chain holds a block at height 1 that no other node
+        finalized, whether V0 finalizes that height first or later."""
         record = Simulation._record_finalized
 
         def forked(sim, node, block):
             if block.height == 1 and node.address == sim.config.validators[0]:
                 block = replace(block, state_root=Hash256(b"\x99" * 32))
+                node.chain.blocks[1] = block
             record(sim, node, block)
 
         monkeypatch.setattr(Simulation, "_record_finalized", forked)
