@@ -18,10 +18,12 @@ Simplifications relative to full IBFT 2.0, on purpose:
     current height, so a node that missed the prepare phase can still
     finalize once it holds the proposal and a quorum of commits.
 
-The engine is a pure state machine: callers feed it messages, timer
-expiries and height starts, and it returns outbound (message, None)
-pairs, a None recipient meaning every peer, plus an optional finalized
-block. Messages the engine broadcasts are applied to its own state
+The engine is a pure state machine with no clock: callers feed it
+messages, timer expiries and height starts. Each entry point builds a
+StepResult, passes it to its internals and returns it: outbound
+(message, None) pairs, a None recipient meaning every peer, an optional
+finalized block, and the round timer to arm, as (timeout, epoch).
+Messages the engine broadcasts are applied to its own state
 synchronously (a validator counts its own votes), which makes the
 degenerate single-validator network finalize in one step.
 
@@ -38,7 +40,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .crypto import KeyPair, Registry, sign
-from .errors import InternalInvariantViolation
 from .model import (
     Address, Block, Hash256, Signature, ZERO_HASH, _u, block_hash, replace_unhashed,
 )
@@ -155,10 +156,11 @@ class StepResult:
     """What a node did on one event. `outbound` holds (payload, recipient)
     pairs: the engine broadcasts, with recipient None, and a node replies
     to one sender. `finalized` is the block the engine sealed or the node
-    adopted. The phases are None when the engine took no step."""
+    adopted. `timer` is the round timer armed, due `timeout` ticks after
+    the step. The phases are None when the engine took no step."""
     outbound: list[tuple[object, Optional[Address]]] = field(default_factory=list)
     finalized: Optional[Block] = None
-    timer: Optional[tuple[int, int]] = None  # (deadline, epoch)
+    timer: Optional[tuple[int, int]] = None  # (timeout, epoch)
     phase_before: Optional[Phase] = None
     phase_after: Optional[Phase] = None
     discards: list[str] = field(default_factory=list)
@@ -184,7 +186,6 @@ class Engine:
 
         self.timer_epoch = 0
         self._reset(0)
-        self._result: StepResult | None = None
 
     def _reset(self, height: int) -> None:
         """Set the per-height state, idle until `_enter_round`. `timer_epoch`
@@ -206,14 +207,14 @@ class Engine:
 
     # -- public entry points -------------------------------------------------
 
-    def start_height(self, height: int, now: int) -> StepResult:
-        result = self._begin()
+    def start_height(self, height: int) -> StepResult:
+        result = StepResult(phase_before=self.phase)
         self._reset(height)
-        self._enter_round(0, now)
+        self._enter_round(0, result)
         return self._finish(result)
 
-    def handle_message(self, msg: ConsensusMessage, now: int) -> StepResult:
-        result = self._begin()
+    def handle_message(self, msg: ConsensusMessage) -> StepResult:
+        result = StepResult(phase_before=self.phase)
         if msg.sender not in self.config.validators:
             result.discards.append("NotValidator")
         elif not verify_message(msg, self.registry):
@@ -223,54 +224,41 @@ class Engine:
         elif self.phase is FINALIZED:
             result.discards.append("HeightClosed")
         else:
-            self._process(msg, now)
+            self._process(msg, result)
         return self._finish(result)
 
-    def handle_timer(self, epoch: int, now: int) -> StepResult:
-        result = self._begin()
+    def handle_timer(self, epoch: int) -> StepResult:
+        result = StepResult(phase_before=self.phase)
         if epoch != self.timer_epoch or self.phase is FINALIZED:
             result.discards.append("StaleTimer")
-            return self._finish(result)
-        target = self.rc_target + 1
-        self.timer_epoch += 1
-        result.timer = (now + self._timeout(target), self.timer_epoch)
-        self._request_round(target, now)
+        else:
+            target = self.rc_target + 1
+            self.timer_epoch += 1
+            result.timer = (self._timeout(target), self.timer_epoch)
+            self._request_round(target, result)
         return self._finish(result)
 
     # -- internals -------------------------------------------------------------
 
-    def _begin(self) -> StepResult:
-        result = StepResult(phase_before=self.phase, phase_after=self.phase)
-        self._result = result
-        return result
-
     def _finish(self, result: StepResult) -> StepResult:
         result.phase_after = self.phase
-        self._result = None
         return result
-
-    def _step(self) -> StepResult:
-        """The result of the entry point being handled."""
-        if self._result is None:
-            raise InternalInvariantViolation("engine step outside an entry point")
-        return self._result
 
     def _timeout(self, round_: int) -> int:
         return self.config.base_round_timeout * (2 ** round_)
 
-    def _broadcast(self, msg: ConsensusMessage, now: int) -> None:
-        self._step().outbound.append((msg, None))
+    def _broadcast(self, msg: ConsensusMessage, result: StepResult) -> None:
+        result.outbound.append((msg, None))
         # a validator counts its own vote immediately
-        self._process(msg, now)
+        self._process(msg, result)
 
-    def _enter_round(self, round_: int, now: int) -> None:
-        result = self._step()
+    def _enter_round(self, round_: int, result: StepResult) -> None:
         self.round = round_
         self.phase = AWAITING_PROPOSAL
         self.accepted = None
         self.rc_target = max(self.rc_target, round_)
         self.timer_epoch += 1
-        result.timer = (now + self._timeout(round_), self.timer_epoch)
+        result.timer = (self._timeout(round_), self.timer_epoch)
         if proposer_for(self.height, round_, self.config) == self.key.address:
             block = (self._known_blocks[self.locked_hash]
                      if self.locked_hash is not None else self._contested_block())
@@ -278,72 +266,69 @@ class Engine:
                 block = self.build_block(self.height, round_)
             self._broadcast(make_message(
                 self.key, PRE_PREPARE, self.height, round_,
-                block_hash(block), proposal=block), now)
+                block_hash(block), proposal=block), result)
         queued = self._future_proposals.pop(round_, None)
         if queued is not None:
-            self._process(queued, now)
+            self._process(queued, result)
         if self.phase is not FINALIZED:
-            self._check_quorums(now)
+            self._check_quorums(result)
 
-    def _process(self, msg: ConsensusMessage, now: int) -> None:
+    def _process(self, msg: ConsensusMessage, result: StepResult) -> None:
         if self.phase is FINALIZED:
             return
         kind = msg.kind
         if kind is PRE_PREPARE:
-            self._on_pre_prepare(msg, now)
+            self._on_pre_prepare(msg, result)
         elif kind is ROUND_CHANGE:
-            self._on_round_change(msg, now)
+            self._on_round_change(msg, result)
         else:
-            self._on_vote(msg, now)
+            self._on_vote(msg, result)
 
-    def _discard(self, reason: str) -> None:
-        self._step().discards.append(reason)
-
-    def _on_pre_prepare(self, msg: ConsensusMessage, now: int) -> None:
+    def _on_pre_prepare(self, msg: ConsensusMessage, result: StepResult) -> None:
         if msg.round < self.round:
-            return self._discard("StaleRound")
+            return result.discards.append("StaleRound")
         if msg.proposal is None or block_hash(msg.proposal) != msg.block_hash:
-            return self._discard("MalformedProposal")
+            return result.discards.append("MalformedProposal")
         if msg.sender != proposer_for(self.height, msg.round, self.config):
-            return self._discard("InvalidProposer")
+            return result.discards.append("InvalidProposer")
         if msg.round > self.round:
             self._future_proposals.setdefault(msg.round, msg)
             return
         if self.accepted is not None:
-            return self._discard("DuplicateMessage")
+            return result.discards.append("DuplicateMessage")
         if self.locked_hash is not None and msg.block_hash != self.locked_hash:
-            return self._discard("ConflictsWithLock")
+            return result.discards.append("ConflictsWithLock")
         if not self.validate_block(msg.proposal):
-            return self._discard("InvalidBlock")
+            return result.discards.append("InvalidBlock")
         self.accepted = msg.proposal
         self._known_blocks[msg.block_hash] = msg.proposal
         self._broadcast(make_message(
             self.key, PREPARE, self.height, self.round,
-            msg.block_hash), now)
+            msg.block_hash), result)
 
-    def _on_vote(self, msg: ConsensusMessage, now: int) -> None:
+    def _on_vote(self, msg: ConsensusMessage, result: StepResult) -> None:
         """A PREPARE or COMMIT. Future-round votes are kept: prepares count
         on entering their round, and a commit quorum of any round finalizes."""
         if msg.round < self.round:
-            return self._discard("StaleRound")
+            return result.discards.append("StaleRound")
         votes = self._prepares if msg.kind is PREPARE else self._commits
         bucket = votes.setdefault((msg.round, msg.block_hash), {})
         if msg.sender in bucket:
-            return self._discard("DuplicateMessage")
+            return result.discards.append("DuplicateMessage")
         bucket[msg.sender] = msg.signature
-        self._check_quorums(now)
+        self._check_quorums(result)
 
-    def _on_round_change(self, msg: ConsensusMessage, now: int) -> None:
+    def _on_round_change(self, msg: ConsensusMessage, result: StepResult) -> None:
         target = msg.round
         if target <= self.round:
-            return self._discard("StaleRound")
+            return result.discards.append("StaleRound")
         bucket = self._round_changes.setdefault(target, {})
         if msg.sender in bucket:
-            return self._discard("DuplicateMessage")
+            return result.discards.append("DuplicateMessage")
         bucket[msg.sender] = msg
         # no bucket above self.round holds a quorum: the vote completing one enters it
         if len(bucket) >= self.config.quorum:
-            self._enter_round(target, now)
+            self._enter_round(target, result)
         if self.phase is FINALIZED:
             return
         # f+1 distinct peers already asked for a later round: echo the
@@ -355,14 +340,14 @@ class Engine:
                 union |= self._round_changes[t].keys()
             jump = min(later)
             if len(union) >= self.config.f + 1 and self.rc_target < jump:
-                self._request_round(jump, now)
+                self._request_round(jump, result)
 
-    def _request_round(self, target: int, now: int) -> None:
+    def _request_round(self, target: int, result: StepResult) -> None:
         """Broadcast a ROUND_CHANGE to `target` with this node's lock hint."""
         self.rc_target = target
         self._broadcast(make_message(
             self.key, ROUND_CHANGE, self.height, target,
-            self.locked_hash or ZERO_HASH), now)
+            self.locked_hash or ZERO_HASH), result)
 
     def _contested_block(self) -> Optional[Block]:
         """The block that peers report being locked on, if we hold it. A
@@ -381,7 +366,7 @@ class Engine:
         best = min(counts, key=lambda h: (-counts[h], h))
         return self._known_blocks[best]
 
-    def _check_quorums(self, now: int) -> None:
+    def _check_quorums(self, result: StepResult) -> None:
         q = self.config.quorum
         if (self.phase is AWAITING_PROPOSAL and self.accepted is not None):
             bh = block_hash(self.accepted)
@@ -390,16 +375,15 @@ class Engine:
                 self.locked_hash = bh
                 # counting this COMMIT runs the commit scan below
                 self._broadcast(make_message(
-                    self.key, COMMIT, self.height, self.round, bh), now)
+                    self.key, COMMIT, self.height, self.round, bh), result)
                 return
         for (round_, bh), seals in self._commits.items():
             if len(seals) >= q and bh in self._known_blocks:
-                self._finalize(round_, bh, seals)
+                self._finalize(round_, bh, seals, result)
                 return
 
     def _finalize(self, round_: int, bh: Hash256,
-                  seals: dict[Address, Signature]) -> None:
-        result = self._step()
+                  seals: dict[Address, Signature], result: StepResult) -> None:
         block = self._known_blocks[bh]
         sealed = replace_unhashed(
             block, round=round_,

@@ -146,8 +146,8 @@ class ValidatorNode:
 
     # -- lifecycle -------------------------------------------------------------
 
-    def start(self, now: int) -> StepResult:
-        return self._wrap(self.engine.start_height(1, now))
+    def start(self) -> StepResult:
+        return self._wrap(self.engine.start_height(1))
 
     # -- block assembly and validation ------------------------------------------
 
@@ -187,20 +187,20 @@ class ValidatorNode:
 
     # -- event handlers ------------------------------------------------------------
 
-    def handle_payload(self, payload: object, now: int) -> StepResult:
+    def handle_payload(self, payload: object) -> StepResult:
         if isinstance(payload, ConsensusMessage):
-            return self.handle_consensus(payload, now)
+            return self.handle_consensus(payload)
         if isinstance(payload, BlockAnnounce):
-            return self.handle_announce(payload.block, now)
+            return self.handle_announce(payload.block)
         raise TypeError(f"unknown payload {payload!r}")
 
-    def handle_height_start(self, now: int) -> StepResult:
+    def handle_height_start(self) -> StepResult:
         target = self.chain.head_height + 1
         if self.engine.height >= target:
             return StepResult()  # already working on it
-        return self._wrap(self.engine.start_height(target, now))
+        return self._wrap(self.engine.start_height(target))
 
-    def handle_consensus(self, msg: ConsensusMessage, now: int) -> StepResult:
+    def handle_consensus(self, msg: ConsensusMessage) -> StepResult:
         if msg.height <= self.chain.head_height:
             # A ROUND_CHANGE here means the sender is stuck behind: send it
             # the sealed blocks it is missing. A late vote needs nothing.
@@ -212,12 +212,12 @@ class ValidatorNode:
             return result
         if msg.height > self.engine.height:
             return StepResult()  # cannot use future heights yet
-        return self._wrap(self.engine.handle_message(msg, now))
+        return self._wrap(self.engine.handle_message(msg))
 
-    def handle_timer(self, epoch: int, now: int) -> StepResult:
-        return self._wrap(self.engine.handle_timer(epoch, now))
+    def handle_timer(self, epoch: int) -> StepResult:
+        return self._wrap(self.engine.handle_timer(epoch))
 
-    def handle_announce(self, block: Block, now: int) -> StepResult:
+    def handle_announce(self, block: Block) -> StepResult:
         if not validate_finalized_block(block, self.config, self.registry,
                                         parent=self.chain.head):
             return StepResult()

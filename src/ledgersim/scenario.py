@@ -1,7 +1,7 @@
 """Scripted scenarios: parse, run, report.
 
 A scenario is declarative JSON: named, with an ordered list of client
-commands at non-decreasing logical times, plus optional expectations
+commands at non-decreasing logical times from 0, plus optional expectations
 evaluated after the run. A command takes exactly `atTime`, `actor` and
 `action`. Actors are indices into the key provider's active range;
 recipient and address parameters accept either an actor index or a
@@ -96,8 +96,8 @@ def parse_scenario(data: bytes) -> Scenario:
         _json_object(action_obj, ("type",), _ACTIONS[action], f"command {i}: {action}",
                      MalformedScenario)
         at_time = _json_int(raw["atTime"], f"command {i}: atTime", MalformedScenario)
-        if at_time < last_time:
-            raise MalformedScenario("command times must be non-decreasing")
+        if at_time < last_time:  # times start at 0 and never decrease
+            raise MalformedScenario(f"command {i}: atTime must be >= {last_time}")
         last_time = at_time
         params = {k: v for k, v in action_obj.items() if k != "type"}
         actor = _json_int(raw["actor"], f"command {i}: actor", MalformedScenario)

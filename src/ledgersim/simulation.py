@@ -125,9 +125,12 @@ class Simulation:
 
     # -- fault and command scheduling -----------------------------------------
 
-    def inject_fault(self, spec: ByzantineSpec) -> None:
+    def _check_fault_target(self, spec: ByzantineSpec) -> None:
         if spec.node not in self.nodes:
             raise ValueError("fault target is not a validator")
+
+    def inject_fault(self, spec: ByzantineSpec) -> None:
+        self._check_fault_target(spec)
         self.faults[spec.node] = spec
 
     def honest_addresses(self) -> list[Address]:
@@ -146,9 +149,9 @@ class Simulation:
                             partial(Simulation._query, caller=caller, label=label))
 
     def schedule_fault(self, at_time: int, spec: ByzantineSpec) -> None:
-        # the target counts as byzantine for the whole run
-        self.faults.setdefault(spec.node, None)
+        self._check_fault_target(spec)  # refused now, not when it fires
         self.queue.schedule(at_time, None, partial(Simulation.inject_fault, spec=spec))
+        self.faults.setdefault(spec.node, None)  # byzantine for the whole run
 
     def schedule_set_gst(self, at_time: int) -> None:
         self.queue.schedule(at_time, None, lambda sim: sim.network.set_gst_now())
@@ -162,9 +165,8 @@ class Simulation:
             return
         self._started = True
         self._prehash_client_txs()
-        for address in self.config.validators:
-            node = self.nodes[address]
-            self._route(node, node.start(0), "START", 0)
+        for node in self.nodes.values():  # in validator order
+            self._route(node, node.start(), "START")
 
     def step(self) -> bool:
         """Process one event; returns False when the queue is empty. An event
@@ -180,8 +182,8 @@ class Simulation:
         if ev.target is None:
             ev.payload(self)
         else:
-            node, now = self.nodes[ev.target], self.queue.now
-            self._route(node, node.handle_payload(ev.payload, now), ev.payload, now)
+            node = self.nodes[ev.target]
+            self._route(node, node.handle_payload(ev.payload), ev.payload)
         return True
 
     def advance(self, limit: int) -> bool:
@@ -263,13 +265,14 @@ class Simulation:
 
     # -- routing -------------------------------------------------------------------
 
-    def _route(self, node: ValidatorNode, result: StepResult, cause: object,
-               now: int) -> None:
+    def _route(self, node: ValidatorNode, result: StepResult, cause: object) -> None:
         """Send, schedule and record what `node` did on `cause`: the payload
         it handled, or the label "START", "TIMER" or "HEIGHTSTART". Then
         hand the step to each observer, with `sent`: a (payload, peer,
         delivery event or None for a drop) entry for each message put on
-        the wire after the adversary hook. This is the one reader of a step."""
+        the wire after the adversary hook. This is the one reader of a step,
+        and of the clock for it: a timer's timeout counts from now."""
+        now = self.queue.now
         outbound = result.outbound
         spec = self.faults.get(node.address)
         if spec is not None:
@@ -280,8 +283,8 @@ class Simulation:
                 sent.append((payload, peer, send(payload, node.address, peer, now)))
 
         if result.timer is not None:
-            deadline, epoch = result.timer
-            self.queue.schedule(deadline, None,
+            timeout, epoch = result.timer
+            self.queue.schedule(now + timeout, None,
                                 partial(Simulation._fire_timer, node=node, epoch=epoch))
         if result.finalized is not None:
             self.queue.schedule(now + 1, None,
@@ -293,15 +296,13 @@ class Simulation:
     def _fire_timer(self, node: ValidatorNode, epoch: int) -> None:
         """Fire `node`'s round timer of `epoch`, which the engine ignores if
         it is stale. The call holds the node, as `_start_next_height`'s does."""
-        now = self.queue.now
-        self._route(node, node.handle_timer(epoch, now), "TIMER", now)
+        self._route(node, node.handle_timer(epoch), "TIMER")
 
     def _start_next_height(self, node: ValidatorNode) -> None:
         """Start `node`'s next height, one tick after it finalized one. The
         call holds the node, which does not hold the simulation, and takes
         the simulation as its argument, as every call does (see `step`)."""
-        now = self.queue.now
-        self._route(node, node.handle_height_start(now), "HEIGHTSTART", now)
+        self._route(node, node.handle_height_start(), "HEIGHTSTART")
 
     # -- bookkeeping ------------------------------------------------------------------
 

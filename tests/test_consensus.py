@@ -14,9 +14,9 @@ from ledgersim.consensus import (
     validate_finalized_block, verify_message,
 )
 from ledgersim.crypto import Registry
-from ledgersim.errors import InternalInvariantViolation
 from ledgersim.model import Address, Block, Hash256, Signature, ZERO_HASH, block_hash
 from ledgersim.netsim import Behavior, ByzantineSpec, Network
+from ledgersim.node import ValidatorNode
 from ledgersim.simulation import Simulation, make_genesis_block
 
 from bft_monitor import install as install_monitor, install_watchdog
@@ -122,8 +122,8 @@ class TestVerdictCache:
         msg = self._vote(keys[0])
         for key in keys[1:4]:
             engine = _make_engine(key, config, registry)
-            engine.start_height(1, 0)
-            assert "InvalidSignature" not in engine.handle_message(msg, 0).discards
+            engine.start_height(1)
+            assert "InvalidSignature" not in engine.handle_message(msg).discards
         assert verifies == [(registry, keys[0].address)]
         assert msg._verified is registry
 
@@ -147,9 +147,9 @@ class TestVerdictCache:
     def test_a_non_validator_sender_is_never_kept(self, keys, registry, verifies):
         config = ConsensusConfig(tuple(k.address for k in keys[:4]), 30)
         engine = _make_engine(keys[0], config, registry)
-        engine.start_height(1, 0)
+        engine.start_height(1)
         msg = self._vote(keys[6])  # registered, but not a validator
-        assert engine.handle_message(msg, 0).discards == ["NotValidator"]
+        assert engine.handle_message(msg).discards == ["NotValidator"]
         assert verifies == [] and msg._verified is None
 
     def test_another_registry_checks_again(self, keys, registry, verifies):
@@ -185,25 +185,6 @@ def _make_engine(key, config, registry):
     return Engine(config, key, registry, build_block, lambda b: True)
 
 
-class TestStepOutsideAnEntryPoint:
-    """Engine internals need the result of the entry point being handled;
-    without one they raise rather than assert, so `python -O` keeps the
-    check."""
-
-    @pytest.mark.parametrize("call", [
-        lambda e: e._discard("StaleRound"),
-        lambda e: e._enter_round(1, 0),
-        lambda e: e._broadcast(make_message(e.key, MsgKind.PREPARE, 1, 0, ZERO_HASH), 0),
-        lambda e: e._finalize(0, ZERO_HASH, {}),
-    ], ids=["discard", "enter_round", "broadcast", "finalize"])
-    def test_raises_an_invariant_violation(self, keys, registry, call):
-        config = ConsensusConfig(tuple(k.address for k in keys[:4]), 30)
-        engine = _make_engine(keys[0], config, registry)
-        engine.start_height(1, 0)
-        with pytest.raises(InternalInvariantViolation):
-            call(engine)
-
-
 class Pump:
     """Synchronous message pump between engines; no delays, no loss."""
 
@@ -216,10 +197,10 @@ class Pump:
         self.finalized: dict[Address, Block] = {}
         self.muted: set[Address] = set()
 
-    def start_all(self, height=1, now=0):
+    def start_all(self, height=1):
         for addr, engine in self.engines.items():
-            self._absorb(addr, engine.start_height(height, now))
-        self.deliver_all(now)
+            self._absorb(addr, engine.start_height(height))
+        self.deliver_all()
 
     def _absorb(self, sender, step: StepResult):
         if step.timer is not None:
@@ -231,26 +212,26 @@ class Pump:
         for msg, _ in step.outbound:
             self.queue.append((sender, msg))
 
-    def deliver_all(self, now=0, limit=10_000):
+    def deliver_all(self, limit=10_000):
         while self.queue and limit:
             limit -= 1
             sender, msg = self.queue.popleft()
             for addr, engine in self.engines.items():
                 if addr == sender:
                     continue
-                self._absorb(addr, engine.handle_message(msg, now))
+                self._absorb(addr, engine.handle_message(msg))
         assert limit, "message storm"
 
-    def fire_timer(self, addr, now):
-        deadline, epoch = self.timers[addr]
-        self._absorb(addr, self.engines[addr].handle_timer(epoch, now))
+    def fire_timer(self, addr):
+        _, epoch = self.timers[addr]
+        self._absorb(addr, self.engines[addr].handle_timer(epoch))
 
 
 class TestSingleValidator:
     def test_start_height_finalizes_immediately(self, keys, registry):
         pump = Pump(keys, registry, 1)
         addr = keys[0].address
-        step = pump.engines[addr].start_height(1, 0)
+        step = pump.engines[addr].start_height(1)
         assert step.finalized is not None
         assert step.finalized.height == 1
         assert len(step.finalized.commit_seals) == 1
@@ -272,7 +253,7 @@ class TestHonestRun:
     def test_proposer_for_height_1_round_0_proposes(self, keys, registry):
         pump = Pump(keys, registry, 4)
         proposer = proposer_for(1, 0, pump.config)
-        step = pump.engines[proposer].start_height(1, 0)
+        step = pump.engines[proposer].start_height(1)
         kinds = [m.kind for m, _ in step.outbound]
         assert MsgKind.PRE_PREPARE in kinds and MsgKind.PREPARE in kinds
 
@@ -288,8 +269,8 @@ class TestSilentProposer:
         # every live validator times out and broadcasts ROUND_CHANGE(1)
         for addr in pump.config.validators:
             if addr != silent:
-                pump.fire_timer(addr, now=30)
-        pump.deliver_all(now=30)
+                pump.fire_timer(addr)
+        pump.deliver_all()
 
         live = [a for a in pump.config.validators if a != silent]
         assert all(pump.engines[a].round == 1 for a in live)
@@ -304,8 +285,8 @@ class TestSilentProposer:
         pump.start_all(height=1)
         for addr in pump.config.validators:
             if addr != silent:
-                pump.fire_timer(addr, now=30)
-        pump.deliver_all(now=30)
+                pump.fire_timer(addr)
+        pump.deliver_all()
         block = next(iter(pump.finalized.values()))
         assert validate_finalized_block(block, pump.config, registry,
                                         parent=GENESIS)
@@ -317,12 +298,12 @@ class TestDiscards:
         victim = proposer_for(1, 0, pump.config)
         intruder = next(k for k in keys[:4] if k.address != victim)
         engine = pump.engines[victim]
-        engine.start_height(1, 0)
+        engine.start_height(1)
         root = contract.state_root(contract.fresh_state())
         block = Block(1, 0, block_hash(GENESIS), intruder.address, (), root, ())
         msg = make_message(intruder, MsgKind.PRE_PREPARE, 1, 0,
                            block_hash(block), proposal=block)
-        step = engine.handle_message(msg, 0)
+        step = engine.handle_message(msg)
         assert "InvalidProposer" in step.discards
         assert engine.accepted is None or engine.accepted.proposer == victim
 
@@ -334,7 +315,7 @@ class TestDiscards:
         proposer = next(k for k in keys if k.address == proposer_for(1, 0, config))
         peer = next(k for k in keys[:4] if k is not proposer)
         engine = _make_engine(peer, config, registry)
-        engine.start_height(1, 0)
+        engine.start_height(1)
         return proposer, _make_engine(proposer, config, registry).build_block(1, 0), engine
 
     @pytest.mark.parametrize("proposal", ["none", "other_block"])
@@ -345,7 +326,7 @@ class TestDiscards:
         other = replace(block, state_root=Hash256(b"\x07" * 32))
         msg = make_message(proposer, MsgKind.PRE_PREPARE, 1, 0, block_hash(block),
                            proposal=None if proposal == "none" else other)
-        step = engine.handle_message(msg, 0)
+        step = engine.handle_message(msg)
         assert step.discards == ["MalformedProposal"] and not step.outbound
         assert engine.accepted is None
 
@@ -354,8 +335,8 @@ class TestDiscards:
         other = replace(block, state_root=Hash256(b"\x07" * 32))
         first, second = (make_message(proposer, MsgKind.PRE_PREPARE, 1, 0, block_hash(b),
                                       proposal=b) for b in (block, other))
-        assert [m.kind for m, _ in engine.handle_message(first, 0).outbound] == [MsgKind.PREPARE]
-        step = engine.handle_message(second, 1)
+        assert [m.kind for m, _ in engine.handle_message(first).outbound] == [MsgKind.PREPARE]
+        step = engine.handle_message(second)
         assert step.discards == ["DuplicateMessage"] and not step.outbound
         assert engine.accepted == block
 
@@ -363,12 +344,12 @@ class TestDiscards:
         pump = Pump(keys, registry, 4)
         target = pump.config.validators[0]
         engine = pump.engines[target]
-        engine.start_height(1, 0)
+        engine.start_height(1)
         voter = keys[2]
         msg = make_message(voter, MsgKind.PREPARE, 1, 0, Hash256(b"\x09" * 32))
-        first = engine.handle_message(msg, 0)
+        first = engine.handle_message(msg)
         assert "DuplicateMessage" not in first.discards
-        second = engine.handle_message(msg, 0)
+        second = engine.handle_message(msg)
         assert "DuplicateMessage" in second.discards
 
     def test_stale_round_message_discarded(self, keys, registry):
@@ -378,17 +359,17 @@ class TestDiscards:
         pump.start_all(height=1)
         for addr in pump.config.validators:
             if addr != silent:
-                pump.fire_timer(addr, now=30)
-        pump.deliver_all(now=30)
+                pump.fire_timer(addr)
+        pump.deliver_all()
         live = next(a for a in pump.config.validators if a != silent)
         engine = pump.engines[live]
         # a fresh height keeps the example self-contained
-        engine.start_height(2, 40)
+        engine.start_height(2)
         engine._round_changes.setdefault(1, {})
         engine.round = 1  # pretend round already advanced
         voter = next(k for k in keys[:4] if k.address != live)
         stale = make_message(voter, MsgKind.PREPARE, 2, 0, Hash256(b"\x01" * 32))
-        step = engine.handle_message(stale, 41)
+        step = engine.handle_message(stale)
         assert "StaleRound" in step.discards
 
     def test_a_flipped_signature_bit_counts_toward_no_quorum(self, keys, registry):
@@ -396,24 +377,24 @@ class TestDiscards:
         proposer's; V2's prepare would make the quorum of three."""
         config = ConsensusConfig(tuple(k.address for k in keys[:4]), 30)
         engine = _make_engine(keys[0], config, registry)
-        engine.start_height(1, 0)
+        engine.start_height(1)
         proposer = next(k for k in keys if k.address == proposer_for(1, 0, config))
         block = _make_engine(proposer, config, registry).build_block(1, 0)
         bh = block_hash(block)
         for msg in (make_message(proposer, MsgKind.PRE_PREPARE, 1, 0, bh, proposal=block),
                     make_message(proposer, MsgKind.PREPARE, 1, 0, bh)):
-            assert not engine.handle_message(msg, 0).discards
+            assert not engine.handle_message(msg).discards
         assert len(engine._prepares[(0, bh)]) == 2
 
         vote = make_message(keys[2], MsgKind.PREPARE, 1, 0, bh)
         sig = bytearray(vote.signature)
         sig[5] ^= 0x10
-        step = engine.handle_message(replace(vote, signature=Signature(bytes(sig))), 1)
+        step = engine.handle_message(replace(vote, signature=Signature(bytes(sig))))
         assert step.discards == ["InvalidSignature"] and not step.outbound
         assert keys[2].address not in engine._prepares[(0, bh)]
         assert engine.phase is Phase.AWAITING_PROPOSAL and engine.locked_hash is None
 
-        step = engine.handle_message(vote, 2)
+        step = engine.handle_message(vote)
         assert [m.kind for m, _ in step.outbound] == [MsgKind.COMMIT]
         assert engine.phase is Phase.PREPARED and engine.locked_hash == bh
 
@@ -421,9 +402,9 @@ class TestDiscards:
         pump = Pump(keys, registry, 4)
         outsider = keys[6]  # registered key, but not a validator
         engine = pump.engines[pump.config.validators[0]]
-        engine.start_height(1, 0)
+        engine.start_height(1)
         msg = make_message(outsider, MsgKind.PREPARE, 1, 0, ZERO_HASH)
-        step = engine.handle_message(msg, 0)
+        step = engine.handle_message(msg)
         assert "NotValidator" in step.discards
 
 
@@ -449,23 +430,23 @@ class TestFutureRoundVotes:
         proposal it commits and finalizes with no further votes."""
         config = ConsensusConfig(tuple(k.address for k in keys[:4]), 30)
         engine = _make_engine(keys[0], config, registry)
-        engine.start_height(1, 0)
+        engine.start_height(1)
         proposer = keys[2]
         assert proposer_for(1, 1, config) == proposer.address
         block = _make_engine(proposer, config, registry).build_block(1, 1)
         bh = block_hash(block)
         for kind in (MsgKind.PREPARE, MsgKind.COMMIT):
             for voter in keys[1:4]:
-                step = engine.handle_message(make_message(voter, kind, 1, 1, bh), 1)
+                step = engine.handle_message(make_message(voter, kind, 1, 1, bh))
                 assert not step.discards and not step.outbound
                 assert step.finalized is None
         for voter in keys[1:4]:
             engine.handle_message(
-                make_message(voter, MsgKind.ROUND_CHANGE, 1, 1, ZERO_HASH), 2)
+                make_message(voter, MsgKind.ROUND_CHANGE, 1, 1, ZERO_HASH))
         assert engine.round == 1 and engine.phase is Phase.AWAITING_PROPOSAL
 
         step = engine.handle_message(make_message(
-            proposer, MsgKind.PRE_PREPARE, 1, 1, bh, proposal=block), 3)
+            proposer, MsgKind.PRE_PREPARE, 1, 1, bh, proposal=block))
         assert [m.kind for m, _ in step.outbound] == [MsgKind.PREPARE, MsgKind.COMMIT]
         assert engine.locked_hash == bh
         assert step.finalized is not None and block_hash(step.finalized) == bh
@@ -494,18 +475,87 @@ class TestRoundChangeQuorum:
             registry.register(key)
         config = ConsensusConfig(tuple(k.address for k in keys[:n]), 30)
         engine = _make_engine(keys[0], config, registry)
-        engine.start_height(1, 0)
-        for now, step in enumerate(steps, start=1):
+        engine.start_height(1)
+        for step in steps:
             if step is None:
-                engine.handle_timer(engine.timer_epoch, now)
+                engine.handle_timer(engine.timer_epoch)
             else:
                 sender, target = step
                 engine.handle_message(make_message(
-                    keys[sender % n], MsgKind.ROUND_CHANGE, 1, target, ZERO_HASH), now)
+                    keys[sender % n], MsgKind.ROUND_CHANGE, 1, target, ZERO_HASH))
             assert all(len(bucket) < config.quorum
                        for target, bucket in engine._round_changes.items()
                        if target > engine.round)
             assert engine.rc_target >= engine.round
+
+
+class TestRoundTimeoutSchedule:
+    """Round r times out `base_round_timeout · 2^r` ticks after it is armed.
+    The engine returns each timer as (timeout, epoch), and the simulation
+    fires it that many ticks after the step that armed it."""
+
+    BASE = 30
+
+    def engine(self, keys, registry):
+        config = ConsensusConfig(tuple(k.address for k in keys[:4]), self.BASE)
+        return _make_engine(keys[0], config, registry)
+
+    def test_start_height_arms_round_zero(self, keys, registry):
+        engine = self.engine(keys, registry)
+        for height in (1, 2):
+            assert engine.start_height(height).timer == (self.BASE, engine.timer_epoch)
+
+    @pytest.mark.parametrize("target", [1, 2, 3])
+    def test_a_round_change_quorum_arms_the_round_entered(self, keys, registry, target):
+        engine = self.engine(keys, registry)
+        engine.start_height(1)
+        for voter in keys[1:4]:
+            step = engine.handle_message(
+                make_message(voter, MsgKind.ROUND_CHANGE, 1, target, ZERO_HASH))
+            if engine.round == target:
+                break
+        assert engine.round == target
+        assert step.timer == (self.BASE * 2 ** target, engine.timer_epoch)
+
+    def test_a_timer_rearms_for_the_round_it_requests(self, keys, registry):
+        engine = self.engine(keys, registry)
+        engine.start_height(1)
+        for target in range(1, 6):
+            step = engine.handle_timer(engine.timer_epoch)
+            assert engine.rc_target == target and engine.round == 0
+            assert step.timer == (self.BASE * 2 ** target, engine.timer_epoch)
+
+    def test_a_simulation_fires_each_round_timer_at_entry_plus_timeout(self, monkeypatch):
+        """V1, the proposer of height 1 round 0, is silent, and messages
+        are lost before GST, so rounds above 0 are entered too."""
+        sim = Simulation(make_genesis(seed=5, gst=150, base_round_timeout=self.BASE))
+        sim.inject_fault(ByzantineSpec(sim.config.validators[1], Behavior.SILENT))
+        deadlines: dict[tuple[Address, int], int] = {}  # (node, epoch) -> due time
+        entered: dict[Address, tuple[int, int]] = {}  # node -> (height, round)
+        rounds: set[int] = set()  # every round entered
+        fired: list[tuple[Address, int, int]] = []  # (node, epoch, time)
+
+        def observe(node, cause, now, result, sent):
+            engine = node.engine
+            if entered.get(node.address) != (engine.height, engine.round):
+                entered[node.address] = (engine.height, engine.round)
+                rounds.add(engine.round)
+                assert result.timer == (self.BASE * 2 ** engine.round, engine.timer_epoch)
+            if result.timer is not None:
+                timeout, epoch = result.timer
+                deadlines[node.address, epoch] = now + timeout
+        sim.observers.append(observe)
+
+        handle_timer = ValidatorNode.handle_timer
+
+        def timed(node, epoch):
+            fired.append((node.address, epoch, sim.queue.now))
+            return handle_timer(node, epoch)
+        monkeypatch.setattr(ValidatorNode, "handle_timer", timed)
+
+        assert sim.run_until_min_height(5)
+        assert max(rounds) >= 1
+        assert fired and all(deadlines[a, epoch] == t for a, epoch, t in fired)
 
 
 class TestLockHintReproposal:
@@ -523,19 +573,17 @@ class TestLockHintReproposal:
     def _proposal(self, keys, registry, hints):
         config = ConsensusConfig(tuple(k.address for k in keys[:4]), 30)
         engine = _make_engine(keys[0], config, registry)
-        engine.start_height(1, 0)
+        engine.start_height(1)
         blocks = [_make_engine(keys[r + 1], config, registry).build_block(1, r)
                   for r in range(3)]
         named = [block_hash(blocks[h]) if isinstance(h, int) else h for h in hints]
-        now = 0
         for round_, senders in enumerate(((1, 2), (2, 3), (3, 1))):
-            now += 1
             engine.handle_message(make_message(
                 keys[round_ + 1], MsgKind.PRE_PREPARE, 1, round_,
-                block_hash(blocks[round_]), proposal=blocks[round_]), now)
+                block_hash(blocks[round_]), proposal=blocks[round_]))
             for i in senders:
                 step = engine.handle_message(make_message(
-                    keys[i], MsgKind.ROUND_CHANGE, 1, round_ + 1, named[i - 1]), now)
+                    keys[i], MsgKind.ROUND_CHANGE, 1, round_ + 1, named[i - 1]))
         assert engine.round == 3 and engine.locked_hash is None
         proposals = [m for m, _ in step.outbound if m.kind is MsgKind.PRE_PREPARE]
         assert len(proposals) == 1 and proposals[0].sender == keys[0].address

@@ -92,7 +92,7 @@ class TestFailedVerdicts:
                            block_hash(bad), proposal=bad)
         for node in sim.nodes.values():
             if node is not proposer:
-                assert node.handle_consensus(msg, 0).discards == ["InvalidBlock"]
+                assert node.handle_consensus(msg).discards == ["InvalidBlock"]
         assert executions == [bad.txs]
         assert sim.executions[1][block_hash(bad)] is None
 

@@ -156,7 +156,7 @@ class TestByzantineTransform:
     def test_silent_drops_everything(self):
         sim = _sim()
         node = sim.nodes[sim.config.validators[1]]
-        outbound = [*node.start(0).outbound,  # its height-1 proposal and prepare
+        outbound = [*node.start().outbound,  # its height-1 proposal and prepare
                     (BlockAnnounce(node.chain.head), node.peers[1])]
         assert [type(p) for p, _ in outbound] == \
             [ConsensusMessage, ConsensusMessage, BlockAnnounce]
@@ -170,7 +170,7 @@ class TestByzantineTransform:
             node = sim.nodes[sim.config.validators[1]]  # proposes height 1, round 0
             for payload in payloads[:n_txs]:
                 node.submit_transaction(sim.build_tx(sim.validator_keys[0], payload))
-            proposal, prepare = [m for m, _ in node.start(0).outbound]
+            proposal, prepare = [m for m, _ in node.start().outbound]
             assert (proposal.kind, prepare.kind) == (MsgKind.PRE_PREPARE, MsgKind.PREPARE)
             announce = (BlockAnnounce(node.chain.head), node.peers[2])
             spec = ByzantineSpec(node.address, Behavior.EQUIVOCATE)
@@ -215,7 +215,7 @@ class TestByzantineTransform:
         first = forged[0]
         assert (first.height, first.round) == (1, 0)
         for address in sim.honest_addresses():
-            step = sim.nodes[address].engine.handle_message(first, 0)
+            step = sim.nodes[address].engine.handle_message(first)
             assert step.discards == ["InvalidProposer"] and not step.outbound
         sim.run()
         assert own and foreign

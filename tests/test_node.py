@@ -153,7 +153,7 @@ class TestAnnounceRefusals:
                                 4_500_000, ExecutionTable())
         builder.submit_transaction(_tx(keys[0], 0, Deploy()))
         sealed = _sealed(builder.build_block(1, 0), keys[1:4])
-        return sealed, node.handle_payload(BlockAnnounce(seals(sealed)), 5)
+        return sealed, node.handle_payload(BlockAnnounce(seals(sealed)))
 
     def test_a_quorum_of_seals_is_adopted(self, node, keys):
         block, result = self.announce(keys, node, lambda b: b)
@@ -189,7 +189,7 @@ class TestCatchUpReply:
                              make_genesis_block(), 4_500_000, ExecutionTable())
         for h in range(1, heights + 1):
             sealed = _sealed(peer.build_block(h, 0), keys[1:4])
-            assert peer.handle_payload(BlockAnnounce(sealed), h).finalized == sealed
+            assert peer.handle_payload(BlockAnnounce(sealed)).finalized == sealed
         return peer
 
     @staticmethod
@@ -198,23 +198,23 @@ class TestCatchUpReply:
 
     def test_a_round_change_brings_the_laggard_to_the_head(self, node, keys):
         peer = self.peer_ahead(keys, node, 3)
-        result = peer.handle_payload(self.old_message(keys, MsgKind.ROUND_CHANGE, 1), 9)
+        result = peer.handle_payload(self.old_message(keys, MsgKind.ROUND_CHANGE, 1))
         assert result.outbound == [(BlockAnnounce(b), keys[0].address)
                                    for b in peer.chain.blocks[1:4]]
         for announce, _ in result.outbound:
-            node.handle_payload(announce, 10)
+            node.handle_payload(announce)
         assert node.chain.head_height == 3 and node.chain.head == peer.chain.head
 
     def test_the_reply_is_capped(self, node, keys):
         peer = self.peer_ahead(keys, node, 40)
-        result = peer.handle_payload(self.old_message(keys, MsgKind.ROUND_CHANGE, 1), 9)
+        result = peer.handle_payload(self.old_message(keys, MsgKind.ROUND_CHANGE, 1))
         assert CATCH_UP_BLOCKS == 32
         assert [a.block for a, _ in result.outbound] == peer.chain.blocks[1:33]
 
     @pytest.mark.parametrize("kind", [MsgKind.PREPARE, MsgKind.COMMIT])
     def test_a_late_vote_gets_no_reply(self, node, keys, kind):
         peer = self.peer_ahead(keys, node, 3)
-        assert not peer.handle_payload(self.old_message(keys, kind, 1), 9).outbound
+        assert not peer.handle_payload(self.old_message(keys, kind, 1)).outbound
 
 
 def run_paper_flow_sim(seed=11, gst=0, horizon=600):

@@ -49,7 +49,13 @@ class TestScenarioParsing:
         bad = {"name": "x", "commands": [
             {"atTime": 5, "actor": 0, "action": {"type": "deploy"}},
             {"atTime": 1, "actor": 0, "action": {"type": "deploy"}}]}
-        with pytest.raises(MalformedScenario):
+        with pytest.raises(MalformedScenario, match=r"^command 1: atTime must be >= 5$"):
+            parse_scenario(json.dumps(bad).encode())
+
+    def test_negative_time_rejected(self):
+        bad = {"name": "x", "commands": [
+            {"atTime": -5, "actor": 0, "action": {"type": "deploy"}}]}
+        with pytest.raises(MalformedScenario, match=r"^command 0: atTime must be >= 0$"):
             parse_scenario(json.dumps(bad).encode())
 
 
@@ -307,6 +313,7 @@ class TestCli:
         lambda s: s["expectations"][1].pop("address"),  # balance
         lambda s: s["expectations"][5].pop("value"),  # queryResult
         lambda s: s["commands"][0].update(atTme=5),
+        lambda s: s["commands"][0].update(atTime=-5),
         NESTED,  # the whole file
     ], ids=["atTime", "commands", "amt", "recipient", "horizon", "actor",
             "behavior", "expectations", "expectation", "account",
@@ -317,7 +324,8 @@ class TestCli:
             "negative_horizon", "misspelt_value", "misspelt_error",
             "unknown_kind", "list_action_type", "list_kind",
             "missing_orgBalance_value", "missing_balance_address",
-            "missing_queryResult_value", "misspelt_command_key", "nested"])
+            "missing_queryResult_value", "misspelt_command_key", "negative_atTime",
+            "nested"])
     def test_malformed_scenario_exits_2(self, tmp_path, edit):
         bad = tmp_path / "bad.json"
         if isinstance(edit, str):

@@ -223,6 +223,22 @@ class TestScheduledCalls:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("case", ["non_validator", "past_time"])
+    def test_a_refused_fault_changes_nothing(self, keys, case):
+        """A fault is refused when it is scheduled, not when it fires: a
+        target that is no validator, or a time already passed."""
+        sim = new_sim()
+        sim.run(until=50)
+        target = keys[7].address if case == "non_validator" else sim.config.validators[3]
+        faults, pending = dict(sim.faults), sim.queue.pending()
+        with pytest.raises(ValueError):
+            sim.schedule_fault(60 if case == "non_validator" else 10,
+                               ByzantineSpec(target, Behavior.SILENT))
+        assert sim.faults == faults == {}
+        assert sim.queue.pending() == pending
+        sim.run(until=100)
+        assert sim.honest_addresses() == list(sim.config.validators)
+
 
 class TestRunUntilMinHeight:
     @staticmethod
