@@ -6,11 +6,11 @@
     ledgersim receipt --chain chain.jsonl --genesis g.json --tx 0x...
 
 The SIM_SEED environment variable overrides --seed; a seed outside
-[0, 2**64) is a config error. Exit codes for
-`run`: 0 all expectations hold, 2 config error, 3 expectation failure,
-4 internal invariant violation. `replay` exits 0 on an intact dump,
-2 on unreadable inputs and 4 on a corrupt chain; `receipt` additionally
-exits 3 when the transaction is not on the chain.
+[0, 2**64) is a config error. Exit codes for `run`: 0 all expectations
+hold, 2 config error (an unusable input, or an --out that cannot be
+written), 3 expectation failure, 4 internal invariant violation.
+`replay` exits 0 on an intact dump, 2 on unreadable inputs and 4 on a
+corrupt chain; `receipt` also exits 3 when the tx is not on the chain.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import parse_genesis
+from .config import GenesisConfig, parse_genesis
 from .consensus import fault_tolerance, quorum_size
 from .errors import CorruptDump, LedgerSimError, MalformedConfig, MalformedScenario
 from .model import unhx
@@ -29,42 +29,29 @@ from .replay import receipt_from_dump, replay_chain
 from .scenario import parse_scenario, run_scenario
 
 
-def _config_error(message: object) -> int:
-    print(f"config error: {message}", file=sys.stderr)
-    return 2
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        genesis = parse_genesis(Path(args.genesis).read_bytes())
-        scenario = parse_scenario(Path(args.scenario).read_bytes())
-    except (OSError, MalformedConfig, MalformedScenario) as exc:
-        return _config_error(exc)
-
+    genesis = parse_genesis(Path(args.genesis).read_bytes())
+    scenario = parse_scenario(Path(args.scenario).read_bytes())
     seed = args.seed
     env_seed = os.environ.get("SIM_SEED")
     if env_seed is not None:
         try:
             seed = int(env_seed)
         except ValueError:
-            return _config_error(f"bad SIM_SEED {env_seed!r}")
+            raise MalformedConfig(f"bad SIM_SEED {env_seed!r}") from None
     if seed is not None and not 0 <= seed < 2 ** 64:
-        return _config_error(f"seed {seed} does not fit in 64 bits")
+        raise MalformedConfig(f"seed {seed} does not fit in 64 bits")
 
     out_dir = Path(args.out) if args.out else None
-    try:
-        code, report = run_scenario(genesis, scenario, seed=seed, out_dir=out_dir)
-    except MalformedScenario as exc:
-        return _config_error(exc)
-    name = report.get("scenario", "?")
+    code, report = run_scenario(genesis, scenario, seed=seed, out_dir=out_dir)
+    name = report["scenario"]
     if code == 4:
         print(f"{name}: INVARIANT VIOLATION", file=sys.stderr)
     else:
-        heights = report.get("finalizedHeight", {})
-        height = max(heights.values()) if heights else 0
+        height = max(report["finalizedHeight"].values())
         verdict = "ok" if code == 0 else "expectation failure"
         print(f"{name}: {verdict} (finalized height {height}, exit {code})")
-        for entry in report.get("expectations", ()):
+        for entry in report["expectations"]:
             mark = "PASS" if entry["ok"] else "FAIL"
             print(f"  [{mark}] {entry['kind']}: {entry['detail']}")
     return code
@@ -77,33 +64,23 @@ def _cmd_quorum_table(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_dump(args: argparse.Namespace) -> tuple[GenesisConfig, bytes]:
+    return parse_genesis(Path(args.genesis).read_bytes()), Path(args.chain).read_bytes()
+
+
 def _cmd_replay(args: argparse.Namespace) -> int:
-    try:
-        genesis = parse_genesis(Path(args.genesis).read_bytes())
-        dump = Path(args.chain).read_bytes()
-    except (OSError, MalformedConfig) as exc:
-        return _config_error(exc)
-    try:
-        verdict = replay_chain(genesis, dump)
-    except CorruptDump as exc:
-        print(f"CORRUPT: {exc}")
-        return 4
+    verdict = replay_chain(*_read_dump(args))
     print(str(verdict))
     return 0 if verdict.ok else 4
 
 
 def _cmd_receipt(args: argparse.Namespace) -> int:
+    genesis, dump = _read_dump(args)
     try:
-        genesis = parse_genesis(Path(args.genesis).read_bytes())
-        dump = Path(args.chain).read_bytes()
         wanted = unhx(args.tx)
-    except (OSError, MalformedConfig, ValueError) as exc:
-        return _config_error(exc)
-    try:
-        receipt = receipt_from_dump(genesis, dump, wanted)
-    except CorruptDump as exc:
-        print(f"CORRUPT: {exc}")
-        return 4
+    except ValueError as exc:
+        raise MalformedConfig(str(exc)) from None
+    receipt = receipt_from_dump(genesis, dump, wanted)
     if receipt is None:
         print("transaction not found", file=sys.stderr)
         return 3
@@ -128,20 +105,26 @@ def main(argv: list[str] | None = None) -> int:
     table_p.add_argument("--max-n", type=int, required=True)
     table_p.set_defaults(func=_cmd_quorum_table)
 
-    replay_p = sub.add_parser("replay", help="audit a chain dump")
-    replay_p.add_argument("--chain", required=True)
-    replay_p.add_argument("--genesis", required=True)
+    dump_p = argparse.ArgumentParser(add_help=False)  # what _read_dump reads
+    dump_p.add_argument("--chain", required=True)
+    dump_p.add_argument("--genesis", required=True)
+    replay_p = sub.add_parser("replay", parents=[dump_p], help="audit a chain dump")
     replay_p.set_defaults(func=_cmd_replay)
 
-    receipt_p = sub.add_parser("receipt", help="look up a receipt by tx hash")
-    receipt_p.add_argument("--chain", required=True)
-    receipt_p.add_argument("--genesis", required=True)
+    receipt_p = sub.add_parser("receipt", parents=[dump_p],
+                               help="look up a receipt by tx hash")
     receipt_p.add_argument("--tx", required=True, help="0x-prefixed tx hash")
     receipt_p.set_defaults(func=_cmd_receipt)
 
     args = parser.parse_args(argv)
-    try:
+    try:  # the commands raise; only here does a refusal become an exit code
         return args.func(args)
+    except (OSError, MalformedConfig, MalformedScenario) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except CorruptDump as exc:
+        print(f"CORRUPT: {exc}")
+        return 4
     except LedgerSimError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4

@@ -16,6 +16,7 @@ as an opaque non-empty label; the simulator has no remote endpoint.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .crypto import KeyPair
@@ -79,21 +80,28 @@ def _uint(obj: dict, name: str, minimum: int = 0) -> int:
     return value
 
 
+def _hex_list(obj: dict, name: str, what: str) -> Iterator[tuple[str, bytes]]:
+    """Each entry of the non-empty list `obj[name]` and its bytes, decoded
+    lazily, so the caller's checks on earlier entries come first."""
+    entries = obj[name]
+    if not isinstance(entries, list) or not entries:
+        raise MalformedConfig(f"{name} must be a non-empty list")
+    for entry in entries:
+        try:
+            raw = unhx(entry)
+        except (TypeError, ValueError) as exc:
+            raise MalformedConfig(f"bad {what} {entry!r}: {exc}") from None
+        yield entry, raw
+
+
 def parse_genesis(data: bytes) -> GenesisConfig:
     obj = _json_object(_json_document(data, "genesis", MalformedConfig), _TOP_FIELDS,
                        (), "genesis", MalformedConfig, MissingField)
     provider_obj = _json_object(obj["keyProvider"], _PROVIDER_FIELDS, (), "keyProvider",
                                 MalformedConfig, MissingField)
 
-    raw_keys = provider_obj["privateKeys"]
-    if not isinstance(raw_keys, list) or not raw_keys:
-        raise MalformedConfig("privateKeys must be a non-empty list")
     private_keys = []
-    for entry in raw_keys:
-        try:
-            raw = unhx(entry)
-        except (TypeError, ValueError) as exc:
-            raise MalformedConfig(f"bad private key {entry!r}: {exc}") from None
+    for _, raw in _hex_list(provider_obj, "privateKeys", "private key"):
         if len(raw) != 32:
             raise MalformedConfig("private keys must be 32 bytes")
         private_keys.append(raw)
@@ -118,16 +126,9 @@ def parse_genesis(data: bytes) -> GenesisConfig:
     if ints["seed"] >= 1 << 64:
         raise InvalidRange("seed must fit in 64 bits")
 
-    raw_validators = obj["validators"]
-    if not isinstance(raw_validators, list) or not raw_validators:
-        raise MalformedConfig("validators must be a non-empty list")
     by_address = {KeyPair.from_seed(k).address: k for k in private_keys}
     seeds = []
-    for entry in raw_validators:
-        try:
-            raw = unhx(entry)
-        except (TypeError, ValueError) as exc:
-            raise MalformedConfig(f"bad validator {entry!r}: {exc}") from None
+    for entry, raw in _hex_list(obj, "validators", "validator"):
         if len(raw) == 32:
             seeds.append(raw)
         elif len(raw) == 20:

@@ -11,9 +11,9 @@ Finality is instant and the chain is append-only; there are no forks or
 reorgs. A node that falls behind (for example the odd victim of an
 equivocating proposer) is caught up out-of-band, as Besu's block sync
 would: it times out and sends a ROUND_CHANGE for its old height, and a
-peer that has finalized that height replies with every sealed block
-from there to its head, at most `CATCH_UP_BLOCKS` of them. The laggard
-verifies each against the quorum seals and adopts it.
+peer that has finalized that height answers a signed one with every
+sealed block from there to its head, at most `CATCH_UP_BLOCKS` of them.
+The laggard verifies each against the quorum seals and adopts it.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Optional
 from . import contract
 from .consensus import (
     ROUND_CHANGE, ConsensusConfig, ConsensusMessage, Engine, StepResult,
-    validate_finalized_block,
+    validate_finalized_block, verify_message,
 )
 from .crypto import KeyPair, Registry
 from .errors import InternalInvariantViolation
@@ -206,7 +206,8 @@ class ValidatorNode:
             # the sealed blocks it is missing. A late vote needs nothing.
             result = StepResult()
             if (msg.kind is ROUND_CHANGE and msg.height >= 1
-                    and msg.sender in self.config.validators):
+                    and msg.sender in self.config.validators
+                    and verify_message(msg, self.registry)):
                 for sealed in self.chain.blocks[msg.height:msg.height + CATCH_UP_BLOCKS]:
                     result.outbound.append((BlockAnnounce(sealed), msg.sender))
             return result
@@ -218,25 +219,18 @@ class ValidatorNode:
         return self._wrap(self.engine.handle_timer(epoch))
 
     def handle_announce(self, block: Block) -> StepResult:
-        if not validate_finalized_block(block, self.config, self.registry,
-                                        parent=self.chain.head):
-            return StepResult()
-        executed = self._checked_execution(block)
-        if executed is None:
-            return StepResult()
-        self._adopt(block, *executed)
-        return StepResult(finalized=block)
+        adopted = (validate_finalized_block(block, self.config, self.registry,
+                                            parent=self.chain.head)
+                   and self._adopt(block))
+        return StepResult(finalized=block if adopted else None)
 
     # -- internals ------------------------------------------------------------------
 
     def _wrap(self, step: StepResult) -> StepResult:
         """`step`, once the block it finalized, if any, is adopted."""
-        if step.finalized is not None:
-            executed = self._checked_execution(step.finalized)
-            if executed is None:
-                raise InternalInvariantViolation(
-                    f"finalized block {step.finalized.height} fails the content check")
-            self._adopt(step.finalized, *executed)
+        if step.finalized is not None and not self._adopt(step.finalized):
+            raise InternalInvariantViolation(
+                f"finalized block {step.finalized.height} fails the content check")
         return step
 
     def _checked_execution(self, block: Block) -> Execution:
@@ -260,10 +254,14 @@ class ValidatorNode:
         self.executions.record(block, executed)
         return executed
 
-    def _adopt(self, block: Block, ledger: contract.LedgerState,
-               receipts: list[Receipt]) -> None:
-        self.chain.append(block, ledger, receipts)
+    def _adopt(self, block: Block) -> bool:
+        """Append `block` to the chain if it passes the content check."""
+        executed = self._checked_execution(block)
+        if executed is None:
+            return False
+        self.chain.append(block, *executed)
         self.mempool.remove_included(block.txs)
+        return True
 
     # -- reads ----------------------------------------------------------------------
 

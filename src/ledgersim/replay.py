@@ -150,5 +150,5 @@ def receipt_from_dump(genesis_cfg: GenesisConfig, dump: bytes,
     """
     verdict, receipt = _replay(genesis_cfg, dump, wanted_tx_hash)
     if not verdict.ok:
-        raise CorruptDump(str(verdict))
+        raise CorruptDump(f"at height {verdict.height}: {verdict.reason}")
     return receipt

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 
@@ -95,6 +96,25 @@ class TestParse:
         stranger = KeyPair.from_seed(b"\xaa" * 32)
         obj["validators"][0] = hx(stranger.address)
         with pytest.raises(MalformedConfig):
+            parse_genesis(dumps(obj))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("privateKeys", [], "privateKeys must be a non-empty list"),
+        ("privateKeys", ["abcd"], "bad private key 'abcd': expected 0x prefix"),
+        ("privateKeys", [None], "bad private key None"),
+        ("privateKeys", ["0x1234", "0xzz"], "private keys must be 32 bytes"),
+        ("validators", "0x00", "validators must be a non-empty list"),
+        ("validators", [5], "bad validator 5"),
+        ("validators", ["0x" + "aa" * 20, "0xzz"],
+         "validator address 0x" + "aa" * 20 + " has no key"),
+    ], ids=["keys_empty", "keys_no_0x", "keys_null", "keys_short_first",
+            "validators_string", "validators_int", "validators_stranger_first"])
+    def test_hex_list_refusals_name_their_field(self, field, value, message):
+        """Each entry is refused in list order, so the first bad entry is the
+        one the message names."""
+        obj = paper_faithful_obj()
+        (obj["keyProvider"] if field == "privateKeys" else obj)[field] = value
+        with pytest.raises(MalformedConfig, match=re.escape(message)):
             parse_genesis(dumps(obj))
 
     def test_loss_probability_out_of_range_rejected(self):

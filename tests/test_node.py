@@ -216,6 +216,14 @@ class TestCatchUpReply:
         peer = self.peer_ahead(keys, node, 3)
         assert not peer.handle_payload(self.old_message(keys, kind, 1)).outbound
 
+    def test_an_unsigned_round_change_gets_no_reply(self, node, keys):
+        """A validator's address on a ROUND_CHANGE whose signature does not
+        check brings back nothing."""
+        peer = self.peer_ahead(keys, node, 3)
+        forged = replace(self.old_message(keys, MsgKind.ROUND_CHANGE, 1),
+                         signature=Signature(b"\x00" * 32))
+        assert not peer.handle_payload(forged).outbound
+
 
 def run_paper_flow_sim(seed=11, gst=0, horizon=600):
     genesis = make_genesis(seed=seed, gst=gst)

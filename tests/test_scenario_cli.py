@@ -408,6 +408,62 @@ class TestCli:
         assert proc.stderr.startswith("config error:")
         assert "Traceback" not in proc.stderr
 
+    def test_an_out_that_names_a_file_exits_2(self, tmp_path):
+        taken = tmp_path / "afile"
+        taken.write_text("")
+        proc = cli("run", "--genesis", str(GENESIS), "--scenario",
+                   str(PAPER_FLOW), "--out", str(taken))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error:")
+        assert "Traceback" not in proc.stderr
+
+    def test_a_non_integer_sim_seed_exits_2(self):
+        proc = cli("run", "--genesis", str(GENESIS), "--scenario",
+                   str(PAPER_FLOW), env={"SIM_SEED": "abc"})
+        assert proc.returncode == 2
+        assert proc.stderr == "config error: bad SIM_SEED 'abc'\n"
+
+    @pytest.fixture(scope="class")
+    def paper_dump(self, tmp_path_factory):
+        """paper_flow's chain dump and its first transaction's hash."""
+        out = tmp_path_factory.mktemp("paper")
+        genesis = parse_genesis(GENESIS.read_bytes())
+        code, report = run_scenario(genesis, parse_scenario(PAPER_FLOW.read_bytes()),
+                                    out_dir=out)
+        assert code == 0
+        return out / "chain.jsonl", report["submissions"][0]["txHash"]
+
+    def test_a_tx_without_0x_exits_2(self, paper_dump):
+        chain, _ = paper_dump
+        proc = cli("receipt", "--chain", str(chain), "--genesis", str(GENESIS),
+                   "--tx", "abab")
+        assert proc.returncode == 2
+        assert proc.stderr == "config error: expected 0x prefix: 'abab'\n"
+
+    @pytest.mark.parametrize("command", ["replay", "receipt"])
+    def test_a_missing_chain_exits_2(self, tmp_path, command):
+        tx = ["--tx", "0x" + "ab" * 32] if command == "receipt" else []
+        proc = cli(command, "--chain", str(tmp_path / "absent.jsonl"),
+                   "--genesis", str(GENESIS), *tx)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: [Errno 2]")
+        assert not proc.stdout
+
+    def test_receipt_on_a_dump_corrupt_at_a_height_exits_4(self, tmp_path, paper_dump):
+        chain, tx = paper_dump
+        lines = chain.read_text().splitlines()
+        obj = json.loads(lines[3])
+        obj["hash"] = "0x" + "00" * 32
+        lines[3] = json.dumps(obj, sort_keys=True)
+        bad = tmp_path / "corrupt.jsonl"
+        bad.write_text("\n".join(lines))
+        proc = cli("receipt", "--chain", str(bad), "--genesis", str(GENESIS), "--tx", tx)
+        assert proc.returncode == 4
+        assert proc.stdout == "CORRUPT: at height 3: declared hash mismatch\n"
+        replayed = cli("replay", "--chain", str(bad), "--genesis", str(GENESIS))
+        assert (replayed.returncode, replayed.stdout) == (
+            4, "CORRUPT at height 3: declared hash mismatch\n")
+
 
 class TestPinnedArtifacts:
     """SHA-256 of every artifact `ledgersim run --seed 42` writes for the
