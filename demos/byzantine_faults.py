@@ -8,7 +8,13 @@ Three experiments on the four-validator network (F = 1, quorum 3):
   2. one SILENT validator changes almost nothing (4 - 1 = 3 = quorum);
   3. two SILENT validators starve the quorum entirely: the chain halts
      and, crucially, halts without ever splitting.
+
+It checks what it prints, and exits 1 if a check fails: within F, every
+honest node finalizes blocks and the honest heads share one state root;
+beyond F, no honest node finalizes any; and no run breaks safety.
 """
+
+import sys
 
 from ledgersim import Behavior, ByzantineSpec, Simulation
 from ledgersim.config import GenesisConfig, KeyProvider
@@ -35,34 +41,42 @@ def report(title, sim):
     print(f"  head state roots:   {len(roots)} distinct")
     print(f"  safety violation:   {sim.safety_violation}")
     print()
+    return heights, len(roots)
+
+
+EXPERIMENTS = (  # (title, seed, {faulty validator index: behavior})
+    ("1 equivocating validator (within F=1): progress and safety",
+     1, {0: Behavior.EQUIVOCATE}),
+    ("1 silent validator (within F=1): the other three carry on",
+     2, {0: Behavior.SILENT}),
+    ("2 silent validators (beyond F=1): liveness lost, safety kept",
+     3, {0: Behavior.SILENT, 1: Behavior.SILENT}),
+    ("1 validator proposing out of turn: proposals discarded",
+     4, {0: Behavior.INVALID_PROPOSER}),
+)
 
 
 def main():
-    sim = make_sim(seed=1)
-    sim.inject_fault(ByzantineSpec(sim.config.validators[0], Behavior.EQUIVOCATE))
-    sim.run()
-    report("1 equivocating validator (within F=1): progress and safety", sim)
-
-    sim = make_sim(seed=2)
-    sim.inject_fault(ByzantineSpec(sim.config.validators[0], Behavior.SILENT))
-    sim.run()
-    report("1 silent validator (within F=1): the other three carry on", sim)
-
-    sim = make_sim(seed=3)
-    sim.inject_fault(ByzantineSpec(sim.config.validators[0], Behavior.SILENT))
-    sim.inject_fault(ByzantineSpec(sim.config.validators[1], Behavior.SILENT))
-    sim.run()
-    report("2 silent validators (beyond F=1): liveness lost, safety kept", sim)
-
-    sim = make_sim(seed=4)
-    sim.inject_fault(ByzantineSpec(sim.config.validators[0],
-                                   Behavior.INVALID_PROPOSER))
-    sim.run()
-    report("1 validator proposing out of turn: proposals discarded", sim)
+    failed = []
+    for title, seed, faults in EXPERIMENTS:
+        sim = make_sim(seed)
+        for index, behavior in faults.items():
+            sim.inject_fault(ByzantineSpec(sim.config.validators[index], behavior))
+        sim.run()
+        heights, roots = report(title, sim)
+        if len(faults) <= sim.config.f:
+            holds = all(h > 0 for h in heights) and roots == 1
+        else:
+            holds = all(h == 0 for h in heights)
+        if not holds or sim.safety_violation is not None:
+            failed.append(title)
 
     print("The asymmetry is the point: pushing faults past F costs the")
     print("network its progress, never its consistency.")
+    for title in failed:
+        print(f"CHECK FAILED: {title!r}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -4,8 +4,12 @@
 Before the global stabilization time every message may be dropped or
 delayed by up to preGstMaxDelay; from GST on, delivery is guaranteed
 within delta. The experiment runs the same seeds with different GST
-values and plots (in ASCII) how many blocks finalize per window.
+values and plots (in ASCII) how many blocks finalize per window. It
+checks its claim too: from GST on, every window gains a height. It exits
+1 if some window does not.
 """
+
+import sys
 
 from ledgersim import Simulation
 from ledgersim.config import GenesisConfig, KeyProvider
@@ -45,17 +49,33 @@ def show(title, marks):
     print()
 
 
+def grows_after(marks, gst):
+    """Whether every window that starts at or after `gst` gains a height."""
+    return all(marks[i] > (marks[i - 1] if i else 0)
+               for i in range(len(marks)) if WINDOW * i >= gst)
+
+
+PANELS = (  # (title, gst, pre-GST loss)
+    ("GST = 0 (synchronous from the start):", 0, 0.1),
+    ("GST = 500, 10% pre-GST loss:", 500, 0.1),
+    ("GST = 500, 60% pre-GST loss (harsher start, same ending):", 500, 0.6),
+)
+
+
 def main():
     print(f"four validators, delta=5, window={WINDOW}, horizon={HORIZON}\n")
-    show("GST = 0 (synchronous from the start):",
-         growth_profile(make_sim(seed=11, gst=0, loss=0.1)))
-    show("GST = 500, 10% pre-GST loss:",
-         growth_profile(make_sim(seed=11, gst=500, loss=0.1)))
-    show("GST = 500, 60% pre-GST loss (harsher start, same ending):",
-         growth_profile(make_sim(seed=11, gst=500, loss=0.6)))
+    stalled = []
+    for title, gst, loss in PANELS:
+        marks = growth_profile(make_sim(seed=11, gst=gst, loss=loss))
+        show(title, marks)
+        if not grows_after(marks, gst):
+            stalled.append(title)
     print("Blocks may trickle in before GST when luck allows, but only")
     print("after GST does the growth rate become a guarantee.")
+    for title in stalled:
+        print(f"CHECK FAILED: a window after GST gained no height in {title!r}")
+    return 1 if stalled else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,22 +1,22 @@
 """Round-based BFT consensus state machine with instant per-height finality.
 
-One Engine instance drives one validator at one height. The protocol is
-the familiar three-phase exchange: the scheduled proposer broadcasts a
-proposal (PRE_PREPARE), validators vote PREPARE, a prepare quorum locks
-the node onto the proposal hash and releases its COMMIT, and a commit
-quorum finalizes the block with the commit signatures embedded as seals.
-Silent proposers are handled by ROUND_CHANGE votes with exponentially
-growing timeouts; a quorum of round-change votes moves everyone to the
-new round, whose proposer re-proposes its locked block if it has one.
+One Engine instance drives one validator at one height, by IBFT 2.0's
+three-phase exchange (Saltini & Hyland-Wood, arXiv:1909.10194): the
+scheduled proposer broadcasts a proposal (PRE_PREPARE), validators vote
+PREPARE, a prepare quorum locks the node onto the proposal and releases
+its COMMIT, and a commit quorum of the node's current round finalizes
+the block with the commit signatures embedded as seals. A silent
+proposer is handled by ROUND_CHANGE votes with exponentially growing
+timeouts; a quorum of them moves everyone to the new round.
 
-Simplifications relative to full IBFT 2.0, on purpose:
-  - no prepared-certificate piggybacking on round changes; instead a
-    node never unlocks, re-proposes its locked block on its own turn,
-    and a lagging node's ROUND_CHANGE for a finalized height is answered
-    out-of-band with the sealed blocks it is missing (see node.py);
-  - commit quorums are accepted as finality proof for any round of the
-    current height, so a node that missed the prepare phase can still
-    finalize once it holds the proposal and a quorum of commits.
+A lock keeps its prepared certificate, the round and PREPARE seals of
+its quorum, and a locked node's ROUND_CHANGE carries the locked block
+and that certificate. A proposer re-proposes the block with the highest
+certificate among its lock and its stored ROUND_CHANGEs, or builds a
+fresh one if it holds none. A locked node prepares another block only on
+a valid certificate for it, of a round in [lock round, proposal round).
+A lagging node's ROUND_CHANGE for a finalized height is answered
+out-of-band with the sealed blocks it is missing (see node.py).
 
 The engine is a pure state machine with no clock: callers feed it
 messages, timer expiries and height starts. Each entry point builds a
@@ -35,7 +35,6 @@ signature is checked once, not once per recipient.
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -98,6 +97,9 @@ PRE_PREPARE, PREPARE, COMMIT, ROUND_CHANGE = MsgKind
 _KIND_TAG = {k.value: _u(i, 1) for i, k in enumerate(MsgKind)}
 
 
+Certificate = tuple[int, tuple[tuple[Address, Signature], ...]]
+
+
 @dataclass(frozen=True, slots=True)
 class ConsensusMessage:
     kind: MsgKind
@@ -107,6 +109,8 @@ class ConsensusMessage:
     sender: Address
     signature: Signature
     proposal: Optional[Block] = None
+    # (prepared round, sorted (sender, PREPARE seal) pairs) justifying `proposal`
+    certificate: Optional[Certificate] = None
     # the Registry that verified the signature; see verify_message
     _verified: Optional[Registry] = field(default=None, init=False, repr=False,
                                           compare=False)
@@ -120,11 +124,11 @@ def message_payload(kind: MsgKind, height: int, round_: int,
 
 
 def make_message(key: KeyPair, kind: MsgKind, height: int, round_: int,
-                 block_hash_: Hash256,
-                 proposal: Optional[Block] = None) -> ConsensusMessage:
+                 block_hash_: Hash256, proposal: Optional[Block] = None,
+                 certificate: Optional[Certificate] = None) -> ConsensusMessage:
     payload = message_payload(kind, height, round_, block_hash_)
     return ConsensusMessage(kind, height, round_, block_hash_,
-                            key.address, sign(key, payload), proposal)
+                            key.address, sign(key, payload), proposal, certificate)
 
 
 def verify_message(msg: ConsensusMessage, registry: Registry) -> bool:
@@ -140,6 +144,19 @@ def verify_message(msg: ConsensusMessage, registry: Registry) -> bool:
         return False
     object.__setattr__(msg, "_verified", registry)
     return True
+
+
+def quorum_signed(kind: MsgKind, height: int, round_: int, hash_: Hash256,
+                  seals: tuple[tuple[Address, Signature], ...],
+                  config: ConsensusConfig, registry: Registry) -> bool:
+    """Whether `seals` holds a quorum of distinct validators, each with a
+    valid `kind` signature over (height, round_, hash_): the PREPAREs of a
+    prepared certificate, or the COMMITs sealed into a finalized block."""
+    signers = {addr for addr, _ in seals}
+    payload = message_payload(kind, height, round_, hash_)
+    return (len(signers) == len(seals) >= config.quorum
+            and signers.issubset(config.validators)
+            and all(registry.verify_by_address(a, payload, seal) for a, seal in seals))
 
 
 class Phase(enum.Enum):
@@ -195,6 +212,7 @@ class Engine:
         self.round = 0
         self.phase = FINALIZED
         self.locked_hash: Optional[Hash256] = None
+        self.lock_certificate: Optional[Certificate] = None
         self.accepted: Optional[Block] = None
         self.rc_target = 0
         self._known_blocks: dict[Hash256, Block] = {}
@@ -260,13 +278,17 @@ class Engine:
         self.timer_epoch += 1
         result.timer = (self._timeout(round_), self.timer_epoch)
         if proposer_for(self.height, round_, self.config) == self.key.address:
-            block = (self._known_blocks[self.locked_hash]
-                     if self.locked_hash is not None else self._contested_block())
+            # the block with the highest certificate held, or a fresh one
+            held = [(msg.certificate, msg.proposal) for bucket in self._round_changes.values()
+                    for msg in bucket.values() if msg.certificate is not None]
+            if self.locked_hash is not None:
+                held.append((self.lock_certificate, self._known_blocks[self.locked_hash]))
+            certificate, block = max(held, key=lambda c: c[0][0], default=(None, None))
             if block is None:
                 block = self.build_block(self.height, round_)
             self._broadcast(make_message(
                 self.key, PRE_PREPARE, self.height, round_,
-                block_hash(block), proposal=block), result)
+                block_hash(block), block, certificate), result)
         queued = self._future_proposals.pop(round_, None)
         if queued is not None:
             self._process(queued, result)
@@ -296,7 +318,8 @@ class Engine:
             return
         if self.accepted is not None:
             return result.discards.append("DuplicateMessage")
-        if self.locked_hash is not None and msg.block_hash != self.locked_hash:
+        if (self.locked_hash is not None and msg.block_hash != self.locked_hash
+                and not self._justified(msg, self.lock_certificate[0])):
             return result.discards.append("ConflictsWithLock")
         if not self.validate_block(msg.proposal):
             return result.discards.append("InvalidBlock")
@@ -307,8 +330,8 @@ class Engine:
             msg.block_hash), result)
 
     def _on_vote(self, msg: ConsensusMessage, result: StepResult) -> None:
-        """A PREPARE or COMMIT. Future-round votes are kept: prepares count
-        on entering their round, and a commit quorum of any round finalizes."""
+        """A PREPARE or COMMIT. Future-round votes are kept, and they count
+        on entering their round."""
         if msg.round < self.round:
             return result.discards.append("StaleRound")
         votes = self._prepares if msg.kind is PREPARE else self._commits
@@ -319,77 +342,65 @@ class Engine:
         self._check_quorums(result)
 
     def _on_round_change(self, msg: ConsensusMessage, result: StepResult) -> None:
-        target = msg.round
-        if target <= self.round:
+        if msg.round <= self.round:
             return result.discards.append("StaleRound")
-        bucket = self._round_changes.setdefault(target, {})
+        bucket = self._round_changes.setdefault(msg.round, {})
         if msg.sender in bucket:
             return result.discards.append("DuplicateMessage")
+        if msg.certificate is not None and not self._justified(msg, 0):
+            return result.discards.append("InvalidCertificate")
         bucket[msg.sender] = msg
         # no bucket above self.round holds a quorum: the vote completing one enters it
         if len(bucket) >= self.config.quorum:
-            self._enter_round(target, result)
+            self._enter_round(msg.round, result)
         if self.phase is FINALIZED:
             return
         # f+1 distinct peers already asked for a later round: echo the
         # smallest one so a live minority cannot be left behind
         later = [t for t in self._round_changes if t > self.round]
-        if later:
-            union: set[Address] = set()
-            for t in later:
-                union |= self._round_changes[t].keys()
-            jump = min(later)
-            if len(union) >= self.config.f + 1 and self.rc_target < jump:
-                self._request_round(jump, result)
+        if (len({s for t in later for s in self._round_changes[t]}) >= self.config.f + 1
+                and self.rc_target < min(later)):
+            self._request_round(min(later), result)
 
     def _request_round(self, target: int, result: StepResult) -> None:
-        """Broadcast a ROUND_CHANGE to `target` with this node's lock hint."""
+        """Broadcast a ROUND_CHANGE to `target` that carries this node's lock."""
         self.rc_target = target
         self._broadcast(make_message(
             self.key, ROUND_CHANGE, self.height, target,
-            self.locked_hash or ZERO_HASH), result)
+            self.locked_hash or ZERO_HASH,
+            self._known_blocks.get(self.locked_hash), self.lock_certificate), result)
 
-    def _contested_block(self) -> Optional[Block]:
-        """The block that peers report being locked on, if we hold it. A
-        locked sender names its lock in the block hash of its ROUND_CHANGE,
-        so the hints are read from the stored ROUND_CHANGEs, one per sender.
-
-        Only a liveness aid: whatever is proposed still needs a fresh
-        prepare quorum, so a bogus hint cannot hurt safety. Ties break
-        on (most reporters, lowest hash) for determinism.
-        """
-        hints = {sender: msg.block_hash for bucket in self._round_changes.values()
-                 for sender, msg in bucket.items() if msg.block_hash in self._known_blocks}
-        if not hints:
-            return None
-        counts = Counter(hints.values())
-        best = min(counts, key=lambda h: (-counts[h], h))
-        return self._known_blocks[best]
+    def _justified(self, msg: ConsensusMessage, floor: int) -> bool:
+        """Whether `msg` carries a valid prepared certificate for its
+        proposal, of a round in [floor, msg.round)."""
+        cert = msg.certificate
+        return (cert is not None and msg.proposal is not None
+                and block_hash(msg.proposal) == msg.block_hash
+                and floor <= cert[0] < msg.round
+                and quorum_signed(PREPARE, msg.height, cert[0], msg.block_hash,
+                                  cert[1], self.config, self.registry))
 
     def _check_quorums(self, result: StepResult) -> None:
         q = self.config.quorum
         if (self.phase is AWAITING_PROPOSAL and self.accepted is not None):
             bh = block_hash(self.accepted)
-            if len(self._prepares.get((self.round, bh), ())) >= q:
+            prepares = self._prepares.get((self.round, bh), {})
+            if len(prepares) >= q:
                 self.phase = PREPARED
                 self.locked_hash = bh
+                self.lock_certificate = (self.round, tuple(sorted(prepares.items())))
                 # counting this COMMIT runs the commit scan below
                 self._broadcast(make_message(
                     self.key, COMMIT, self.height, self.round, bh), result)
                 return
-        for (round_, bh), seals in self._commits.items():
-            if len(seals) >= q and bh in self._known_blocks:
-                self._finalize(round_, bh, seals, result)
+        # only a commit quorum of the current round finalizes
+        for bh, block in self._known_blocks.items():
+            seals = self._commits.get((self.round, bh), {})
+            if len(seals) >= q:
+                self.phase = FINALIZED
+                result.finalized = replace_unhashed(
+                    block, round=self.round, commit_seals=tuple(sorted(seals.items())))
                 return
-
-    def _finalize(self, round_: int, bh: Hash256,
-                  seals: dict[Address, Signature], result: StepResult) -> None:
-        block = self._known_blocks[bh]
-        sealed = replace_unhashed(
-            block, round=round_,
-            commit_seals=tuple(sorted(seals.items())))
-        self.phase = FINALIZED
-        result.finalized = sealed
 
 
 def validate_finalized_block(block: Block, config: ConsensusConfig,
@@ -397,18 +408,7 @@ def validate_finalized_block(block: Block, config: ConsensusConfig,
     """Quorum-seal and linkage check for a block claimed final: it extends
     `parent`, and it carries a quorum of distinct validator seals, each a
     valid commit signature over this block's height, round and hash.
-    Genesis is checked by equality with `make_genesis_block()` instead.
-    """
-    if block.height != parent.height + 1 or block.parent_hash != block_hash(parent):
-        return False
-    if len(block.commit_seals) < config.quorum:
-        return False
-    signers = [addr for addr, _ in block.commit_seals]
-    if len(set(signers)) != len(signers):
-        return False
-    if any(addr not in config.validators for addr in signers):
-        return False
-    payload = message_payload(COMMIT, block.height, block.round,
-                              block_hash(block))
-    return all(registry.verify_by_address(addr, payload, seal)
-               for addr, seal in block.commit_seals)
+    Genesis is checked by equality with `make_genesis_block()` instead."""
+    return (block.height == parent.height + 1 and block.parent_hash == block_hash(parent)
+            and quorum_signed(COMMIT, block.height, block.round, block_hash(block),
+                              block.commit_seals, config, registry))

@@ -298,12 +298,13 @@ def run_scenario(genesis: GenesisConfig, scenario: Scenario, *,
             raise MalformedScenario(
                 f"command {index} ({command.action}): bad parameters: {exc!r}"
             ) from None
+    if out_dir is not None:  # an unusable out_dir fails before the run, not after it
+        out_dir.mkdir(parents=True, exist_ok=True)
     try:
         sim.run()
     except InternalInvariantViolation as exc:
         report = {"scenario": scenario.name, "internalError": str(exc)}
         if out_dir is not None:
-            out_dir.mkdir(parents=True, exist_ok=True)
             (out_dir / "report.json").write_bytes(_dump_json(report))
         return 4, report
 
@@ -333,7 +334,6 @@ def _write_jsonl(path: Path, rows: Iterable[dict]) -> None:
 
 def _write_artifacts(sim: Simulation, report: dict, out_dir: Path) -> None:
     ref = sim.reference_node()
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_jsonl(out_dir / "chain.jsonl", map(block_to_json, ref.chain.blocks))
     _write_jsonl(out_dir / "events.jsonl", (
         {"height": height, "txIndex": tx_index, "emissionIndex": emission_index,

@@ -174,7 +174,7 @@ class TestVerdictCache:
         with pytest.raises(TypeError):
             ConsensusMessage(*(getattr(msg, f) for f in (
                 "kind", "height", "round", "block_hash", "sender", "signature",
-                "proposal")), registry)
+                "proposal", "certificate")), registry)
 
 
 def _make_engine(key, config, registry):
@@ -453,6 +453,28 @@ class TestFutureRoundVotes:
         assert step.finalized.round == 1 and len(step.finalized.commit_seals) == 4
         assert validate_finalized_block(step.finalized, config, registry, parent=GENESIS)
 
+    def test_a_later_round_commit_quorum_waits_for_its_round(self, keys, registry):
+        """Only a commit quorum of the engine's current round finalizes. V0
+        holds V1's round-0 block when round 1's COMMITs for it arrive; it
+        finalizes on entering round 1, with no further message."""
+        config = ConsensusConfig(tuple(k.address for k in keys[:4]), 30)
+        engine = _make_engine(keys[0], config, registry)
+        engine.start_height(1)
+        block = _make_engine(keys[1], config, registry).build_block(1, 0)
+        bh = block_hash(block)
+        engine.handle_message(make_message(keys[1], MsgKind.PRE_PREPARE, 1, 0, bh, block))
+        for voter in keys[1:4]:
+            step = engine.handle_message(make_message(voter, MsgKind.COMMIT, 1, 1, bh))
+            assert step.finalized is None and not step.discards
+        assert engine.phase is Phase.AWAITING_PROPOSAL
+        for voter in keys[1:3]:
+            step = engine.handle_message(
+                make_message(voter, MsgKind.ROUND_CHANGE, 1, 1, ZERO_HASH))
+        assert engine.round == 1 and engine.phase is Phase.FINALIZED
+        assert step.finalized is not None and block_hash(step.finalized) == bh
+        assert step.finalized.round == 1 and len(step.finalized.commit_seals) == 3
+        assert validate_finalized_block(step.finalized, config, registry, parent=GENESIS)
+
 
 # a ROUND_CHANGE as (sender index, target round), or None for a timer fire
 _ROUND_CHANGE_STEPS = st.lists(st.none() | st.tuples(st.integers(0, 6), st.integers(1, 6)),
@@ -558,54 +580,165 @@ class TestRoundTimeoutSchedule:
         assert fired and all(deadlines[a, epoch] == t for a, epoch, t in fired)
 
 
-class TestLockHintReproposal:
-    """An unlocked proposer re-proposes the block that the ROUND_CHANGEs
-    it stored name as their senders' locks: the one named by the most
-    senders, the lowest hash on a tie, and never a block it does not
-    hold. V0 proposes round 3 of height 1. It accepts V1's block A in
-    round 0, V2's B in round 1 and V3's C in round 2; two ROUND_CHANGEs
-    per round move it on (the second makes it echo, and its own is the
-    third of the quorum): V1 and V2 to round 1, V2 and V3 to round 2,
-    V3 and V1 to round 3. Each sender names the same hint every time."""
+def _seals(signers, round_, block):
+    """(sender, PREPARE seal) pairs over `block` at height 1, `round_`."""
+    return tuple(sorted((k.address, make_message(
+        k, MsgKind.PREPARE, 1, round_, block_hash(block)).signature) for k in signers))
 
-    UNHELD = Hash256(b"\x00" * 31 + b"\x01")  # lowest possible, never proposed
 
-    def _proposal(self, keys, registry, hints):
+class TestJustifiedProposal:
+    """IBFT 2.0's prepared certificate, (round, PREPARE seals). A locked
+    node's ROUND_CHANGE carries its locked block and its certificate; a
+    proposer re-proposes the block with the highest certificate it holds;
+    a locked node prepares another block only on a valid certificate for
+    it, of a round in [lock round, proposal round). At height 1, V1, V2
+    and V3 propose rounds 0, 1 and 2, and V0 proposes round 3."""
+
+    @pytest.fixture()
+    def setup(self, keys, registry):
+        """V0's started engine, and the block each round's proposer builds."""
         config = ConsensusConfig(tuple(k.address for k in keys[:4]), 30)
+        blocks = [_make_engine(keys[(1 + r) % 4], config, registry).build_block(1, r)
+                  for r in range(4)]
         engine = _make_engine(keys[0], config, registry)
         engine.start_height(1)
-        blocks = [_make_engine(keys[r + 1], config, registry).build_block(1, r)
-                  for r in range(3)]
-        named = [block_hash(blocks[h]) if isinstance(h, int) else h for h in hints]
-        for round_, senders in enumerate(((1, 2), (2, 3), (3, 1))):
-            engine.handle_message(make_message(
-                keys[round_ + 1], MsgKind.PRE_PREPARE, 1, round_,
-                block_hash(blocks[round_]), proposal=blocks[round_]))
-            for i in senders:
-                step = engine.handle_message(make_message(
-                    keys[i], MsgKind.ROUND_CHANGE, 1, round_ + 1, named[i - 1]))
-        assert engine.round == 3 and engine.locked_hash is None
-        proposals = [m for m, _ in step.outbound if m.kind is MsgKind.PRE_PREPARE]
-        assert len(proposals) == 1 and proposals[0].sender == keys[0].address
-        return proposals[0].proposal, [block_hash(b) for b in blocks]
+        return engine, blocks
 
-    def test_block_named_by_most_senders(self, keys, registry):
-        _, hashes = self._proposal(keys, registry, (ZERO_HASH, ZERO_HASH, ZERO_HASH))
-        high = max(range(3), key=lambda i: hashes[i])
-        low = min(range(3), key=lambda i: hashes[i])
-        block, _ = self._proposal(keys, registry, (high, low, high))
-        assert block_hash(block) == hashes[high]
+    @staticmethod
+    def move(engine, keys, round_, carried=(None, None)):
+        """Deliver V1's and V2's ROUND_CHANGEs to `round_`, each with the
+        (block, certificate) given, or none. V0's own ROUND_CHANGE, an echo
+        of the second unless it sent one before, completes the quorum.
+        Returns the step that entered the round."""
+        for key, held in zip(keys[1:3], carried):
+            block, certificate = held or (None, None)
+            step = engine.handle_message(make_message(
+                key, MsgKind.ROUND_CHANGE, 1, round_,
+                block_hash(block) if block else ZERO_HASH, block, certificate))
+        assert engine.round == round_
+        return step
 
-    def test_lowest_hash_on_a_tie(self, keys, registry):
-        block, hashes = self._proposal(keys, registry, (0, 1, 2))
-        assert block_hash(block) == min(hashes)
+    @staticmethod
+    def lock(engine, keys, blocks, round_):
+        """Lock V0 on `round_`'s block in that round: the proposal, then the
+        PREPAREs of its proposer and of one other validator."""
+        if engine.round < round_:
+            TestJustifiedProposal.move(engine, keys, round_)
+        proposer = keys[(1 + round_) % 4]
+        bh = block_hash(blocks[round_])
+        engine.handle_message(make_message(proposer, MsgKind.PRE_PREPARE, 1, round_, bh,
+                                           blocks[round_]))
+        for key in (proposer, keys[3] if proposer is not keys[3] else keys[1]):
+            engine.handle_message(make_message(key, MsgKind.PREPARE, 1, round_, bh))
+        assert engine.locked_hash == bh and engine.lock_certificate[0] == round_
 
-    def test_unheld_block_is_never_proposed(self, keys, registry):
-        block, hashes = self._proposal(keys, registry, (self.UNHELD, self.UNHELD, 2))
-        assert block_hash(block) == hashes[2]
-        fresh, _ = self._proposal(keys, registry, (self.UNHELD, ZERO_HASH, self.UNHELD))
-        assert block_hash(fresh) not in hashes
-        assert (fresh.proposer, fresh.round) == (keys[0].address, 3)
+    @staticmethod
+    def proposal(step):
+        (msg,) = [m for m, _ in step.outbound if m.kind is MsgKind.PRE_PREPARE]
+        return msg
+
+    @pytest.mark.parametrize("lock_round, held", [(0, (1, 2)), (2, (0, 1)), (1, (2, 0))],
+                             ids=["the_second_sender", "the_own_lock", "the_first_sender"])
+    def test_the_highest_certificate_wins(self, keys, setup, lock_round, held):
+        """V0 is locked in `lock_round`; V1 and V2 send round 3's
+        ROUND_CHANGEs with certificates of the rounds in `held`."""
+        engine, blocks = setup
+        self.lock(engine, keys, blocks, lock_round)
+        signers = keys[1:4]
+        step = self.move(engine, keys, 3, [(blocks[r], (r, _seals(signers, r, blocks[r])))
+                                           for r in held])
+        best = max(lock_round, *held)
+        msg = self.proposal(step)
+        assert msg.sender == keys[0].address
+        assert msg.proposal == blocks[best] and msg.certificate[0] == best
+
+    def test_the_own_lock_counts_without_its_own_round_change(self, keys, setup):
+        """V0 asks for round 3 before it locks in round 2, so no stored
+        ROUND_CHANGE carries its certificate: its lock alone justifies it."""
+        engine, blocks = setup
+        self.move(engine, keys, 2)
+        engine.handle_timer(engine.timer_epoch)
+        assert engine._round_changes[3][keys[0].address].certificate is None
+        self.lock(engine, keys, blocks, 2)
+        step = self.move(engine, keys, 3)
+        msg = self.proposal(step)
+        assert msg.proposal == blocks[2] and msg.certificate == engine.lock_certificate
+
+    def test_no_certificate_means_a_fresh_block(self, keys, setup):
+        """A ROUND_CHANGE that names a block with no certificate, as a
+        lock hint once did, justifies nothing."""
+        engine, blocks = setup
+        step = self.move(engine, keys, 3, [(blocks[0], None), None])
+        msg = self.proposal(step)
+        assert msg.certificate is None and msg.proposal not in blocks[:3]
+        assert (msg.proposal.proposer, msg.proposal.round) == (keys[0].address, 3)
+
+    # each certificate justifies nothing: (block index, round, signers)
+    BAD = {
+        "under_quorum": (2, 1, (1, 2)),
+        "duplicate_signer": (2, 1, (1, 1, 2)),
+        "non_validator_signer": (2, 1, (1, 2, 5)),
+        "bad_seal": (2, 1, "flipped"),
+        "another_block": (1, 1, (1, 2, 3)),
+        "round_of_the_message": (2, 2, (1, 2, 3)),
+        "round_above_the_message": (2, 3, (1, 2, 3)),
+    }
+
+    @staticmethod
+    def certificate(keys, blocks, case):
+        index, round_, signers = TestJustifiedProposal.BAD.get(case, (2, 1, (1, 2, 3)))
+        if signers == "flipped":
+            (addr, seal), *rest = _seals(keys[1:4], round_, blocks[index])
+            return round_, ((addr, Signature(bytes(seal[:-1]) + bytes([seal[-1] ^ 1]))),
+                            *rest)
+        return round_, _seals([keys[i] for i in signers], round_, blocks[index])
+
+    @pytest.mark.parametrize("case", ["valid", *BAD])
+    def test_a_bad_certificate_conflicts_with_the_lock(self, keys, setup, case):
+        """V0, locked in round 0, is in round 2, whose proposer V3
+        proposes its own block with a certificate."""
+        engine, blocks = setup
+        self.lock(engine, keys, blocks, 0)
+        self.move(engine, keys, 2)
+        step = engine.handle_message(make_message(
+            keys[3], MsgKind.PRE_PREPARE, 1, 2, block_hash(blocks[2]), blocks[2],
+            self.certificate(keys, blocks, case)))
+        if case == "valid":
+            assert not step.discards and engine.accepted == blocks[2]
+        else:
+            assert step.discards == ["ConflictsWithLock"] and engine.accepted is None
+
+    @pytest.mark.parametrize("case", ["valid", *BAD, "proposal_not_named"])
+    def test_a_bad_certificate_voids_a_round_change(self, keys, setup, case):
+        """V1 asks for round 2 with round 2's block and a certificate; for
+        `proposal_not_named` the message names that block but carries
+        round 1's."""
+        engine, blocks = setup
+        carried = blocks[1] if case == "proposal_not_named" else blocks[2]
+        step = engine.handle_message(make_message(
+            keys[1], MsgKind.ROUND_CHANGE, 1, 2, block_hash(blocks[2]), carried,
+            self.certificate(keys, blocks, case)))
+        stored = keys[1].address in engine._round_changes.get(2, {})
+        if case == "valid":
+            assert not step.discards and stored
+        else:
+            assert step.discards == ["InvalidCertificate"] and not stored
+
+    @pytest.mark.parametrize("certificate_round", [0, 1])
+    def test_a_certificate_below_the_lock_conflicts_with_it(self, keys, setup,
+                                                           certificate_round):
+        """V0, locked in round 1, is in round 2: a certificate of round 0
+        is older than its lock, one of round 1 is not."""
+        engine, blocks = setup
+        self.lock(engine, keys, blocks, 1)
+        self.move(engine, keys, 2)
+        step = engine.handle_message(make_message(
+            keys[3], MsgKind.PRE_PREPARE, 1, 2, block_hash(blocks[2]), blocks[2],
+            (certificate_round, _seals(keys[1:4], certificate_round, blocks[2]))))
+        if certificate_round == 0:
+            assert step.discards == ["ConflictsWithLock"] and engine.accepted is None
+        else:
+            assert not step.discards and engine.accepted == blocks[2]
 
 
 class TestLockSplit:
@@ -664,9 +797,6 @@ class TestLockSplit:
         sim.run(until=20_000)
         assert monitor.violations == [] and sim.safety_violation is None
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 1: an engine never unlocks and ROUND_CHANGE carries no "
-        "prepared certificate, so split locks stall the height forever"))
     def test_split_locks_finalize_after_gst(self, split):
         sim, _, _, _ = split
         watchdog = install_watchdog(sim, gst=100)  # the scripted loss ends at t=100

@@ -317,12 +317,13 @@ class TestEvents:
 
 
 class TestLockContentionRecovery:
-    def test_locked_minority_recovers_via_lock_hints(self):
+    def test_locked_minority_recovers_via_certificates(self):
         # regression: pre-GST losses left two nodes locked on a proposal
         # whose commit quorum never completed; fresh proposals from the
         # other validators then stalled against the locks for several
-        # exponential-backoff rounds. Round-change lock hints let the
-        # next proposer re-propose the contested block instead.
+        # exponential-backoff rounds. The locked nodes' ROUND_CHANGEs carry
+        # their prepared certificates, so the next proposer re-proposes
+        # the certified block instead.
         genesis = make_genesis(seed=2, gst=150, delta=4, pre_gst_max_delay=40,
                                pre_gst_loss_prob=0.3, base_round_timeout=25)
         sim = Simulation(genesis, horizon=900, collect_traces=False)

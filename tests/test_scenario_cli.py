@@ -14,6 +14,7 @@ from ledgersim.config import active_keys, parse_genesis
 from ledgersim.errors import MalformedScenario
 from ledgersim.replay import replay_chain
 from ledgersim.scenario import parse_scenario, run_scenario
+from ledgersim.simulation import Simulation
 
 ROOT = Path(__file__).resolve().parent.parent
 GENESIS = ROOT / "scenarios" / "genesis_paper.json"
@@ -218,7 +219,7 @@ class TestDocumentedInputs:
         code, report = self._run_lossy(
             [{"atTime": 300, "actor": 0, "action": {"type": "setGstNow"}}])
         assert code == 0, report["expectations"]
-        assert set(report["finalizedHeight"].values()) == {69}
+        assert set(report["finalizedHeight"].values()) == {74}
 
     def test_hex_addresses_act_as_their_actor_indices(self):
         """Paper flow with every recipient and address written as 0x-hex,
@@ -416,6 +417,17 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stderr.startswith("config error:")
         assert "Traceback" not in proc.stderr
+
+    def test_an_out_that_names_a_file_is_refused_before_the_run(self, tmp_path,
+                                                                monkeypatch):
+        taken = tmp_path / "afile"
+        taken.write_text("")
+        runs = []
+        monkeypatch.setattr(Simulation, "run", lambda sim, *a, **k: runs.append(sim))
+        with pytest.raises(OSError):
+            run_scenario(parse_genesis(GENESIS.read_bytes()),
+                         parse_scenario(PAPER_FLOW.read_bytes()), out_dir=taken)
+        assert runs == []
 
     def test_a_non_integer_sim_seed_exits_2(self):
         proc = cli("run", "--genesis", str(GENESIS), "--scenario",

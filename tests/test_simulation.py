@@ -1,6 +1,6 @@
 """Simulation run loop: client intake, the client-transaction prehash at
 start(), the minimum-height stop rule, the safety checker, and runs of
-seven validators with two faulty.
+seven validators with two faulty, and a late-GST safety sweep.
 
 `Simulation.start()` batch-hashes the unsigned encoding and bank-account
 string of every scheduled client transaction, guessing the nonces
@@ -384,3 +384,25 @@ class TestTwoFaultsOfSeven:
         honest = [sim.nodes[a].chain for a in sim.honest_addresses()]
         for h in range(31):
             assert len({chain.blocks[h].state_root for chain in honest}) == 1
+
+
+class TestLateGstSafety:
+    """A regression net for the lock rule with GST late enough for locks
+    to split: 20 seeds for each pre-GST loss and fault, GST 400. Every run
+    reaches min honest height 8, and the monitor finds no step that breaks
+    the safety invariants. The liveness watchdog is left out: it bounds a
+    wait from the highest round an engine holds, which can trail the round
+    it has asked for after loss (ROADMAP item 19)."""
+
+    @pytest.mark.parametrize("behavior", [None, Behavior.SILENT, Behavior.EQUIVOCATE],
+                             ids=lambda b: "no_fault" if b is None else b.value)
+    @pytest.mark.parametrize("loss", [0.3, 0.6, 0.8])
+    def test_twenty_seeds_stay_safe(self, loss, behavior):
+        for seed in range(20):
+            sim = Simulation(make_genesis(seed=seed, gst=400, pre_gst_loss_prob=loss),
+                             collect_traces=False)
+            if behavior is not None:
+                sim.inject_fault(ByzantineSpec(sim.config.validators[1], behavior))
+            monitor = install_monitor(sim)
+            assert sim.run_until_min_height(8, cap=20_000), seed
+            assert monitor.violations == [] and sim.safety_violation is None, seed
