@@ -5,9 +5,12 @@ Runs the disbursement scenario, writes the chain dump, re-verifies it
 offline (seals, parent links, re-executed state roots), then corrupts
 a single field and shows the audit pinpoint the damage. Also
 demonstrates the deterministic-replay guarantee: same seed, same bytes.
+Exits 1 unless the twin dumps are identical, the pristine dump audits OK
+and each tampered dump is CORRUPT at the tampered block's height.
 """
 
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -32,8 +35,8 @@ def main():
         print(f"twin run with the same seed produced identical dump: {same}")
 
         dump = (out_a / "chain.jsonl").read_bytes()
-        print(f"\nauditing {len(dump.splitlines())} blocks:",
-              replay_chain(genesis, dump))
+        pristine_verdict = replay_chain(genesis, dump)
+        print(f"\nauditing {len(dump.splitlines())} blocks:", pristine_verdict)
 
         pristine = dump.decode().splitlines()
         target = next(i for i, line in enumerate(pristine)
@@ -41,21 +44,36 @@ def main():
 
         lines = list(pristine)
         obj = json.loads(lines[target])
-        print(f"\nraising the allowance inside block {obj['height']} "
-              "after the fact...")
+        height = obj["height"]
+        print(f"\nraising the allowance inside block {height} after the fact...")
         for tx in obj["txs"]:
             if tx["payload"]["type"] == "sendAllowance":
                 tx["payload"]["amount"] = "999999"
         lines[target] = json.dumps(obj, sort_keys=True)
-        print("audit says:", replay_chain(genesis, "\n".join(lines).encode()))
+        amount_verdict = replay_chain(genesis, "\n".join(lines).encode())
+        print("audit says:", amount_verdict)
 
         lines = list(pristine)
         obj = json.loads(lines[target])
-        print(f"\nremoving one commit seal from block {obj['height']} instead...")
+        print(f"\nremoving one commit seal from block {height} instead...")
         obj["commitSeals"] = obj["commitSeals"][:2]
         lines[target] = json.dumps(obj, sort_keys=True)
-        print("audit says:", replay_chain(genesis, "\n".join(lines).encode()))
+        seal_verdict = replay_chain(genesis, "\n".join(lines).encode())
+        print("audit says:", seal_verdict)
+
+    checks = (
+        ("the twin dumps are identical", same),
+        ("the pristine dump audits OK", pristine_verdict.ok),
+        (f"the raised allowance is CORRUPT at height {height}",
+         not amount_verdict.ok and amount_verdict.height == height),
+        (f"the removed seal is CORRUPT at height {height}",
+         not seal_verdict.ok and seal_verdict.height == height),
+    )
+    failed = [claim for claim, held in checks if not held]
+    for claim in failed:
+        print(f"CHECK FAILED: {claim}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

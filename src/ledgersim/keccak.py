@@ -5,8 +5,11 @@ Pure Python, tuned for throughput: this is the hot path of the whole
 simulator (every signature, transaction hash and state root lands here),
 so digests of seen inputs are memoized, and both kernels, the scalar
 `_f1600` and the packed `_f1600_packed`, are unrolled over 25 lane locals
-and emitted at import from one rho–pi table, `_PI`. The bit-level
-reference implementation lives in the test suite and cross-checks this one.
+and emitted at import from one rho–pi table, `_PI`. Both hold six lanes
+inverted inside the permutation (lane complementing), so chi spends one
+NOT per row, not one per lane; what goes in and comes out is plain
+Keccak-f[1600]. The bit-level reference implementation lives in the test
+suite and cross-checks this one.
 
 `keccak256_many` digests a list of independent messages at once. It
 packs up to 256 states into the bits of 25 big lane ints, so one
@@ -45,12 +48,33 @@ _PI = ((0, 0), (6, 44), (12, 43), (18, 21), (24, 14),
 # the packed kernel's rotations in the order its masks unpack: theta's, then rho's
 _ROTATIONS = tuple(dict.fromkeys([1] + [r for _, r in _PI[1:]]))
 _LANES = ", ".join(f"a{i}" for i in range(25))
+# Lane complementing (The Keccak implementation overview v3.2, §2.2): inside a
+# permutation these lanes are held inverted, x ^ ones. Chi then needs one NOT
+# per row, n, written ones ^ x: ~ on a positive int gives a negative one, which
+# CPython's bitwise ops handle in extra passes. Each lane is one AND or OR.
+_COMPLEMENTED = (1, 2, 8, 12, 17, 20)
+_CHI = ("n = ones ^ b2", "a0 = b0 ^ (b1 | b2) ^ rc", "a1 = b1 ^ (n | b3)",
+        "a2 = b2 ^ (b3 & b4)", "a3 = b3 ^ (b4 | b0)", "a4 = b4 ^ (b0 & b1)",
+        "n = ones ^ b9", "a5 = b5 ^ (b6 | b7)", "a6 = b6 ^ (b7 & b8)",
+        "a7 = b7 ^ (b8 | n)", "a8 = b8 ^ (b9 | b5)", "a9 = b9 ^ (b5 & b6)",
+        "n = ones ^ b13", "a10 = b10 ^ (b11 | b12)", "a11 = b11 ^ (b12 & b13)",
+        "a12 = b12 ^ (n & b14)", "a13 = n ^ (b14 | b10)", "a14 = b14 ^ (b10 & b11)",
+        "n = ones ^ b18", "a15 = b15 ^ (b16 & b17)", "a16 = b16 ^ (b17 | b18)",
+        "a17 = b17 ^ (n | b19)", "a18 = n ^ (b19 & b15)", "a19 = b19 ^ (b15 | b16)",
+        "n = ones ^ b21", "a20 = b20 ^ (n & b22)", "a21 = n ^ (b22 | b23)",
+        "a22 = b22 ^ (b23 & b24)", "a23 = b23 ^ (b24 | b20)", "a24 = b24 ^ (b20 & b21)")
 
 
 def _emit(name: str, args: str, prologue: list, rounds: str, rot) -> None:
     """Compile permutation `name`, with `rot(x, r)` the source of x rotated left
-    by r, into this module; linecache keeps its source for inspect and tracebacks."""
-    body = [*prologue, f"for rc in {rounds}:", "    # theta"]
+    by r, into this module; linecache keeps its source for inspect and tracebacks.
+
+    The prologue binds `ones`, all 64 bits of every state set. The lanes in
+    _COMPLEMENTED are XORed with it on entry and on exit, and chi, _CHI,
+    computes on them inverted."""
+    flipped = ", ".join(f"a{i}" for i in _COMPLEMENTED)
+    body = [*prologue, f"{flipped} = " + ", ".join(f"a{i} ^ ones" for i in _COMPLEMENTED),
+            f"for rc in {rounds}:", "    # theta"]
     body += [f"    c{x} = " + " ^ ".join(f"a{x + 5 * y}" for y in range(5)) for x in range(5)]
     body += [f"    d{x} = c{(x - 1) % 5} ^ ({rot(f'c{(x + 1) % 5}', 1)})" for x in range(5)]
     body.append("    # rho and pi fused: b indices follow the pi permutation")
@@ -58,11 +82,9 @@ def _emit(name: str, args: str, prologue: list, rounds: str, rot) -> None:
         lane = f"a{src} ^ d{src % 5}"
         body += [f"    t = {lane}", f"    b{i} = {rot('t', r)}"] if r else [f"    b{i} = {lane}"]
     body.append("    # chi row by row, iota folded into lane 0")
-    for i in range(25):
-        row = i - i % 5
-        body.append(f"    a{i} = b{i} ^ (~b{row + (i + 1) % 5} & b{row + (i + 2) % 5})"
-                    + (" ^ rc" if i == 0 else ""))
-    body.append(f"return [{_LANES}]")
+    body += [f"    {line}" for line in _CHI]
+    body.append("return [" + ", ".join(f"a{i} ^ ones" if i in _COMPLEMENTED else f"a{i}"
+                                       for i in range(25)) + "]")
     source = f"def {name}({args}):\n" + "".join(f"    {line}\n" for line in body)
     filename = f"<{__name__}.{name}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
@@ -70,13 +92,14 @@ def _emit(name: str, args: str, prologue: list, rounds: str, rot) -> None:
 
 
 # _f1600(lanes): one Keccak-f[1600] permutation over 25 little-endian lanes.
-_emit("_f1600", "lanes", ["M = 0xFFFFFFFFFFFFFFFF", f"{_LANES} = lanes"],
+_emit("_f1600", "lanes", ["ones = M = 0xFFFFFFFFFFFFFFFF", f"{_LANES} = lanes"],
       "_ROUND_CONSTANTS", lambda x, r: f"({x} << {r} | {x} >> {64 - r}) & M")
 # _f1600_packed(lanes, rcs, masks): bits [64k, 64k + 64) of each lane int are
 # that lane of state k. `rcs` repeats the round constants into every state; hR
-# keeps bits R..63 and lR bits 0..R-1 of each, so shifts stay inside a state.
+# keeps bits R..63 and lR bits 0..R-1 of each, so shifts stay inside a state;
+# the last mask is `ones`.
 _emit("_f1600_packed", "lanes, rcs, masks",
-      [f"{_LANES} = lanes", ", ".join(f"h{r}, l{r}" for r in _ROTATIONS) + " = masks"],
+      [f"{_LANES} = lanes", ", ".join(f"h{r}, l{r}" for r in _ROTATIONS) + ", ones = masks"],
       "rcs", lambda x, r: f"{x} << {r} & h{r} | {x} >> {64 - r} & l{r}")
 
 _memo: dict = {}
@@ -125,6 +148,7 @@ def _packed_constants(width: int) -> tuple:
         for r in _ROTATIONS:
             low = (1 << r) - 1
             masks += [(0xFFFFFFFFFFFFFFFF ^ low) * every, low * every]
+        masks.append((1 << 64 * width) - 1)
         _widest = built, rcs, masks = (
             width, tuple(rc * every for rc in _ROUND_CONSTANTS), tuple(masks))
     if width == built:

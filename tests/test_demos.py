@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ledgersim import Simulation
+from ledgersim import ReplayVerdict, Simulation
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -51,3 +51,13 @@ def test_byzantine_faults_fails_when_nothing_finalizes(monkeypatch, capsys):
     failed = [line for line in capsys.readouterr().out.splitlines()
               if line.startswith("CHECK FAILED")]
     assert len(failed) == 3 and not any("beyond F" in line for line in failed)
+
+
+def test_replay_audit_fails_when_the_audit_passes_everything(monkeypatch, capsys):
+    """An audit that says OK to both tampered dumps fails their two checks."""
+    demo = _load("replay_audit")
+    monkeypatch.setattr(demo, "replay_chain", lambda genesis, dump: ReplayVerdict(ok=True))
+    assert demo.main() == 1
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("CHECK FAILED")]
+    assert len(failed) == 2

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ledgersim import keccak
 from ledgersim.keccak import keccak256, keccak256_many
-from keccak_reference import keccak256_reference
+from keccak_reference import W, _permute, keccak256_reference
 
 # The first two are the widely published Keccak-256 anchors; the rest
 # were computed with the independent bit-level reference implementation
@@ -155,4 +155,54 @@ def test_emitted_kernels_show_their_unrolled_source(kernel, rho_line):
     source = inspect.getsource(getattr(keccak, kernel))
     assert source.startswith(f"def {kernel}(lanes")
     assert f"        {rho_line}\n" in source
-    assert "        a24 = b24 ^ (~b20 & b21)\n" in source
+    assert "        a24 = b24 ^ (b20 & b21)\n" in source
+    assert "~" not in source
+
+
+# --- the permutations themselves ---------------------------------------------
+
+def _reference_permutation(lanes):
+    """Keccak-f[1600] of 25 lane ints through the bit-level oracle."""
+    bits = [[[lanes[x + 5 * y] >> z & 1 for z in range(W)] for y in range(5)]
+            for x in range(5)]
+    out = _permute(bits)
+    return [sum(out[i % 5][i // 5][z] << z for z in range(W)) for i in range(25)]
+
+
+def _lane_states():
+    """All zero, all ones, one bit in each lane the kernels hold inverted,
+    and random states."""
+    ones = (1 << 64) - 1
+    states = [[0] * 25, [ones] * 25]
+    for i in keccak._COMPLEMENTED:
+        states.append([1 << (7 * i % 64) if j == i else 0 for j in range(25)])
+    rng = random.Random(1600)
+    states += [[rng.getrandbits(64) for _ in range(25)] for _ in range(4)]
+    return states
+
+
+@pytest.fixture(scope="module")
+def permuted():
+    states = _lane_states()
+    return states, [_reference_permutation(s) for s in states]
+
+
+def test_scalar_permutation_matches_oracle(permuted):
+    for state, expected in zip(*permuted):
+        assert keccak._f1600(list(state)) == expected
+
+
+def test_packed_permutation_matches_oracle_at_every_width(permuted):
+    """Each narrower width masks its constants, `ones` included, from the
+    width-256 set built first."""
+    states, expected = permuted
+    keccak._packed_constants(keccak._MAX_WIDTH)
+    width = 2
+    while width <= keccak._MAX_WIDTH:
+        slots = [k % len(states) for k in range(width)]
+        lanes = [sum(states[s][i] << 64 * k for k, s in enumerate(slots)) for i in range(25)]
+        out = keccak._f1600_packed(lanes, *keccak._packed_constants(width))
+        assert [[lane >> 64 * k & (1 << 64) - 1 for lane in out] for k in range(width)] \
+            == [expected[s] for s in slots], width
+        assert all(lane >> 64 * width == 0 for lane in out), width
+        width *= 2
