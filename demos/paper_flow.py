@@ -6,14 +6,17 @@ bank account, funds its own balance and sends an allowance. Every
 validator executes the same finalized blocks, so balances, events and
 reads agree everywhere. The recipient's on-ledger balance stays zero:
 the payout itself is off-ledger and is signaled by the AllowanceSent
-event.
+event. Exits 1 unless every validator shows organization balance 700 and
+recipient balance 0, the chains agree at every height they share, every
+validator logs the same three events, and getBalance reads 700.
 """
 
+import sys
 from pathlib import Path
 
 from ledgersim import (
-    AddFunds, AddRecipient, Amount, Deploy, RegisterBankAccount,
-    SendAllowance, Simulation, parse_genesis,
+    AddFunds, AddRecipient, AllowanceSent, Amount, BankAccountRegistered, Deploy,
+    FundsAdded, RegisterBankAccount, SendAllowance, Simulation, block_hash, parse_genesis,
 )
 
 GENESIS = Path(__file__).resolve().parent.parent / "scenarios" / "genesis_paper.json"
@@ -37,13 +40,14 @@ def main():
     sim.run()
 
     print("per-validator view after the run:")
-    for i, address in enumerate(sim.config.validators):
-        node = sim.nodes[address]
+    nodes = [sim.nodes[address] for address in sim.config.validators]
+    balances = []
+    for i, node in enumerate(nodes):
         state = node.chain.head_ledger.contract
-        org_balance = int(state.balances.get(org.address, 0))
+        balances.append((int(state.balances.get(org.address, 0)),
+                         int(state.balances.get(recipient.address, 0))))
         print(f"  validator {i}: height {node.chain.head_height:>3}, "
-              f"org balance {org_balance}, "
-              f"recipient balance {int(state.balances.get(recipient.address, 0))}")
+              f"org balance {balances[-1][0]}, recipient balance {balances[-1][1]}")
 
     print()
     print("event log (identical on every honest node):")
@@ -53,8 +57,32 @@ def main():
     print()
     balance = sim.reference_node().get_balance(org.address)
     print(f"getBalance(organization) -> {int(balance)}  (1000 added - 300 sent)")
-    assert int(balance) == 700
+
+    # A validator may stop a height short when the horizon falls between
+    # its peers' commits; below that, every chain holds the same blocks,
+    # each sealed by the commit quorum that its node collected.
+    shared = min(node.chain.head_height for node in nodes) + 1
+    hashes = [[block_hash(b) for b in node.chain.blocks[:shared]] for node in nodes]
+    logs = [[event for _, event in node.poll_events(0)] for node in nodes]
+    log = logs[0]
+    checks = (
+        ("every validator has org balance 700 and recipient balance 0",
+         all(pair == (700, 0) for pair in balances)),
+        ("the validators hold the same blocks at every height they share",
+         all(other == hashes[0] for other in hashes)),
+        ("every validator logs BankAccountRegistered, FundsAdded(1000) and "
+         "AllowanceSent(300)",
+         all(other == log for other in logs) and len(log) == 3
+         and isinstance(log[0], BankAccountRegistered)
+         and log[0].recipient == recipient.address
+         and log[1:] == [FundsAdded(Amount(1000)), AllowanceSent(recipient.address, Amount(300))]),
+        ("getBalance(organization) is 700", int(balance) == 700),
+    )
+    failed = [claim for claim, held in checks if not held]
+    for claim in failed:
+        print(f"CHECK FAILED: {claim}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

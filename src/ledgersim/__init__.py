@@ -26,7 +26,7 @@ from .model import (
     Signature, Transaction, TxPayload, TxStatus, ZERO_ADDRESS, ZERO_HASH,
     block_hash, tx_hash,
 )
-from .netsim import Behavior, ByzantineSpec, NetworkParams, rng_stream
+from .netsim import Behavior, ByzantineSpec, rng_stream
 from .replay import ReplayVerdict, replay_chain
 from .scenario import Scenario, parse_scenario, run_scenario
 from .simulation import Simulation, make_genesis_block

@@ -39,8 +39,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             seed = int(env_seed)
         except ValueError:
             raise MalformedConfig(f"bad SIM_SEED {env_seed!r}") from None
-    if seed is not None and not 0 <= seed < 2 ** 64:
-        raise MalformedConfig(f"seed {seed} does not fit in 64 bits")
 
     out_dir = Path(args.out) if args.out else None
     code, report = run_scenario(genesis, scenario, seed=seed, out_dir=out_dir)

@@ -4,7 +4,9 @@ The genesis file is strict JSON with exactly these fields: networkId,
 validators, blockGasLimit, gasPrice, gst, delta, preGstMaxDelay,
 preGstLossProb, seed, baseRoundTimeout, and keyProvider with
 privateKeys, rpcUrl, min, max. Unknown fields are rejected and
-parse(emit(config)) round-trips.
+parse(emit(config)) round-trips. The config is the one record of a run's
+network inputs: `parse_genesis` checks every range, and `Simulation`
+checks only the seed it runs, by `check_seed`.
 
 Validator entries are 32-byte key seeds (64 hex chars) or 20-byte
 addresses (40 hex chars); an address form must match a key in the
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 from .crypto import KeyPair
 from .errors import InvalidRange, MalformedConfig, MissingField
 from .model import Address, _json_document, _json_int, _json_object, hx, unhx
-from .netsim import NetworkParams
 
 
 @dataclass(frozen=True)
@@ -47,13 +48,15 @@ class GenesisConfig:
     base_round_timeout: int
     key_provider: KeyProvider
 
-    @property
-    def network_params(self) -> NetworkParams:
-        return NetworkParams(self.gst, self.delta, self.pre_gst_max_delay,
-                             self.pre_gst_loss_prob, self.seed)
-
     def validator_keys(self) -> list[KeyPair]:
         return [KeyPair.from_seed(seed) for seed in self.validators]
+
+
+def check_seed(seed: int) -> int:
+    """`seed` if it lies in [0, 2**64), the seeds a run's streams take."""
+    if not 0 <= seed < 1 << 64:
+        raise InvalidRange("seed must fit in 64 bits")
+    return seed
 
 
 def active_keys(provider: KeyProvider) -> list[KeyPair]:
@@ -123,8 +126,7 @@ def parse_genesis(data: bytes) -> GenesisConfig:
         raise MalformedConfig("preGstLossProb must be a number")
     if not 0.0 <= float(loss) <= 1.0:
         raise InvalidRange("preGstLossProb must be in [0, 1]")
-    if ints["seed"] >= 1 << 64:
-        raise InvalidRange("seed must fit in 64 bits")
+    check_seed(ints["seed"])
 
     by_address = {KeyPair.from_seed(k).address: k for k in private_keys}
     seeds = []

@@ -69,8 +69,6 @@ class ConsensusConfig:
 
     def __post_init__(self) -> None:
         n = len(self.validators)
-        if n < 1:
-            raise ValueError("need at least one validator")
         if len(set(self.validators)) != n:
             raise ValueError("validators must be distinct")
         if self.base_round_timeout < 1:
@@ -174,12 +172,12 @@ class StepResult:
     pairs: the engine broadcasts, with recipient None, and a node replies
     to one sender. `finalized` is the block the engine sealed or the node
     adopted. `timer` is the round timer armed, due `timeout` ticks after
-    the step. The phases are None when the engine took no step."""
+    the step. `phase_before` is None when the engine took no step; the
+    phase after it is the engine's `phase`."""
     outbound: list[tuple[object, Optional[Address]]] = field(default_factory=list)
     finalized: Optional[Block] = None
     timer: Optional[tuple[int, int]] = None  # (timeout, epoch)
     phase_before: Optional[Phase] = None
-    phase_after: Optional[Phase] = None
     discards: list[str] = field(default_factory=list)
 
 
@@ -229,7 +227,7 @@ class Engine:
         result = StepResult(phase_before=self.phase)
         self._reset(height)
         self._enter_round(0, result)
-        return self._finish(result)
+        return result
 
     def handle_message(self, msg: ConsensusMessage) -> StepResult:
         result = StepResult(phase_before=self.phase)
@@ -243,7 +241,7 @@ class Engine:
             result.discards.append("HeightClosed")
         else:
             self._process(msg, result)
-        return self._finish(result)
+        return result
 
     def handle_timer(self, epoch: int) -> StepResult:
         result = StepResult(phase_before=self.phase)
@@ -254,13 +252,9 @@ class Engine:
             self.timer_epoch += 1
             result.timer = (self._timeout(target), self.timer_epoch)
             self._request_round(target, result)
-        return self._finish(result)
+        return result
 
     # -- internals -------------------------------------------------------------
-
-    def _finish(self, result: StepResult) -> StepResult:
-        result.phase_after = self.phase
-        return result
 
     def _timeout(self, round_: int) -> int:
         return self.config.base_round_timeout * (2 ** round_)

@@ -29,6 +29,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import contract
+from .config import GenesisConfig
 from .errors import EmptyQueue, InternalInvariantViolation
 from .keccak import keccak256
 from .model import Address, Block, Hash256
@@ -36,25 +37,6 @@ from .consensus import (
     FINALIZED, PRE_PREPARE, ConsensusMessage, block_hash, make_message, proposer_for,
 )
 from .node import ValidatorNode
-
-
-@dataclass(frozen=True)
-class NetworkParams:
-    gst: int
-    delta: int
-    pre_gst_max_delay: int
-    pre_gst_loss_prob: float
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.delta < 1:
-            raise ValueError("delta must be >= 1")
-        if self.gst < 0 or self.pre_gst_max_delay < 0:
-            raise ValueError("times must be non-negative")
-        if not 0.0 <= self.pre_gst_loss_prob <= 1.0:
-            raise ValueError("loss probability must be in [0, 1]")
-        if self.seed < 0 or self.seed >= 1 << 64:
-            raise ValueError("seed must fit in 64 bits")
 
 
 class Behavior(enum.Enum):
@@ -126,28 +108,29 @@ class EventQueue:
 
 
 class Network:
-    """Delivery layer: samples per-message loss and delay. `send` returns
+    """Delivery layer: samples per-message loss and delay by the genesis
+    config's network fields, from the stream of `seed`. `send` returns
     the scheduled delivery, or None for a drop; the caller records it."""
 
-    def __init__(self, params: NetworkParams, queue: EventQueue) -> None:
-        self.params = params
-        self.gst = params.gst
+    def __init__(self, genesis: GenesisConfig, seed: int, queue: EventQueue) -> None:
+        self.genesis = genesis
+        self.gst = genesis.gst
         self.queue = queue
-        self.rng = rng_stream(params.seed, "net")
+        self.rng = rng_stream(seed, "net")
 
     def set_gst_now(self) -> None:
         self.gst = self.queue.now
 
     def send(self, payload: object, frm: Address, to: Address, now: int) -> Optional[SimEvent]:
         if now < self.gst:
-            if self.rng.random() < self.params.pre_gst_loss_prob:
+            if self.rng.random() < self.genesis.pre_gst_loss_prob:
                 return None
-            delay = self.rng.randint(1, max(1, self.params.pre_gst_max_delay))
+            delay = self.rng.randint(1, max(1, self.genesis.pre_gst_max_delay))
         else:
-            delay = self.rng.randint(1, self.params.delta)
-            if delay > self.params.delta:
+            delay = self.rng.randint(1, self.genesis.delta)
+            if delay > self.genesis.delta:
                 raise InternalInvariantViolation(
-                    f"post-GST delay {delay} exceeds delta {self.params.delta}")
+                    f"post-GST delay {delay} exceeds delta {self.genesis.delta}")
         return self.queue.schedule(now + delay, to, payload)
 
 

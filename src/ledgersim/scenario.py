@@ -43,9 +43,7 @@ from .model import (
     _json_int, _json_object, block_to_json, event_to_json, hx, unhx,
 )
 from .netsim import Behavior, ByzantineSpec
-from .simulation import Simulation
-
-DEFAULT_HORIZON = 2000
+from .simulation import DEFAULT_HORIZON, Simulation
 
 _ACTIONS = {**{name: kind.fields for name, kind in KIND_BY_NAME.items()},
             "getBalance": ("address",), "injectFault": ("node", "behavior"),

@@ -9,12 +9,12 @@ with the same inputs produce byte-identical traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
 from . import contract
-from .config import GenesisConfig
+from .config import GenesisConfig, check_seed
 from .consensus import ConsensusConfig, StepResult
 from .crypto import KeyPair, Registry, sign
 from .errors import NotDeployed
@@ -26,6 +26,8 @@ from .model import (
 )
 from .netsim import ByzantineSpec, EventQueue, Network, byzantine_transform, payload_kind
 from .node import ExecutionTable, ValidatorNode
+
+DEFAULT_HORIZON = 2000  # logical ticks a run lasts unless told otherwise
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,7 +61,7 @@ class Traces:
                 "node": sender, "logicalTime": now,
                 "input": cause if isinstance(cause, str) else payload_kind(cause),
                 "phaseBefore": result.phase_before.value,
-                "phaseAfter": result.phase_after.value,
+                "phaseAfter": node.engine.phase.value,
                 "outbound": len(result.outbound), "discards": result.discards})
 
 
@@ -90,10 +92,10 @@ class Simulation:
     leaves the table when every honest node's head has reached it."""
 
     def __init__(self, genesis: GenesisConfig, *, seed: Optional[int] = None,
-                 horizon: int = 2000, collect_traces: bool = True) -> None:
+                 horizon: int = DEFAULT_HORIZON, collect_traces: bool = True) -> None:
         self.genesis = genesis
         self.horizon = horizon
-        self.seed = genesis.seed if seed is None else seed
+        self.seed = check_seed(genesis.seed if seed is None else seed)
 
         self.validator_keys, self.registry, self.config = genesis_setup(genesis)
         genesis_block = make_genesis_block()
@@ -105,7 +107,7 @@ class Simulation:
                 genesis.block_gas_limit, self.executions)
 
         self.queue = EventQueue()
-        self.network = Network(replace(genesis.network_params, seed=self.seed), self.queue)
+        self.network = Network(genesis, self.seed, self.queue)
         traces = Traces() if collect_traces else None
         self.observers: list = [] if traces is None else [traces]  # see _route
         self.consensus_trace = None if traces is None else traces.consensus

@@ -44,7 +44,7 @@ def install(sim) -> "BftMonitor":
 def install_watchdog(sim, gst=None) -> "LivenessWatchdog":
     """Watch `sim`'s progress from now on. `gst` defaults to the network's;
     a test that drops messages itself until a later time passes that time."""
-    watchdog = LivenessWatchdog(sim.config, sim.nodes, sim.faults, sim.network.params.delta,
+    watchdog = LivenessWatchdog(sim.config, sim.nodes, sim.faults, sim.genesis.delta,
                                 sim.network.gst if gst is None else gst)
     sim.observers.append(watchdog)
     return watchdog

@@ -123,6 +123,20 @@ class TestParse:
         with pytest.raises(InvalidRange):
             parse_genesis(dumps(obj))
 
+    @pytest.mark.parametrize("field, value", [("delta", 0), ("preGstLossProb", 1.5)])
+    def test_network_field_out_of_range_rejected(self, field, value):
+        """The genesis file is the one record of the network's inputs, and
+        the parse is where its ranges are checked."""
+        obj = paper_faithful_obj()
+        obj[field] = value
+        with pytest.raises(InvalidRange):
+            parse_genesis(dumps(obj))
+
+    def test_loss_probability_one_accepted(self):
+        obj = paper_faithful_obj()
+        obj["preGstLossProb"] = 1.0
+        assert parse_genesis(dumps(obj)).pre_gst_loss_prob == 1.0
+
 
 class TestRoundTrip:
     def test_emit_parse_identity_on_random_configs(self):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ledgersim import ReplayVerdict, Simulation
+from ledgersim import Amount, ReplayVerdict, SendAllowance, Simulation
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -61,3 +61,26 @@ def test_replay_audit_fails_when_the_audit_passes_everything(monkeypatch, capsys
     failed = [line for line in capsys.readouterr().out.splitlines()
               if line.startswith("CHECK FAILED")]
     assert len(failed) == 2
+
+
+def test_paper_flow_fails_when_the_allowance_is_not_300(monkeypatch, capsys):
+    """An allowance of 299 leaves 701 with the organization, and its event
+    is not the AllowanceSent(300) the demo claims."""
+    demo = _load("paper_flow")
+    monkeypatch.setattr(demo, "SendAllowance",
+                        lambda recipient, amount: SendAllowance(recipient, Amount(299)))
+    assert demo.main() == 1
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("CHECK FAILED")]
+    assert len(failed) == 3 and not any("same blocks" in line for line in failed)
+
+
+def test_quorum_math_fails_with_a_quorum_one_short(monkeypatch, capsys):
+    """A quorum of floor(2N/3) is not minimal among those above two thirds,
+    and two such quorums of four validators overlap in none."""
+    demo = _load("quorum_math")
+    monkeypatch.setattr(demo, "quorum_size", lambda n: (2 * n) // 3)
+    assert demo.main() == 1
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("CHECK FAILED")]
+    assert len(failed) == 2 and not any("N - F > 2F" in line for line in failed)

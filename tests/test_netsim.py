@@ -11,8 +11,7 @@ from ledgersim.consensus import (
 from ledgersim.errors import EmptyQueue, InternalInvariantViolation
 from ledgersim.model import AddFunds, Address, Amount, Deploy, block_hash, hx
 from ledgersim.netsim import (
-    Behavior, ByzantineSpec, EventQueue, Network, NetworkParams,
-    byzantine_transform, rng_stream,
+    Behavior, ByzantineSpec, EventQueue, Network, byzantine_transform, rng_stream,
 )
 from ledgersim.node import BlockAnnounce
 from ledgersim.simulation import Simulation
@@ -23,24 +22,10 @@ A = Address(b"\x0a" * 20)
 B = Address(b"\x0b" * 20)
 
 
-def params(**overrides):
-    base = dict(gst=100, delta=5, pre_gst_max_delay=50,
-                pre_gst_loss_prob=0.1, seed=7)
-    base.update(overrides)
-    return NetworkParams(**base)
-
-
-class TestParams:
-    def test_delta_must_be_positive(self):
-        with pytest.raises(ValueError):
-            params(delta=0)
-
-    def test_loss_probability_range(self):
-        with pytest.raises(ValueError):
-            params(pre_gst_loss_prob=1.5)
-
-    def test_loss_probability_one_allowed(self):
-        assert params(pre_gst_loss_prob=1.0).pre_gst_loss_prob == 1.0
+def network(**overrides):
+    """A network on `make_genesis`'s fields (gst 100, delta 5, pre-GST
+    delay up to 50, loss 0.1) and the stream of seed 7."""
+    return Network(make_genesis(**overrides), 7, EventQueue())
 
 
 class TestEventQueue:
@@ -92,7 +77,7 @@ class TestEventQueue:
 
 class TestDelayRegimes:
     def test_post_gst_delivery_within_delta(self):
-        net = Network(params(gst=0), EventQueue())
+        net = network(gst=0)
         for _ in range(10_000):
             ev = net.send("m", A, B, now=50)
             assert ev is not None
@@ -100,32 +85,31 @@ class TestDelayRegimes:
 
     def test_post_gst_delay_over_delta_is_an_invariant_violation(self, monkeypatch):
         """Raised, not asserted, so `python -O` keeps the bound."""
-        net = Network(params(gst=0), EventQueue())
+        net = network(gst=0)
         monkeypatch.setattr(net.rng, "randint", lambda lo, hi: hi + 1)
         with pytest.raises(InternalInvariantViolation, match="exceeds delta 5"):
             net.send("m", A, B, now=50)
 
     def test_pre_gst_loss_probability_one_always_drops(self):
-        net = Network(params(pre_gst_loss_prob=1.0), EventQueue())
+        net = network(pre_gst_loss_prob=1.0)
         for _ in range(200):
             assert net.send("m", A, B, now=10) is None
 
     def test_pre_gst_delay_bounded_by_max(self):
-        net = Network(params(pre_gst_loss_prob=0.0), EventQueue())
+        net = network(pre_gst_loss_prob=0.0)
         for _ in range(2000):
             ev = net.send("m", A, B, now=0)
             assert ev is not None and 0 < ev.time <= 50
 
     def test_set_gst_now_switches_regime(self):
-        q = EventQueue()
-        net = Network(params(gst=10**9, pre_gst_loss_prob=1.0), q)
+        net = network(gst=10**9, pre_gst_loss_prob=1.0)
         assert net.send("m", A, B, now=0) is None
         net.set_gst_now()
         assert net.send("m", A, B, now=0) is not None
 
     def test_twin_runs_produce_identical_schedules(self):
         def run():
-            net = Network(params(), EventQueue())
+            net = network()
             sent = [net.send(f"m{i}", A, B, now=i) for i in range(500)]
             return [None if ev is None else (ev.time, ev.seq) for ev in sent]
         assert run() == run()

@@ -403,11 +403,14 @@ class TestCli:
         ("--seed=7", {"SIM_SEED": "-3"}),
     ])
     def test_seed_outside_64_bits_exits_2(self, tmp_path, flag, env):
+        """`Simulation` refuses the seed before `--out` is created."""
+        out = tmp_path / "out"
         proc = cli("run", "--genesis", str(GENESIS), "--scenario",
-                   str(PAPER_FLOW), flag, "--out", str(tmp_path), env=env)
+                   str(PAPER_FLOW), flag, "--out", str(out), env=env)
         assert proc.returncode == 2
         assert proc.stderr.startswith("config error:")
         assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
     def test_an_out_that_names_a_file_exits_2(self, tmp_path):
         taken = tmp_path / "afile"

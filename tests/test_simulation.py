@@ -1,6 +1,6 @@
-"""Simulation run loop: client intake, the client-transaction prehash at
-start(), the minimum-height stop rule, the safety checker, and runs of
-seven validators with two faulty, and a late-GST safety sweep.
+"""Simulation run loop: the seed range, client intake, the client-transaction
+prehash at start(), the minimum-height stop rule, the safety checker, and
+runs of seven validators with two faulty, and a late-GST safety sweep.
 
 `Simulation.start()` batch-hashes the unsigned encoding and bank-account
 string of every scheduled client transaction, guessing the nonces
@@ -19,6 +19,7 @@ import pytest
 
 from ledgersim import contract, keccak, model
 from ledgersim.deploy import migrate_deploy
+from ledgersim.errors import InvalidRange
 from ledgersim.model import (
     AddFunds, AddRecipient, Amount, Block, Deploy, Hash256, RegisterBankAccount,
     SendAllowance, Signature, block_hash, block_to_json, hx,
@@ -185,6 +186,21 @@ class TestPrehashMechanism:
         sim.schedule_tx(6, key, Deploy())
         sim.run()
         assert [hit for _, hit in lookups["model"]] == [False]
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("genesis_seed, seed", [(42, 1 << 64), (42, -1), (1 << 64, None)],
+                             ids=["override_2_64", "override_negative", "genesis_2_64"])
+    def test_a_seed_outside_64_bits_is_refused(self, genesis_seed, seed):
+        """The seed a run uses, the override or the genesis config's, must
+        lie in [0, 2**64); the CLI's refusal of `--seed` and `SIM_SEED` is
+        this one."""
+        with pytest.raises(InvalidRange, match="seed must fit in 64 bits"):
+            Simulation(make_genesis(seed=genesis_seed), seed=seed)
+
+    def test_the_extremes_of_the_range_run(self):
+        for seed in (0, (1 << 64) - 1):
+            assert Simulation(make_genesis(), seed=seed).seed == seed
 
 
 class TestClientIntake:
