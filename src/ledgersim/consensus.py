@@ -40,7 +40,8 @@ from typing import Callable, Optional
 
 from .crypto import KeyPair, Registry, sign
 from .model import (
-    Address, Block, Hash256, Signature, ZERO_HASH, _u, block_hash, replace_unhashed,
+    Address, Block, Hash256, Signature, ZERO_HASH, _u, block_hash, extends,
+    replace_unhashed,
 )
 
 
@@ -403,6 +404,6 @@ def validate_finalized_block(block: Block, config: ConsensusConfig,
     `parent`, and it carries a quorum of distinct validator seals, each a
     valid commit signature over this block's height, round and hash.
     Genesis is checked by equality with `make_genesis_block()` instead."""
-    return (block.height == parent.height + 1 and block.parent_hash == block_hash(parent)
+    return (extends(block, parent)
             and quorum_signed(COMMIT, block.height, block.round, block_hash(block),
                               block.commit_seals, config, registry))

@@ -27,10 +27,12 @@ its fields, in declaration order, are written by one codec per field
 name. The codecs here, the contract and the scenario runner all read it.
 
 A transaction and a block each keep their hash in a private slot filled
-on first use. The values are immutable, so a digest never goes stale;
-the slot takes no part in equality, `hash()` or `repr`.
-`dataclasses.replace` starts the copy with it empty; `replace_unhashed`
-changes only fields outside the hashing view and so keeps the hash.
+on first use, and a block keeps in another what executing it on its
+parent's ledger gave (`node.ValidatorNode._checked_execution`). The
+values are immutable, so neither goes stale; the slots take no part in
+equality, `hash()` or `repr`. `dataclasses.replace` starts the copy with
+them empty; `replace_unhashed` changes only fields outside the hashing
+view, which are no input of execution either, and so keeps both.
 """
 
 from __future__ import annotations
@@ -218,6 +220,7 @@ class Block:
     state_root: Hash256
     commit_seals: tuple[tuple[Address, Signature], ...]
     _hash: Optional[Hash256] = field(default=None, init=False, repr=False, compare=False)
+    _execution: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
 
 # --- canonical serialization ---------------------------------------------
@@ -358,6 +361,11 @@ def block_hash(block: Block) -> Hash256:
     return h
 
 
+def extends(block: Block, parent: Block) -> bool:
+    """`block` is at the height after `parent` and names it as its parent."""
+    return block.height == parent.height + 1 and block.parent_hash == block_hash(parent)
+
+
 # Fields outside each type's hashing view.
 _UNHASHED = {Transaction: {"signature"}, Block: {"round", "commit_seals"}}
 
@@ -365,11 +373,13 @@ _UNHASHED = {Transaction: {"signature"}, Block: {"round", "commit_seals"}}
 def replace_unhashed(value, **changes):
     """`dataclasses.replace` of fields outside the hashing view (a
     transaction's signature, a block's round and seals); the copy keeps
-    the hash slot of `value`."""
+    the hash slot of `value`, and a block's copy its execution slot."""
     if not changes.keys() <= _UNHASHED[type(value)]:
         raise ValueError(f"{sorted(changes)} are hashed fields of {type(value).__name__}")
     copy = replace(value, **changes)
     object.__setattr__(copy, "_hash", value._hash)
+    if isinstance(copy, Block):
+        object.__setattr__(copy, "_execution", value._execution)
     return copy
 
 

@@ -3,9 +3,12 @@
 Every block, whether a proposal, an announced sealed block or this
 node's own finalized block, is executed by `contract.execute_block_txs`
 and checked by `contract.block_content_error`, as the replay audit does.
-The execution table that a simulation hands to all its nodes keeps each
-result, so a block is executed once however many nodes see it, and they
-all adopt the same immutable ledger object.
+A block keeps the result in a slot, as it keeps its hash (`model.Block`),
+and a broadcast proposal is one object that reaches every peer, so it
+is executed once however many nodes see it, and they all adopt the same
+immutable ledger object. A chain keeps only its head's ledger: a block
+lets go of its execution when it is appended, so a laggard executes for
+itself the sealed blocks that a catch-up brings.
 
 Finality is instant and the chain is append-only; there are no forks or
 reorgs. A node that falls behind (for example the odd victim of an
@@ -19,7 +22,7 @@ The laggard verifies each against the quorum seals and adopts it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from . import contract
 from .consensus import (
@@ -29,7 +32,7 @@ from .consensus import (
 from .crypto import KeyPair, Registry
 from .errors import InternalInvariantViolation
 from .model import (
-    Address, Block, Event, Hash256, Receipt, Transaction, block_hash, tx_hash,
+    Address, Block, Event, Hash256, Receipt, Transaction, block_hash, extends, tx_hash,
 )
 
 # The most sealed blocks one ROUND_CHANGE for a finalized height brings
@@ -84,8 +87,7 @@ class Chain:
 
     def append(self, block: Block, ledger: contract.LedgerState,
                receipts: list[Receipt]) -> None:
-        if (block.height != self.head_height + 1
-                or block.parent_hash != block_hash(self.head)):
+        if not extends(block, self.head):
             raise InternalInvariantViolation(
                 f"block {block.height} does not extend the head at {self.head_height}")
         self.blocks.append(block)
@@ -103,34 +105,14 @@ class Chain:
                 for emission_index, event in enumerate(receipt.events)]
 
 
-# What a block leaves on its parent's ledger: the ledger and receipts, or
-# None if it fails the content check.
-Execution = Optional[tuple[contract.LedgerState, list[Receipt]]]
-
-
-class ExecutionTable(dict[int, dict[Hash256, Execution]]):
-    """Executions by block height, then block hash. Every height at or
-    below `floor` has left the table for good, and no writer puts it back."""
-    floor = 0
-
-    def record(self, block: Block, executed: Execution) -> None:
-        """Keep `executed`, unless the block's height has been evicted. The
-        simulation evicts a height once every honest node's head has reached
-        it, since no node executes at or below its own head; a faulty node
-        left behind still executes there, on its own."""
-        if block.height > self.floor:
-            self.setdefault(block.height, {})[block_hash(block)] = executed
-
-    def evict_through(self, height: int) -> None:
-        while self.floor < height:
-            self.floor += 1
-            self.pop(self.floor, None)
+# What a block leaves on its parent's ledger, kept in its `_execution`
+# slot: the ledger and receipts, or () if it fails the content check.
+Execution = Union[tuple[contract.LedgerState, list[Receipt]], tuple[()]]
 
 
 class ValidatorNode:
     def __init__(self, key: KeyPair, config: ConsensusConfig, registry: Registry,
-                 genesis: Block, block_gas_limit: int,
-                 executions: ExecutionTable) -> None:
+                 genesis: Block, block_gas_limit: int) -> None:
         self.key = key
         self.address = key.address
         self.config = config
@@ -142,7 +124,6 @@ class ValidatorNode:
         self.engine = Engine(config, key, registry,
                              build_block=self.build_block,
                              validate_block=self.validate_block)
-        self.executions = executions  # shared by every node of a simulation
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -166,18 +147,13 @@ class ValidatorNode:
         ledger, receipts = contract.execute_block_txs(self.chain.head_ledger, tuple(txs))
         block = Block(height, round_, block_hash(parent), self.address,
                       tuple(txs), contract.state_root(ledger.contract), ())
-        self.executions.record(block, (ledger, receipts))
+        object.__setattr__(block, "_execution", (ledger, receipts))
         return block
 
     def validate_block(self, block: Block) -> bool:
-        parent = self.chain.head
-        if block.height != parent.height + 1:
-            return False
-        if block.parent_hash != block_hash(parent):
-            return False
-        if block.proposer not in self.config.validators:
-            return False
-        return self._checked_execution(block) is not None
+        return (extends(block, self.chain.head)
+                and block.proposer in self.config.validators
+                and bool(self._checked_execution(block)))
 
     # -- transaction intake ------------------------------------------------------
 
@@ -234,32 +210,31 @@ class ValidatorNode:
         return step
 
     def _checked_execution(self, block: Block) -> Execution:
-        """The ledger and receipts after `block` on the head, or None if it
+        """The ledger and receipts after `block` on the head, or () if it
         fails the content check. Both are pure functions of the block and
         its parent's ledger, and every caller has checked that the parent
-        is this node's head: the block hash commits to the parent hash, the
-        transactions and the state root, and the registry and gas limit are
-        the same on every node. So the first node to execute a block
-        records the verdict in the shared table and the others read it; a
-        built block is recorded by `build_block`, and passes by
-        construction."""
-        at_height = self.executions.get(block.height, {})
-        bh = block_hash(block)
-        if bh in at_height:
-            return at_height[bh]
-        ledger, receipts = contract.execute_block_txs(self.chain.head_ledger, block.txs)
-        error = contract.block_content_error(block, ledger, self.registry,
-                                             self.block_gas_limit)
-        executed = None if error is not None else (ledger, receipts)
-        self.executions.record(block, executed)
+        is this node's head; the registry and gas limit are the same on
+        every node. So the first node to execute a block object keeps the
+        verdict in the block's slot, and every node that the object reaches
+        reads it there; a built block is filled by `build_block`, and
+        passes by construction."""
+        executed = block._execution
+        if executed is None:
+            ledger, receipts = contract.execute_block_txs(self.chain.head_ledger, block.txs)
+            error = contract.block_content_error(block, ledger, self.registry,
+                                                 self.block_gas_limit)
+            executed = () if error is not None else (ledger, receipts)
+            object.__setattr__(block, "_execution", executed)
         return executed
 
     def _adopt(self, block: Block) -> bool:
-        """Append `block` to the chain if it passes the content check."""
+        """Append `block` to the chain if it passes the content check, and
+        empty its execution slot: the chain keeps its head's ledger alone."""
         executed = self._checked_execution(block)
-        if executed is None:
+        if not executed:
             return False
         self.chain.append(block, *executed)
+        object.__setattr__(block, "_execution", None)
         self.mempool.remove_included(block.txs)
         return True
 

@@ -25,7 +25,7 @@ from .model import (
     serialize_tx, tx_hash,
 )
 from .netsim import ByzantineSpec, EventQueue, Network, byzantine_transform, payload_kind
-from .node import ExecutionTable, ValidatorNode
+from .node import ValidatorNode
 
 DEFAULT_HORIZON = 2000  # logical ticks a run lasts unless told otherwise
 
@@ -87,9 +87,8 @@ def genesis_setup(genesis: GenesisConfig
 
 
 class Simulation:
-    """A validator network in one process. Its nodes share one execution
-    table, so each distinct block is executed and checked once; a height
-    leaves the table when every honest node's head has reached it."""
+    """A validator network in one process: its nodes, the queue and network
+    that carry their messages, and the record of the run."""
 
     def __init__(self, genesis: GenesisConfig, *, seed: Optional[int] = None,
                  horizon: int = DEFAULT_HORIZON, collect_traces: bool = True) -> None:
@@ -99,12 +98,10 @@ class Simulation:
 
         self.validator_keys, self.registry, self.config = genesis_setup(genesis)
         genesis_block = make_genesis_block()
-        self.executions = ExecutionTable()
         self.nodes: dict[Address, ValidatorNode] = {}
         for key in self.validator_keys:
             self.nodes[key.address] = ValidatorNode(
-                key, self.config, self.registry, genesis_block,
-                genesis.block_gas_limit, self.executions)
+                key, self.config, self.registry, genesis_block, genesis.block_gas_limit)
 
         self.queue = EventQueue()
         self.network = Network(genesis, self.seed, self.queue)
@@ -309,21 +306,16 @@ class Simulation:
     # -- bookkeeping ------------------------------------------------------------------
 
     def _record_finalized(self, node: ValidatorNode, block: Block) -> None:
-        """Count `node`'s new head `block`, check it against the other
-        honest nodes' blocks at its height, and evict from the execution
-        table every height that the lowest honest head has now reached. A
-        stalled faulty node would otherwise pin every height above its head.
-        Every chain append (`ValidatorNode._adopt`) comes here, so the chains
-        are the record of finality. The check stops at the first honest chain,
-        in validator order, with another block at the height."""
+        """Count `node`'s new head `block` and check it against the other
+        honest nodes' blocks at its height. Every chain append
+        (`ValidatorNode._adopt`) comes here, so the chains are the record of
+        finality. The check stops at the first honest chain, in validator
+        order, with another block at the height."""
         self._finalizations += 1
-        honest = self.honest_addresses()
-        self.executions.evict_through(min(self.nodes[a].chain.head_height
-                                          for a in honest or self.config.validators))
         if node.address in self.faults or self.safety_violation:
             return
         height, own = block.height, block_hash(block)
-        for other in honest:
+        for other in self.honest_addresses():
             chain = self.nodes[other].chain
             if other == node.address or chain.head_height < height:
                 continue

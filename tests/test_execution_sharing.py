@@ -1,14 +1,17 @@
-"""The execution table that a simulation's nodes share.
+"""What a block's execution slot promises.
 
 Execution and the content check are pure functions of a block and its
-parent's ledger, so the nodes of one simulation keep them in one table:
-each distinct block is executed once, a failed verdict included, and a
-height leaves the table once every node's head has reached it. The twin
-tests run the same simulations with a private table per node and require
-the same chains, receipts, finalized hashes and traces.
+parent's ledger, so a block keeps what executing it gave, a failed
+verdict included, and every node that one proposal object reaches reads
+it there: each proposal is executed once. The twin tests run the same
+simulations with every node executing every block itself and require
+the same chains, receipts, finalized hashes and traces. A chain lets go
+of its blocks' executions, so it pins no ledger but its head's.
 """
 
+import gc
 import random
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -21,7 +24,7 @@ from ledgersim.model import (
     SendAllowance, Signature, block_hash, block_to_json, receipt_to_json,
 )
 from ledgersim.netsim import Behavior, ByzantineSpec, _equivocation_variant
-from ledgersim.node import ExecutionTable, ValidatorNode
+from ledgersim.node import Chain, ValidatorNode
 from ledgersim.simulation import Simulation
 
 from conftest import SEEDS, make_genesis
@@ -43,11 +46,16 @@ def executions(monkeypatch):
     return calls
 
 
-def private_tables(monkeypatch):
-    """Give every node built from now on a table of its own."""
-    init = ValidatorNode.__init__
-    monkeypatch.setattr(ValidatorNode, "__init__",
-                        lambda self, *args: init(self, *args[:-1], ExecutionTable()))
+def executing_alone(monkeypatch):
+    """Make every node execute every block itself: empty the block's
+    execution slot before each `_checked_execution`."""
+    checked = ValidatorNode._checked_execution
+
+    def alone(node, block):
+        object.__setattr__(block, "_execution", None)
+        return checked(node, block)
+
+    monkeypatch.setattr(ValidatorNode, "_checked_execution", alone)
 
 
 def first_proposal(sim):
@@ -94,9 +102,9 @@ class TestFailedVerdicts:
             if node is not proposer:
                 assert node.handle_consensus(msg).discards == ["InvalidBlock"]
         assert executions == [bad.txs]
-        assert sim.executions[1][block_hash(bad)] is None
+        assert bad._execution == ()  # the refusal, not "not executed yet"
 
-        # the proposer's own block was recorded when it was built
+        # the proposer's own block was filled when it was built
         assert all(node.validate_block(honest) for node in sim.nodes.values())
         assert executions == [bad.txs]
 
@@ -129,28 +137,55 @@ def flood(sim, n_txs=200, rate=4.0, seed=0):
             gap += rng.expovariate(rate)
 
 
-def flood_run(checked, seed=5):
+def silent_v3(seed, horizon):
+    """A loss-free simulation with V3 silent from the start."""
+    sim = Simulation(make_genesis(seed=seed, gst=0, pre_gst_max_delay=0,
+                                  pre_gst_loss_prob=0.0), horizon=horizon)
+    sim.inject_fault(ByzantineSpec(sim.config.validators[3], Behavior.SILENT))
+    return sim
+
+
+def long_flood(seed):
+    """A 600-transaction flood at 2 per tick with V3 silent, run to
+    `flood_run`'s horizon, which leaves some of it pending."""
+    sim = silent_v3(seed, horizon=250)
+    flood(sim, n_txs=600, rate=2.0)
+    sim.run()
+    return sim
+
+
+def flood_run(seed=5):
     """A 200-transaction flood with V3 silent, run until every transaction
     is final."""
-    sim = Simulation(make_genesis(seed=seed, gst=0, pre_gst_max_delay=0,
-                                  pre_gst_loss_prob=0.0), horizon=250)
-    sim.inject_fault(ByzantineSpec(sim.config.validators[3], Behavior.SILENT))
+    sim = silent_v3(seed, horizon=250)
     flood(sim)
-    checked(sim)
     sim.run()
     assert sum(len(b.txs) for b in sim.reference_node().chain.blocks) == 200
     return sim
 
 
-def equivocation_run(checked, seed=8):
+def equivocation_run(seed=8):
     """An equivocating V0 with pre-GST loss, run to height 30."""
     sim = Simulation(make_genesis(seed=seed), horizon=10_000)
     sim.inject_fault(ByzantineSpec(sim.config.validators[0], Behavior.EQUIVOCATE))
     for i, tick in enumerate(range(0, 400, 40)):
         sim.schedule_tx(tick, ORG, Deploy() if i == 0 else AddFunds(Amount(i)))
-    checked(sim)
     assert sim.run_until_min_height(30)
     return sim
+
+
+def stalled_silent_run():
+    """A flood whose silent V3 misses height 2 and never catches up: it
+    sends nothing, so no peer ever shows it a sealed block."""
+    sim = flood_run(seed=0)
+    assert sim.finalized_height(sim.config.validators[3]) == 1
+    return sim
+
+
+def lagging_equivocator_run():
+    """An equivocating V0 that falls behind and adopts the sealed blocks
+    that a catch-up brings, executing each itself."""
+    return equivocation_run(seed=10)
 
 
 def outputs(sim):
@@ -167,109 +202,49 @@ def outputs(sim):
     return chains, hashes, sim.consensus_trace, sim.net_trace
 
 
-@pytest.mark.parametrize("run", [flood_run, equivocation_run])
-class TestSharedTable:
-    def test_outputs_equal_those_of_private_tables(self, run, monkeypatch):
-        shared = run(lambda sim: None)
+class TestSharedExecution:
+    @pytest.mark.parametrize("run", [flood_run, equivocation_run, stalled_silent_run,
+                                     lagging_equivocator_run])
+    def test_outputs_equal_those_of_nodes_executing_alone(self, run, executions,
+                                                          monkeypatch):
+        shared = run()
+        once = len(executions)
         with monkeypatch.context() as patch:
-            private_tables(patch)
-            private = run(lambda sim: None)
-        assert len({id(n.executions) for n in private.nodes.values()}) == 4
-        assert not private.executions  # no node wrote to the simulation's table
-        assert outputs(shared) == outputs(private)
+            executing_alone(patch)
+            alone = run()
+        assert len(executions) - once > 2 * once
+        assert outputs(shared) == outputs(alone)
 
-    def test_no_height_at_or_below_the_lowest_head_stays(self, run):
-        seen = []
-
-        def checked(sim):
-            def then_check(node, cause, now, result, sent):
-                if result.finalized is None:
-                    return
-                lowest = min(n.chain.head_height for n in sim.nodes.values())
-                assert all(h > lowest for h in sim.executions)
-                seen.append(lowest)
-
-            sim.observers.append(then_check)
-
-        sim = run(checked)
-        assert seen[-1] >= 11
-        assert all(n.executions is sim.executions for n in sim.nodes.values())
+    def test_each_built_block_is_executed_once(self, executions, monkeypatch):
+        built = []
+        build = ValidatorNode.build_block
+        monkeypatch.setattr(ValidatorNode, "build_block",
+                            lambda node, *args: built.append(args) or build(node, *args))
+        sim = long_flood(5)
+        assert len(executions) == len(built) >= 10 and sim.min_honest_height() >= 10
 
 
-def check_honest_floor(sim, seen):
-    """After every finalization, require that the table is evicted up to the
-    lowest honest head and holds no height at or below it; `seen` gets that
-    head."""
-    def then_check(node, cause, now, result, sent):
-        if result.finalized is None:
-            return
-        lowest = sim.min_honest_height()
-        assert sim.executions.floor == lowest
-        assert all(h > lowest for h in sim.executions)
-        seen.append(lowest)
+class TestLifetime:
+    """An adopted ledger lives as long as a chain's head, or a proposal
+    object that carries it, and no longer."""
 
-    sim.observers.append(then_check)
+    @pytest.mark.parametrize("seed, stalled", [(5, False), (0, True)])
+    def test_no_ledger_but_a_head_stays_alive(self, seed, stalled, monkeypatch):
+        adopted = []  # (height, weak reference to the ledger after it)
+        append = Chain.append
 
+        def watched(chain, block, ledger, receipts):
+            adopted.append((block.height, weakref.ref(ledger)))
+            append(chain, block, ledger, receipts)
 
-def stalled_silent_run(checked):
-    """A flood whose silent V3 misses height 2 and never catches up: it
-    sends nothing, so no peer ever shows it a sealed block."""
-    return flood_run(checked, seed=0)
-
-
-def lagging_equivocator_run(checked):
-    """An equivocating V0 that falls behind and is shown sealed blocks at
-    or below the lowest honest head, which it then executes."""
-    return equivocation_run(checked, seed=10)
-
-
-class TestHonestFloor:
-    """A height leaves the table once every honest head has reached it,
-    whatever a faulty node's head, and no writer puts it back."""
-
-    def test_a_stalled_silent_node_pins_no_height(self):
-        seen = []
-        sim = stalled_silent_run(lambda s: check_honest_floor(s, seen))
-        stalled = sim.config.validators[3]
-        assert sim.finalized_height(stalled) == 1
-        assert seen[-1] >= 10
-        assert sorted(sim.executions) == [seen[-1] + 1]
-
-    def test_a_lagging_faulty_node_executes_below_the_floor_on_its_own(self,
-                                                                       monkeypatch):
-        kept_out = []  # (node, height) of every execution the floor kept out
-        checked, build = ValidatorNode._checked_execution, ValidatorNode.build_block
-
-        def kept(node, height):
-            if height <= node.executions.floor:
-                kept_out.append((node.address, height))
-
-        def counted_check(node, block):
-            kept(node, block.height)
-            return checked(node, block)
-
-        def counted_build(node, height, round_):
-            kept(node, height)
-            return build(node, height, round_)
-
-        monkeypatch.setattr(ValidatorNode, "_checked_execution", counted_check)
-        monkeypatch.setattr(ValidatorNode, "build_block", counted_build)
-        seen = []
-        sim = lagging_equivocator_run(lambda s: check_honest_floor(s, seen))
-        assert len(kept_out) >= 3
-        assert {address for address, _ in kept_out} == {sim.config.validators[0]}
-
-    def test_with_no_honest_node_every_head_counts(self):
-        sim = Simulation(make_genesis(n_validators=1, gst=0), horizon=100)
-        sim.inject_fault(ByzantineSpec(sim.config.validators[0], Behavior.SILENT))
-        sim.run()
-        assert sim.executions.floor == sim.finalized_height(sim.config.validators[0]) > 1
-        assert not sim.executions
-
-    @pytest.mark.parametrize("run", [stalled_silent_run, lagging_equivocator_run])
-    def test_outputs_equal_those_of_private_tables(self, run, monkeypatch):
-        shared = run(lambda sim: None)
-        with monkeypatch.context() as patch:
-            private_tables(patch)
-            private = run(lambda sim: None)
-        assert outputs(shared) == outputs(private)
+        monkeypatch.setattr(Chain, "append", watched)
+        sim = long_flood(seed)
+        assert (sim.finalized_height(sim.config.validators[3]) == 1) == stalled
+        assert sim.min_honest_height() >= 10
+        gc.collect()
+        heads = [node.chain.head_ledger for node in sim.nodes.values()]
+        alive = {height for height, ref in adopted
+                 if ref() is not None and not any(ref() is head for head in heads)}
+        assert alive == set()
+        assert all(block._execution is None
+                   for node in sim.nodes.values() for block in node.chain.blocks)

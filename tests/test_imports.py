@@ -1,7 +1,7 @@
 """A lint for unused imports, since the runtime and its tests need no
-linter: every name that a module-level import of a `ledgersim` module
-binds is read somewhere in that module. `__init__.py` is left out, as
-its imports are the package's exports.
+linter: every name that a module-level import binds is read somewhere in
+that module. It covers the `ledgersim` modules, the tests and the demos.
+The package's `__init__.py` is left out, as its imports are its exports.
 """
 
 import ast
@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ledgersim"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ledgersim"
+MODULES = [*sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
+           *sorted((ROOT / "tests").glob("*.py")), *sorted((ROOT / "demos").glob("*.py"))]
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -36,6 +38,7 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports(source) == [(1, "os"), (2, "dumps")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(
+    PACKAGE if p.parent == PACKAGE else ROOT)))
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -15,9 +15,7 @@ from ledgersim.model import (
     Signature, Transaction, block_hash, tx_hash,
 )
 from ledgersim.netsim import Behavior, ByzantineSpec
-from ledgersim.node import (
-    CATCH_UP_BLOCKS, BlockAnnounce, ExecutionTable, ValidatorNode,
-)
+from ledgersim.node import CATCH_UP_BLOCKS, BlockAnnounce, ValidatorNode
 from ledgersim.simulation import Simulation, make_genesis_block
 
 from conftest import make_genesis
@@ -39,8 +37,7 @@ def _tx(key, nonce, payload, gas_limit=None):
 @pytest.fixture()
 def node(keys, registry):
     config = ConsensusConfig(tuple(k.address for k in keys[:4]), 30)
-    return ValidatorNode(keys[0], config, registry, make_genesis_block(),
-                         4_500_000, ExecutionTable())
+    return ValidatorNode(keys[0], config, registry, make_genesis_block(), 4_500_000)
 
 
 class TestMempool:
@@ -150,7 +147,7 @@ class TestAnnounceRefusals:
     def announce(keys, node, seals):
         config = node.config
         builder = ValidatorNode(keys[1], config, node.registry, make_genesis_block(),
-                                4_500_000, ExecutionTable())
+                                4_500_000)
         builder.submit_transaction(_tx(keys[0], 0, Deploy()))
         sealed = _sealed(builder.build_block(1, 0), keys[1:4])
         return sealed, node.handle_payload(BlockAnnounce(seals(sealed)))
@@ -163,7 +160,7 @@ class TestAnnounceRefusals:
         _, result = self.announce(
             keys, node, lambda b: replace(b, commit_seals=b.commit_seals[:2]))
         assert result.finalized is None and not result.outbound
-        assert node.chain.head_height == 0 and not node.executions
+        assert node.chain.head_height == 0
 
     def test_one_forged_seal_is_refused(self, node, keys):
         def forge(block):
@@ -174,7 +171,7 @@ class TestAnnounceRefusals:
 
         _, result = self.announce(keys, node, forge)
         assert result.finalized is None and not result.outbound
-        assert node.chain.head_height == 0 and not node.executions
+        assert node.chain.head_height == 0
 
 
 class TestCatchUpReply:
@@ -186,7 +183,7 @@ class TestCatchUpReply:
     def peer_ahead(keys, node, heights):
         """keys[1]'s node with `heights` sealed empty blocks on its chain."""
         peer = ValidatorNode(keys[1], node.config, node.registry,
-                             make_genesis_block(), 4_500_000, ExecutionTable())
+                             make_genesis_block(), 4_500_000)
         for h in range(1, heights + 1):
             sealed = _sealed(peer.build_block(h, 0), keys[1:4])
             assert peer.handle_payload(BlockAnnounce(sealed)).finalized == sealed
