@@ -205,8 +205,9 @@ def outputs(sim):
 class TestSharedExecution:
     @pytest.mark.parametrize("run", [flood_run, equivocation_run, stalled_silent_run,
                                      lagging_equivocator_run])
-    def test_outputs_equal_those_of_nodes_executing_alone(self, run, executions,
-                                                          monkeypatch):
+    def test_outputs_match_solo(self, run, executions, monkeypatch):
+        """A run's outputs equal those of its twin whose nodes each execute
+        every block alone."""
         shared = run()
         once = len(executions)
         with monkeypatch.context() as patch:
