@@ -36,10 +36,12 @@ length. A state built directly from its tables (genesis, tests) fills
 `_leaves` on first use, by building every non-empty bucket with the same
 encoder.
 
-`state_roots` takes states 16 at a time and hashes their leaves in one
-`keccak256_many` batch, their groups in a second and their roots in a
-third. An unchanged leaf is the parent's bytes object, so its digest is
-a cheap memo hit, and so is an unchanged group. Groups and roots are
+`root_levels` hashes the roots of any number of states as three levels
+of one `keccak.run_levels` pipeline: all their leaves, then all their
+groups, then their roots; `state_roots` runs it alone, and a built
+block runs it beside its transaction groups. An unchanged leaf is the
+parent's bytes object, so its digest is a cheap memo hit, and so is an
+unchanged group. Groups and roots are
 memoized under the tuple of their parts, which the memo holds anyway,
 rather than under their joined bytes. A state keeps its root in a slot
 once computed.
@@ -48,11 +50,11 @@ once computed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Generator, Optional
 
 from .crypto import Registry
 from .errors import InternalInvariantViolation, NotDeployed
-from .keccak import keccak256, keccak256_many
+from .keccak import keccak256, run_levels
 from .model import (
     Address, AddFunds, AddRecipient, Amount, Block, Deploy, ErrorCode, Event,
     AllowanceSent, BankAccountRegistered, FundsAdded, Hash256, KIND_BY_TYPE, Receipt,
@@ -343,21 +345,25 @@ def _committed_leaves(parent: ContractState, state: ContractState,
     return tuple(leaves)
 
 
-def state_roots(states: list[ContractState]) -> list[Hash256]:
-    """The root of every state, filling its slot. States already rooted are
-    slot reads; the rest are taken 16 at a time, whose 256 groups fill one
-    batch, and share one batch of leaves, one of groups and one of roots.
-    Each state's leaves come from its `_leaves` slot."""
+def root_levels(states: list[ContractState]) -> Generator:
+    """The levels of the roots of the states not yet rooted, filling their
+    slots (a pipeline of `keccak.run_levels`): their leaves, from each
+    one's `_leaves` slot, then their groups, then their roots."""
     todo = [s for s in states if s._root is None]
-    for start in range(0, len(todo), _GROUP):
-        chunk = todo[start:start + _GROUP]
-        digests = keccak256_many([leaf for s in chunk for leaf in _leaves_of(s)])
-        group_digests = keccak256_many([tuple(digests[i:i + _GROUP])
-                                        for i in range(0, len(digests), _GROUP)])
-        heads = [(s.organization, _FLAGS[s.deployed],  # deployed as one byte
-                  *group_digests[k * _GROUP:(k + 1) * _GROUP]) for k, s in enumerate(chunk)]
-        for s, root in zip(chunk, keccak256_many(heads)):
-            object.__setattr__(s, "_root", Hash256(root))
+    if not todo:
+        return
+    digests = yield [leaf for s in todo for leaf in _leaves_of(s)]
+    group_digests = yield [tuple(digests[i:i + _GROUP]) for i in range(0, len(digests), _GROUP)]
+    heads = [(s.organization, _FLAGS[s.deployed],  # deployed as one byte
+              *group_digests[k * _GROUP:(k + 1) * _GROUP]) for k, s in enumerate(todo)]
+    for s, root in zip(todo, (yield heads)):
+        object.__setattr__(s, "_root", Hash256(root))
+
+
+def state_roots(states: list[ContractState]) -> list[Hash256]:
+    """The root of every state, filling its slot; states already rooted are
+    slot reads."""
+    run_levels(root_levels(states))
     return [s._root for s in states]
 
 

@@ -11,19 +11,33 @@ NOT per row, not one per lane; what goes in and comes out is plain
 Keccak-f[1600]. The bit-level reference implementation lives in the test
 suite and cross-checks this one.
 
-`keccak256_many` digests a list of independent messages at once. It
-packs up to 256 states into the bits of 25 big lane ints, so one
-unrolled permutation advances all of them with about as many big-int
-operations as the scalar kernel spends on one. Callers that know many
-inputs ahead use it: the replay audit, and `Simulation.start()` for the
-scheduled client transactions. A single message is faster
-through the scalar kernel, so `keccak256`, and a batch once only one of
-its messages is still absorbing, use that.
+A lone message, `keccak256`'s cold path, is absorbed block by block
+into the scalar kernel. Everything else goes through one sponge,
+`run_levels`: up to 256 states packed into the bits of 25 big lane ints,
+so one unrolled permutation advances all of them with about as many
+big-int operations as the scalar kernel spends on one. Its slots are
+refilled between permutations: a queued message takes a free slot as
+soon as one is there, and a finished one is squeezed and frees its slot.
+
+The sponge runs pipelines, generators that each yield one level of a
+hash tree and are sent its digests, and it queues a pipeline's next
+level as soon as the last digest is squeezed, while the other trees'
+levels keep absorbing. So a built block's transaction groups
+(`model.group_levels`) ride the permutations of its state root's leaves,
+groups and root (`contract.root_levels`), and the replay audit hashes a
+window's blocks and state roots together. `keccak256_many` is one level
+of independent messages (`Simulation.start()` prehashes the scheduled
+client transactions so).
 """
 
 import linecache
+import struct
+from typing import Generator, Optional
 
 _RATE = 136  # bytes per block at 256-bit capacity
+_BLOCK = struct.Struct("<17Q")  # one rate block as lanes
+_DIGEST = struct.Struct("<4Q")  # the four lanes squeezed
+_ZERO_BLOCK = bytes(_RATE)
 
 _ROUND_CONSTANTS = (
     0x0000000000000001, 0x0000000000008082, 0x800000000000808A,
@@ -124,7 +138,12 @@ def keccak256(data: bytes) -> bytes:
     cached = _memo.get(data)
     if cached is not None:
         return cached
-    digest = _digest_batch([data])[0]
+    padded = _pad(data)
+    lanes = [0] * 25
+    for off in range(0, len(padded), _RATE):
+        lanes = _f1600([a ^ b for a, b in zip(lanes, _BLOCK.unpack_from(padded, off))]
+                       + lanes[17:])
+    digest = _DIGEST.pack(*lanes[:4])
     _remember(data, digest)
     return digest
 
@@ -139,7 +158,7 @@ _widest: tuple = (0, (), ())
 def _packed_constants(width: int) -> tuple:
     """The constants of `width` states. Only the widest width packed so far
     has its constants kept; a narrower width's are masked from them, as
-    _digest_batch narrows the state."""
+    the sponge narrows the state."""
     global _widest
     built, rcs, masks = _widest
     if width > built:
@@ -157,52 +176,104 @@ def _packed_constants(width: int) -> tuple:
     return tuple(rc & keep for rc in rcs), tuple(m & keep for m in masks)
 
 
-def _digest_batch(batch: list) -> list:
-    """Digests of up to _MAX_WIDTH messages, sorted longest first.
+def run_levels(*pipelines: Generator) -> None:
+    """Run the pipelines to their ends on one sponge.
 
-    Message k is absorbed into state k of packed lane ints. Once the
-    shorter messages are squeezed, the width drops to the next power of
-    two that holds the messages still absorbing; at width 1 the scalar
-    kernel runs, which is faster than the packed one there, so a lone
-    message never packs.
+    A pipeline is a generator that yields a level, a list of messages as
+    `keccak256_many` takes them, and is sent the level's digests, memo
+    hits included. A level's messages are queued as soon as it is
+    yielded; before each permutation every queued message, the longest
+    first, takes the lowest free slot up to _MAX_WIDTH, and each occupied
+    slot absorbs its message's next block. A message whose last block
+    went in is squeezed after the permutation, memoized and carried to
+    its level, and frees its slot. A free slot is still permuted, so a
+    message that takes one zeroes it first, and the slots above the width
+    are zeroed when it drops. The width is the least power of two that
+    holds the highest occupied slot; at width 1 the scalar kernel runs.
     """
-    # Each message's blocks are slices of it, except the last, padded one.
-    tails = [_pad(m[len(m) - len(m) % _RATE:]) for m in batch]
-    digests = []
-    state = [0] * 25
-    width = 0
-    active = len(batch)
-    off = 0
-    while active:
-        narrower = 1 << (active - 1).bit_length()
-        if narrower != width:
-            if width:
-                keep = (1 << (64 * narrower)) - 1
-                state = [a & keep for a in state]
-            width = narrower
+    queued: list = []  # [data, offset, message, level], longest last
+
+    def advance(pipeline: Generator, digests: Optional[list] = None) -> None:
+        try:
+            messages = pipeline.send(digests)
+        except StopIteration:
+            return
+        found = {m: _memo.get(m) for m in messages}
+        todo = [m for m, d in found.items() if d is None]
+        if not todo:
+            advance(pipeline, [found[m] for m in messages])
+            return
+        level = [found, messages, pipeline, len(todo)]  # the last is the count still out
+        queued.extend([b"".join(m) if type(m) is tuple else m, 0, m, level] for m in todo)
+        queued.sort(key=lambda entry: len(entry[0]))
+
+    for pipeline in pipelines:
+        advance(pipeline)
+    slots: list = []  # an entry of `queued`, or None if free
+    lanes, width = [0] * 25, 0
+    while slots or queued:
+        dirty = 0
+        for k in range(_MAX_WIDTH):
+            if not queued:
+                break
+            if k == len(slots):
+                slots.append(None)
+            if slots[k] is None:
+                slots[k] = queued.pop()
+                if k < width:
+                    dirty |= 0xFFFFFFFFFFFFFFFF << 64 * k
+        fit = 1 << (len(slots) - 1).bit_length()
+        if dirty or fit < width:
+            keep = ((1 << 64 * fit) - 1) ^ dirty
+            lanes = [a & keep for a in lanes]
+        if fit != width:
+            width = fit
             if width > 1:
                 constants = _packed_constants(width)
-        ending = active  # messages [ending, active) absorb their last block
-        while ending and len(batch[ending - 1]) < off + _RATE:
-            ending -= 1
-        chunks = [m[off:off + _RATE] for m in batch[:ending]] + tails[ending:active]
-        block = memoryview(b"".join(chunks)).cast("Q")
-        for i in range(17):
-            state[i] ^= int.from_bytes(block[i::17], "little")
+        chunks, ending = [], []
+        for k, entry in enumerate(slots):
+            if entry is None:
+                chunks.append(_ZERO_BLOCK)
+                continue
+            data, off = entry[0], entry[1]
+            if off + _RATE <= len(data):
+                chunks.append(data[off:off + _RATE])
+                entry[1] = off + _RATE
+            else:
+                chunks.append(_pad(data[off:]))
+                ending.append(k)
         if width == 1:
-            state = _f1600(state)
+            lanes = _f1600([a ^ b for a, b in zip(lanes, _BLOCK.unpack(chunks[0]))]
+                           + lanes[17:])
         else:
-            state = _f1600_packed(state, *constants)
-        if ending < active:
+            chunks.append(_ZERO_BLOCK * (width - len(slots)))
+            block = memoryview(b"".join(chunks)).cast("Q")
+            for i in range(17):
+                lanes[i] ^= int.from_bytes(block[i::17], "little")
+            lanes = _f1600_packed(lanes, *constants)
+        if not ending:
+            continue
+        if width == 1:
+            out = _DIGEST.pack(*lanes[:4])
+        else:
             out = bytearray(32 * width)
             view = memoryview(out).cast("Q")
             for i in range(4):
-                view[i::4] = memoryview(state[i].to_bytes(8 * width, "little")).cast("Q")
-            digests += [bytes(out[32 * k:32 * k + 32]) for k in reversed(range(ending, active))]
-        active = ending
-        off += _RATE
-    digests.reverse()
-    return digests
+                view[i::4] = memoryview(lanes[i].to_bytes(8 * width, "little")).cast("Q")
+        finished = []
+        for k in ending:
+            _, _, m, level = slots[k]
+            slots[k] = None
+            digest = bytes(out[32 * k:32 * k + 32])
+            _remember(m, digest)
+            level[0][m] = digest
+            level[3] -= 1
+            if not level[3]:
+                finished.append(level)
+        while slots and slots[-1] is None:
+            slots.pop()
+        for found, messages, pipeline, _ in finished:
+            advance(pipeline, [found[m] for m in messages])
 
 
 def keccak256_many(messages: list[bytes | tuple[bytes, ...]]) -> list[bytes]:
@@ -211,16 +282,13 @@ def keccak256_many(messages: list[bytes | tuple[bytes, ...]]) -> list[bytes]:
     A message may also be a tuple of byte strings. It is digested as their
     concatenation and memoized under the tuple, so a caller whose parts
     are held anyway (the child digests of a tree node) keeps no joined
-    copy. Digests not in the memo are computed up to _MAX_WIDTH at a time
-    by the packed kernel, longest messages first, and memoized.
+    copy. Digests not in the memo are computed as one level of
+    `run_levels` and memoized.
     """
-    found = {m: _memo.get(m) for m in messages}
-    todo = sorted(((b"".join(m) if type(m) is tuple else m, m)
-                   for m, d in found.items() if d is None),
-                  key=lambda pair: len(pair[0]), reverse=True)
-    for start in range(0, len(todo), _MAX_WIDTH):
-        batch = todo[start:start + _MAX_WIDTH]
-        for (_, m), digest in zip(batch, _digest_batch([data for data, _ in batch])):
-            found[m] = digest
-            _remember(m, digest)
-    return [found[m] for m in messages]
+    digests: list = []
+
+    def level() -> Generator:
+        digests.extend((yield messages))
+
+    run_levels(level())
+    return digests

@@ -18,8 +18,12 @@ digest is the Keccak of its joined entries. The hashing view is then
 
 The round and the commit seals are left out, so a proposal keeps its
 identity when it is re-proposed and sealed in a later round. The nodes
-of many blocks are hashed together by `block_hashes`, level by level,
-in `keccak256_many` batches; an unchanged group is a memo hit.
+of many blocks are hashed together, level by level, as one
+`keccak.run_levels` pipeline: `tx_levels` hashes the transactions not
+yet hashed, `group_levels` then their groups, and `hash_levels` then the
+views; `block_hashes` runs it alone. An unchanged group is a memo hit,
+so a block built beside its state root (`node.ValidatorNode.build_block`)
+finds its groups digested when its view is hashed.
 
 The six payload kinds are declared once, in `PAYLOAD_KINDS`: a kind's
 position is its tag, its name is its JSON type and scenario action, and
@@ -42,9 +46,9 @@ import json
 from collections import namedtuple
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
-from typing import Optional, Union
+from typing import Generator, Optional, Union
 
-from .keccak import keccak256, keccak256_many
+from .keccak import keccak256, run_levels
 
 AMOUNT_MAX = (1 << 128) - 1
 
@@ -328,29 +332,49 @@ def serialize_block(block: Block) -> bytes:
 _TX_GROUP = 16  # transactions per group of the block hash tree
 
 
-def block_hashes(blocks: list[Block]) -> list[Hash256]:
-    """The hash of every block, filling its slot. Blocks already hashed
-    are slot reads; the rest share three batches: hashes of transactions
-    not yet hashed, then tx groups, then hashing views."""
-    todo = [b for b in blocks if b._hash is None]
-    if todo:
-        cold = [tx for b in todo for tx in b.txs if tx._hash is None]
-        hashes = keccak256_many([serialize_tx(tx, with_signature=False) for tx in cold])
+def tx_levels(txs: list[Transaction]) -> Generator:
+    """One level: the hashes of the transactions not yet hashed, filling
+    their slots (a pipeline of `keccak.run_levels`)."""
+    cold = [tx for tx in txs if tx._hash is None]
+    if cold:
+        hashes = yield [serialize_tx(tx, with_signature=False) for tx in cold]
         for tx, h in zip(cold, hashes):
             object.__setattr__(tx, "_hash", Hash256(h))
-        groups = []
-        for b in todo:
-            entries = [tx._hash + _var_bytes(tx.signature) for tx in b.txs]
-            groups += [b"".join(entries[i:i + _TX_GROUP])
-                       for i in range(0, len(entries), _TX_GROUP)]
-        digests = iter(keccak256_many(groups))
-        views = []
-        for b in todo:
-            joined = b"".join(next(digests) for _ in range(0, len(b.txs), _TX_GROUP))
-            views.append(_u(b.height, 8) + b.parent_hash + b.proposer
-                         + _u(len(b.txs), 4) + joined + b.state_root)
-        for b, h in zip(todo, keccak256_many(views)):
-            object.__setattr__(b, "_hash", Hash256(h))
+
+
+def group_levels(blocks_txs: list[tuple[Transaction, ...]]) -> Generator:
+    """The levels of the tx groups of each block's transactions, given
+    per block: `tx_levels`, then the groups. Returns the group digests."""
+    yield from tx_levels([tx for txs in blocks_txs for tx in txs])
+    groups = []
+    for txs in blocks_txs:
+        entries = [tx._hash + _var_bytes(tx.signature) for tx in txs]
+        groups += [b"".join(entries[i:i + _TX_GROUP])
+                   for i in range(0, len(entries), _TX_GROUP)]
+    return (yield groups)
+
+
+def hash_levels(blocks: list[Block]) -> Generator:
+    """The levels of the hashes of the blocks not yet hashed, filling their
+    slots: `group_levels`, then the hashing views."""
+    todo = [b for b in blocks if b._hash is None]
+    if not todo:
+        return
+    txs = [b.txs for b in todo if b.txs]
+    digests = iter((yield from group_levels(txs)) if txs else ())
+    views = []
+    for b in todo:
+        joined = b"".join(next(digests) for _ in range(0, len(b.txs), _TX_GROUP))
+        views.append(_u(b.height, 8) + b.parent_hash + b.proposer
+                     + _u(len(b.txs), 4) + joined + b.state_root)
+    for b, h in zip(todo, (yield views)):
+        object.__setattr__(b, "_hash", Hash256(h))
+
+
+def block_hashes(blocks: list[Block]) -> list[Hash256]:
+    """The hash of every block, filling its slot; blocks already hashed are
+    slot reads."""
+    run_levels(hash_levels(blocks))
     return [b._hash for b in blocks]
 
 

@@ -31,8 +31,10 @@ from .consensus import (
 )
 from .crypto import KeyPair, Registry
 from .errors import InternalInvariantViolation
+from .keccak import run_levels
 from .model import (
-    Address, Block, Event, Hash256, Receipt, Transaction, block_hash, extends, tx_hash,
+    Address, Block, Event, Hash256, Receipt, Transaction, block_hash, extends, group_levels,
+    tx_hash,
 )
 
 # The most sealed blocks one ROUND_CHANGE for a finalized height brings
@@ -145,6 +147,10 @@ class ValidatorNode:
             txs.append(tx)
             total_gas += tx.gas_limit
         ledger, receipts = contract.execute_block_txs(self.chain.head_ledger, tuple(txs))
+        if txs:  # else there are no groups, and the state is the parent's
+            # the tx groups ride the state root's permutations; the hashing
+            # view, which needs the root, is hashed later from the memoized groups
+            run_levels(contract.root_levels([ledger.contract]), group_levels([txs]))
         block = Block(height, round_, block_hash(parent), self.address,
                       tuple(txs), contract.state_root(ledger.contract), ())
         object.__setattr__(block, "_execution", (ledger, receipts))

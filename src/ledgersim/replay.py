@@ -9,25 +9,26 @@ to localize.
 
 The dump is processed in windows of blocks. Before a window's checks run
 in chain order, every Keccak digest they will ask for (block, transaction
-and bank-account hashes, state roots) is hashed in a few batches by
-`keccak256_many`, so each check finds its digest memoized. Signature
-checks need no batch: signatures are keyed BLAKE2b, not Keccak.
+and bank-account hashes, state roots) is hashed by `keccak.run_levels`,
+once before the window's execution and once after it, so each check
+finds its digest memoized. Signature checks need no batch: signatures
+are keyed BLAKE2b, not Keccak.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import Generator, Optional
 
 from . import contract
 from .config import GenesisConfig
 from .consensus import validate_finalized_block
 from .errors import CorruptDump
-from .keccak import keccak256_many
+from .keccak import run_levels
 from .model import (
-    Block, RegisterBankAccount, block_from_json, block_hash, block_hashes, hx,
-    receipt_to_json, serialize_block, tx_hash,
+    Block, RegisterBankAccount, block_from_json, block_hash, hash_levels, hx,
+    receipt_to_json, serialize_block, tx_hash, tx_levels,
 )
 from .simulation import genesis_setup, make_genesis_block
 
@@ -76,23 +77,27 @@ def _execute_window(window: list[tuple[Block, object, list]],
     """Apply each block of the window; return the ledger after it and its
     receipts.
 
-    Around the execution, batch-hash every Keccak digest the window's
-    checks will ask for: block and transaction hashes and bank-account
-    strings before it, state roots after it. Signatures are keyed BLAKE2b
-    (`crypto.sign`), cheap enough to check one at a time.
+    Around the execution, hash every Keccak digest the window's checks
+    will ask for: transaction hashes and bank-account strings before it,
+    then block hashes and state roots, whose levels share one sponge.
+    Signatures are keyed BLAKE2b (`crypto.sign`), cheap enough to check
+    one at a time.
     """
     blocks = [block for block, _, _ in window]
-    block_hashes(blocks)  # hashes the transactions too
-    keccak256_many([contract.account_hash_input(tx.payload.account)
-                    for block in blocks for tx in block.txs
-                    if isinstance(tx.payload, RegisterBankAccount)])
-
+    run_levels(tx_levels([tx for block in blocks for tx in block.txs]), _accounts(blocks))
     executed = []
     for block in blocks:
         ledger, receipts = contract.execute_block_txs(ledger, block.txs)
         executed.append((ledger, receipts))
-    contract.state_roots([after.contract for after, _ in executed])
+    run_levels(hash_levels(blocks), contract.root_levels([after.contract for after, _ in executed]))
     return executed
+
+
+def _accounts(blocks: list[Block]) -> Generator:
+    """One level: the bank-account strings the blocks register."""
+    yield [contract.account_hash_input(tx.payload.account)
+           for block in blocks for tx in block.txs
+           if isinstance(tx.payload, RegisterBankAccount)]
 
 
 def _replay(genesis_cfg: GenesisConfig, dump: bytes,

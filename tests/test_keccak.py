@@ -127,16 +127,22 @@ def test_many_digests_a_tuple_as_its_concatenation(cold_memo):
     assert digests == _scalar([b"".join(m) if type(m) is tuple else m for m in messages])
 
 
-def test_memo_is_cleared_at_its_limit(monkeypatch):
-    limit = 5
+MEMO_BOUND = 5
 
+
+@pytest.fixture()
+def bounded_memo(monkeypatch):
+    """A memo limited to MEMO_BOUND entries that fails any insert past it."""
     class BoundedMemo(dict):
         def __setitem__(self, key, value):
             super().__setitem__(key, value)
-            assert len(self) <= limit
+            assert len(self) <= MEMO_BOUND
 
-    monkeypatch.setattr(keccak, "_MEMO_LIMIT", limit)
+    monkeypatch.setattr(keccak, "_MEMO_LIMIT", MEMO_BOUND)
     monkeypatch.setattr(keccak, "_memo", BoundedMemo())
+
+
+def test_memo_is_cleared_at_its_limit(bounded_memo):
     rng = random.Random(17)
     for _ in range(3):
         singles = [rng.randbytes(n) for n in BATCH_LENGTHS]
@@ -144,7 +150,61 @@ def test_memo_is_cleared_at_its_limit(monkeypatch):
         batch = [rng.randbytes(n) for n in BATCH_LENGTHS] + [(rng.randbytes(90), b"", b"xy")]
         joined = [b"".join(m) if type(m) is tuple else m for m in batch]
         assert keccak256_many(batch) == [keccak256_reference(m) for m in joined]
-        assert len(keccak._memo) <= limit
+        assert len(keccak._memo) <= MEMO_BOUND
+
+
+# --- dependent levels on one refilling sponge ------------------------------
+
+# (levels, messages per level) of each pipeline run together
+PIPELINES = ((3, 5), (2, 7), (3, 3))
+_reference_memo: dict = {}
+
+
+def _reference(message):
+    data = b"".join(message) if type(message) is tuple else message
+    if data not in _reference_memo:
+        _reference_memo[data] = keccak256_reference(data)
+    return _reference_memo[data]
+
+
+def _pipeline(seed, levels, count, record):
+    """`levels` levels of `count` messages of 0-1,200 bytes, so each ends
+    at a different block. A message after the first level starts with a
+    digest of the level before, so a level is queued only once the one
+    before it is squeezed, into the slots its shorter messages freed.
+    The last message of each level is a tuple."""
+    rng = random.Random(seed)
+    digests = []
+    for _ in range(levels):
+        bodies = [rng.randbytes(rng.randrange(0, 1201)) for _ in range(count)]
+        messages = [digests[i % len(digests)] + b if digests else b
+                    for i, b in enumerate(bodies)]
+        messages[-1] = (messages[-1][:32], messages[-1][32:])
+        digests = yield messages
+        record.append((messages, digests))
+
+
+def _run_pipelines():
+    records = [[] for _ in PIPELINES]
+    keccak.run_levels(*(_pipeline(seed, levels, count, record)
+                        for seed, ((levels, count), record) in enumerate(zip(PIPELINES, records))))
+    for (levels, _), record in zip(PIPELINES, records):
+        assert len(record) == levels
+        for messages, digests in record:
+            assert digests == [_reference(m) for m in messages]
+
+
+def test_run_levels_matches_oracle_as_slots_are_refilled(cold_memo):
+    """A freed slot keeps being permuted, as do the slots above the last
+    occupied one up to the width, so a message that takes one must find
+    it zeroed."""
+    _run_pipelines()
+
+
+def test_run_levels_carries_digests_past_a_cleared_memo(bounded_memo):
+    """The memo is cleared many times within the run, so a level's digests
+    must come from the sponge, not from the memo."""
+    _run_pipelines()
 
 
 @pytest.mark.parametrize("kernel,rho_line", [

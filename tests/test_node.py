@@ -4,15 +4,16 @@ from dataclasses import replace
 
 import pytest
 
-from ledgersim import contract
+from ledgersim import contract, keccak
 from ledgersim.consensus import (
     ConsensusConfig, MsgKind, make_message, message_payload,
 )
 from ledgersim.crypto import KeyPair, sign
 from ledgersim.errors import InternalInvariantViolation
+from ledgersim.contract import ContractState
 from ledgersim.model import (
-    AddFunds, AddRecipient, Amount, Deploy, Hash256, SendAllowance,
-    Signature, Transaction, block_hash, tx_hash,
+    AddFunds, AddRecipient, Address, Amount, Deploy, Hash256, RegisterBankAccount,
+    SendAllowance, Signature, Transaction, TxStatus, block_hash, tx_hash,
 )
 from ledgersim.netsim import Behavior, ByzantineSpec
 from ledgersim.node import CATCH_UP_BLOCKS, BlockAnnounce, ValidatorNode
@@ -86,6 +87,35 @@ class TestBuildBlock:
         block = node.build_block(1, 0)
         assert block.txs == ()
         assert block.state_root == node.chain.head.state_root
+
+    @pytest.mark.parametrize("flood", [True, False], ids=["flood", "empty"])
+    def test_commitments_equal_those_of_a_cold_copy(self, node, keys, flood):
+        """The built block's tx groups and state root share one sponge. A
+        copy whose state is rebuilt from its tables and whose transactions
+        are unhashed is committed again after the memo is cleared, so a
+        wrong digest the memo holds cannot match itself."""
+        if flood:  # 200 txs across 66 recipients, in 50 buckets
+            payloads = [Deploy(), AddFunds(Amount(10**9))]
+            for i in range(66):
+                recipient = Address(bytes([i % 50]) + i.to_bytes(19, "big"))
+                payloads += [AddRecipient(recipient),
+                             RegisterBankAccount(recipient, f"IBAN-{i:04}"),
+                             SendAllowance(recipient, Amount(i + 1))]
+            for nonce, payload in enumerate(payloads):
+                assert node.submit_transaction(_tx(keys[0], nonce, payload)) == (True, None)
+        block = node.build_block(1, 0)
+        built_hash = block_hash(block)
+        ledger, receipts = block._execution
+        assert len(block.txs) == (200 if flood else 0)
+        assert all(r.status is TxStatus.SUCCESS for r in receipts)
+        state = ledger.contract
+        keccak._memo.clear()
+        cold_state = ContractState(state.organization, dict(state.recipients),
+                                   dict(state.bank_accounts), dict(state.balances),
+                                   state.deployed)
+        cold = replace(block, txs=tuple(replace(tx) for tx in block.txs))
+        assert contract.state_root(cold_state) == block.state_root
+        assert block_hash(cold) == built_hash
 
     def test_a_height_off_the_head_is_an_invariant_violation(self, node):
         """Raised, not asserted, so `python -O` keeps the check."""
