@@ -263,8 +263,8 @@ def get_balance(state: ContractState, caller: Address) -> Amount:
 
 # --- transaction dispatch ---------------------------------------------------
 
-def apply_transaction(draft: Draft, tx: Transaction) -> tuple[Draft, Receipt]:
-    """Route a transaction, written in place, and return the draft and its
+def apply_transaction(draft: Draft, tx: Transaction) -> Receipt:
+    """Route a transaction, written to the draft in place, and return its
     receipt; gas is charged per the flat table either way.
 
     A wrong nonce fails the whole transaction without consuming the
@@ -274,16 +274,14 @@ def apply_transaction(draft: Draft, tx: Transaction) -> tuple[Draft, Receipt]:
     gas = gas_for(tx.payload)
     expected = draft.nonces.get(tx.sender, 0)
     if tx.nonce != expected:
-        return draft, Receipt(tx_hash(tx), TxStatus.FAILED, ErrorCode.BAD_NONCE, gas, ())
+        return Receipt(tx_hash(tx), TxStatus.FAILED, ErrorCode.BAD_NONCE, gas, ())
 
     cls = type(tx.payload)
     result = _OPS[cls](draft, tx.sender, *KIND_BY_TYPE[cls].values(tx.payload))
     draft.nonces[tx.sender] = expected + 1
     if result.ok:
-        receipt = Receipt(tx_hash(tx), TxStatus.SUCCESS, None, gas, result.events)
-    else:
-        receipt = Receipt(tx_hash(tx), TxStatus.FAILED, result.error, gas, ())
-    return draft, receipt
+        return Receipt(tx_hash(tx), TxStatus.SUCCESS, None, gas, result.events)
+    return Receipt(tx_hash(tx), TxStatus.FAILED, result.error, gas, ())
 
 
 # --- state commitment --------------------------------------------------------
@@ -396,7 +394,7 @@ def execute_block_txs(ledger: LedgerState, txs: tuple[Transaction, ...]
     receipts = []
     for tx in txs:
         before = len(draft.written)
-        draft, receipt = apply_transaction(draft, tx)
+        receipt = apply_transaction(draft, tx)
         if receipt.status is not TxStatus.SUCCESS and len(draft.written) != before:
             raise InternalInvariantViolation(
                 f"failed transaction {hx(receipt.tx_hash)} changed contract state")

@@ -105,10 +105,8 @@ class Simulation:
 
         self.queue = EventQueue()
         self.network = Network(genesis, self.seed, self.queue)
-        traces = Traces() if collect_traces else None
-        self.observers: list = [] if traces is None else [traces]  # see _route
-        self.consensus_trace = None if traces is None else traces.consensus
-        self.net_trace = None if traces is None else traces.network
+        self.traces = Traces() if collect_traces else None
+        self.observers: list = [] if self.traces is None else [self.traces]  # see _route
 
         # A key is a validator that is faulty for the whole run; its value is
         # None until its scheduled fault is injected.

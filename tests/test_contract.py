@@ -261,7 +261,7 @@ class TestBlockDraft:
         ledger = funded_ledger()
         parent = ledger.contract
         draft = contract.Draft(ledger)
-        draft, receipt = contract.apply_transaction(
+        receipt = contract.apply_transaction(
             draft, unsigned_tx(sender, ledger.nonces.get(sender, 0), payload))
         assert receipt.error is error
         assert draft.written == []
@@ -285,10 +285,10 @@ class TestBlockDraft:
         """The deploy writes only the organization and deployed fields."""
         apply = contract.apply_transaction
 
-        def leaky(ledger, tx):
-            ledger, receipt = apply(ledger, tx)
-            return ledger, contract.Receipt(receipt.tx_hash, TxStatus.FAILED,
-                                            ErrorCode.ALREADY_DEPLOYED, receipt.gas_used, ())
+        def leaky(draft, tx):
+            receipt = apply(draft, tx)
+            return contract.Receipt(receipt.tx_hash, TxStatus.FAILED,
+                                    ErrorCode.ALREADY_DEPLOYED, receipt.gas_used, ())
 
         monkeypatch.setattr(contract, "apply_transaction", leaky)
         with pytest.raises(InternalInvariantViolation, match="changed contract state"):

@@ -199,7 +199,7 @@ def outputs(sim):
                             for receipts in chain.receipts_by_height])
     hashes = {address: [block_hash(b) for b in node.chain.blocks]
               for address, node in sim.nodes.items()}
-    return chains, hashes, sim.consensus_trace, sim.net_trace
+    return chains, hashes, sim.traces.consensus, sim.traces.network
 
 
 class TestSharedExecution:

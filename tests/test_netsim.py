@@ -209,4 +209,4 @@ class TestByzantineTransform:
         assert len(rounds) == len(set(rounds))
         assert set(rounds) == foreign
         assert any("InvalidProposer" in entry["discards"]
-                   for entry in sim.consensus_trace if entry["node"] != hx(faulty))
+                   for entry in sim.traces.consensus if entry["node"] != hx(faulty))

@@ -95,36 +95,6 @@ class TestPaperFlow:
         assert not report["expectations"][0]["ok"]
         assert report["expectations"][0]["detail"] == "organization balance 700"
 
-    @pytest.mark.parametrize("value", [None, 3, "FundsAdded", [None], [["kind"]]])
-    def test_unevaluable_events_expectation_exits_3(self, value):
-        """Found by tests/test_fuzz.py: an `events` value that is not a
-        list of objects raised AttributeError out of the run."""
-        genesis = parse_genesis(GENESIS.read_bytes())
-        obj = json.loads(PAPER_FLOW.read_text())
-        obj["expectations"] = [{"kind": "events", "value": value}]
-        code, report = run_scenario(genesis, parse_scenario(json.dumps(obj).encode()))
-        assert code == 3
-        assert report["expectations"][0]["detail"].startswith("unevaluable")
-
-    @pytest.mark.parametrize("expectation", [
-        {"kind": "safety", "value": "false"},
-        {"kind": "orgBalance", "value": 700.9},
-        {"kind": "receiptStatus", "command": 4.5, "status": "SUCCESS"},
-        {"kind": "queryResult", "command": 5, "value": 700},
-        {"kind": "queryResult", "command": 5, "value": 700.0},
-    ], ids=["string_safety", "float_orgBalance", "float_command",
-            "integer_queryResult", "float_queryResult"])
-    def test_uncoerced_expectation_value_exits_3(self, expectation):
-        """When values were coerced with bool(), int() and str(), each of
-        these held on paper_flow (query 5 reads "700") or, for 700.0,
-        failed as a mismatch rather than as unevaluable."""
-        genesis = parse_genesis(GENESIS.read_bytes())
-        obj = json.loads(PAPER_FLOW.read_text())
-        obj["expectations"] = [expectation]
-        code, report = run_scenario(genesis, parse_scenario(json.dumps(obj).encode()))
-        assert code == 3
-        assert report["expectations"][0]["detail"].startswith("unevaluable")
-
     def test_expectations_naming_no_result_fail_with_a_detail(self):
         """receiptStatus for a query or for a transaction sent at the
         horizon, and queryResult for a transaction."""
@@ -143,6 +113,26 @@ class TestPaperFlow:
             (False, "no submission for command"),
             (False, "transaction never finalized"),
             (False, "no query for command"),
+        ]
+
+    def test_expectations_on_a_run_with_no_honest_validator_fail(self):
+        """Faulting every validator leaves no honest node: its heights read
+        0, `convergedState` fails on no head roots, and the run exits 3,
+        not with a traceback."""
+        genesis = parse_genesis(GENESIS.read_bytes())
+        obj = {"name": "all-faulty", "horizon": 100, "commands": [
+            {"atTime": 0, "actor": 0,
+             "action": {"type": "injectFault", "node": node, "behavior": "SILENT"}}
+            for node in range(4)], "expectations": [
+            {"kind": "minFinalizedHeight", "value": 1}, {"kind": "noFinalization"},
+            {"kind": "convergedState"}, {"kind": "safety"}]}
+        code, report = run_scenario(genesis, parse_scenario(json.dumps(obj).encode()))
+        assert code == 3 and report["honest"] == []
+        assert [(r["ok"], r["detail"]) for r in report["expectations"]] == [
+            (False, "min honest height 0"),
+            (True, "max honest height 0"),
+            (False, "head roots 0, common height 0"),
+            (True, "safe=True"),
         ]
 
     def test_non_org_allowance_expected_success_exits_3(self):
@@ -316,6 +306,30 @@ class TestCli:
         lambda s: s["commands"][0].update(atTme=5),
         lambda s: s["commands"][0].update(atTime=-5),
         NESTED,  # the whole file
+        # an events value that is not a list of objects (found by
+        # tests/test_fuzz.py when it raised AttributeError out of the run)
+        lambda s: s["expectations"][2].update(value=None),
+        lambda s: s["expectations"][2].update(value=3),
+        lambda s: s["expectations"][2].update(value="FundsAdded"),
+        lambda s: s["expectations"][2].update(value=[None]),
+        lambda s: s["expectations"][2].update(value=[["kind"]]),
+        # values that held on paper_flow, or for 700.0 failed as a
+        # mismatch, when they were coerced with bool(), int() and str()
+        lambda s: s["expectations"][7].update(value="false"),
+        lambda s: s["expectations"][0].update(value=700.9),
+        lambda s: s["expectations"][3].update(command=4.5),
+        lambda s: s["expectations"][5].update(value=700),
+        lambda s: s["expectations"][5].update(value=700.0),
+        lambda s: s["expectations"][1].update(address=99),
+        lambda s: s["expectations"][1].update(address="0x12"),
+        lambda s: s["expectations"][3].update(status="WIN"),
+        lambda s: s["expectations"][3].update(error="Unathorized"),
+        lambda s: s["commands"].append({"atTime": 500, "actor": 0, "action": {
+            "type": "injectFault", "node": 4, "behavior": "SILENT"}}),
+        lambda s: s["commands"].append({"atTime": 500, "actor": 0, "action": {
+            "type": "injectFault", "node": 1, "behavior": "silent"}}),
+        lambda s: s["commands"].append(
+            {"atTime": 500, "actor": 99, "action": {"type": "setGstNow"}}),
     ], ids=["atTime", "commands", "amt", "recipient", "horizon", "actor",
             "behavior", "expectations", "expectation", "account",
             "float_atTime", "string_actor", "bool_horizon", "float_horizon",
@@ -326,8 +340,14 @@ class TestCli:
             "unknown_kind", "list_action_type", "list_kind",
             "missing_orgBalance_value", "missing_balance_address",
             "missing_queryResult_value", "misspelt_command_key", "negative_atTime",
-            "nested"])
+            "nested", "null_events", "integer_events", "string_events",
+            "list_of_null_events", "list_of_list_events", "string_safety",
+            "float_orgBalance", "float_command", "integer_queryResult",
+            "float_queryResult", "balance_actor_out_of_range", "short_balance_address",
+            "unknown_status", "unknown_error", "fault_node_out_of_range",
+            "unknown_behavior", "setGstNow_actor_out_of_range"])
     def test_malformed_scenario_exits_2(self, tmp_path, edit):
+        """Refused before `--out` is created or the run starts."""
         bad = tmp_path / "bad.json"
         if isinstance(edit, str):
             bad.write_text(edit)
@@ -335,9 +355,13 @@ class TestCli:
             obj = json.loads(PAPER_FLOW.read_text())
             edit(obj)
             bad.write_text(json.dumps(obj))
-        proc = cli("run", "--genesis", str(GENESIS), "--scenario", str(bad))
+        out = tmp_path / "out"
+        proc = cli("run", "--genesis", str(GENESIS), "--scenario", str(bad),
+                   "--out", str(out))
         assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("config error:")
         assert "Traceback" not in proc.stderr
+        assert not out.exists()
         if edit == NESTED:
             assert "scenario is nested too deeply" in proc.stderr
             assert "not valid JSON" not in proc.stderr
@@ -354,12 +378,12 @@ class TestCli:
             "from ledgersim.model import Deploy, ErrorCode, TxStatus\n"
             "from ledgersim.scenario import parse_scenario, run_scenario\n"
             "apply = contract.apply_transaction\n"
-            "def leaky(ledger, tx):\n"
-            "    ledger, receipt = apply(ledger, tx)\n"
+            "def leaky(draft, tx):\n"
+            "    receipt = apply(draft, tx)\n"
             "    if isinstance(tx.payload, Deploy):\n"
             "        receipt = replace(receipt, status=TxStatus.FAILED,\n"
             "                          error=ErrorCode.ALREADY_DEPLOYED)\n"
-            "    return ledger, receipt\n"
+            "    return receipt\n"
             "contract.apply_transaction = leaky\n"
             "code, report = run_scenario(parse_genesis(Path(sys.argv[1]).read_bytes()),\n"
             "                            parse_scenario(Path(sys.argv[2]).read_bytes()))\n"

@@ -207,13 +207,13 @@ class TestClientIntake:
     def test_submission_reaches_every_mempool_and_sends_nothing(self):
         sim = new_sim()
         sim.start()
-        queued, rows = len(sim.queue), len(sim.net_trace)
+        queued, rows = len(sim.queue), len(sim.traces.network)
         tx = sim.build_tx(sim.validator_keys[0], Deploy())
         record = sim.submit_to_all(tx)
         assert [a["ok"] for a in record["accepted"]] == [True] * 4
         for node in sim.nodes.values():
             assert tx in node.mempool.pending.values()
-        assert (len(sim.queue), len(sim.net_trace)) == (queued, rows)
+        assert (len(sim.queue), len(sim.traces.network)) == (queued, rows)
 
 
 class TestScheduledCalls:
