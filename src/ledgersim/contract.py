@@ -38,12 +38,12 @@ encoder.
 
 `root_levels` hashes the roots of any number of states as three levels
 of one `keccak.run_levels` pipeline: all their leaves, then all their
-groups, then their roots; `state_roots` runs it alone, and a built
-block runs it beside its transaction groups. An unchanged leaf is the
-parent's bytes object, so its digest is a cheap memo hit, and so is an
-unchanged group. Groups and roots are
-memoized under the tuple of their parts, which the memo holds anyway,
-rather than under their joined bytes. A state keeps its root in a slot
+groups, then their roots; `state_root` runs it for one state, and a
+built block runs it beside its transaction groups. An unchanged leaf is
+the parent's bytes object, so its digest is a cheap memo hit, and so is
+an unchanged group. Groups and roots are memoized under the tuple of
+their parts, which the memo holds anyway, rather than under their joined
+bytes. A state keeps its root in a slot
 once computed.
 """
 
@@ -188,9 +188,10 @@ def _recipient_setter(active: bool):
     return set_recipient
 
 
-def account_hash_input(account: str) -> bytes:
-    """The bytes `register_bank_account` hashes; batching callers hash them ahead."""
-    return account.encode("utf-8")
+def account_levels(payloads: list[TxPayload]) -> Generator:
+    """One level: the account strings the `payloads` register, as their
+    execution hashes them (a pipeline of `keccak.run_levels`)."""
+    yield [p.account.encode("utf-8") for p in payloads if isinstance(p, RegisterBankAccount)]
 
 
 @_organization_only
@@ -198,7 +199,7 @@ def _register_bank_account(draft: Draft, sender: Address, recipient: Address,
                            account: str) -> OpResult:
     if not draft.recipients.get(recipient, False):
         return OpResult(ErrorCode.UNKNOWN_RECIPIENT)
-    raw = account_hash_input(account)
+    raw = account.encode("utf-8")
     if len(raw) == 0:
         return OpResult(ErrorCode.EMPTY_ACCOUNT_STRING)
     account_hash = Hash256(keccak256(raw))
@@ -358,18 +359,10 @@ def root_levels(states: list[ContractState]) -> Generator:
         object.__setattr__(s, "_root", Hash256(root))
 
 
-def state_roots(states: list[ContractState]) -> list[Hash256]:
-    """The root of every state, filling its slot; states already rooted are
-    slot reads."""
-    run_levels(root_levels(states))
-    return [s._root for s in states]
-
-
 def state_root(state: ContractState) -> Hash256:
-    root = state._root
-    if root is None:
-        root = state_roots([state])[0]
-    return root
+    if state._root is None:
+        run_levels(root_levels([state]))
+    return state._root
 
 
 def state_to_json(state: ContractState) -> dict:

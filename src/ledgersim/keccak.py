@@ -25,9 +25,8 @@ level as soon as the last digest is squeezed, while the other trees'
 levels keep absorbing. So a built block's transaction groups
 (`model.group_levels`) ride the permutations of its state root's leaves,
 groups and root (`contract.root_levels`), and the replay audit hashes a
-window's blocks and state roots together. `keccak256_many` is one level
-of independent messages (`Simulation.start()` prehashes the scheduled
-client transactions so).
+window's blocks and state roots together. Hashing ahead runs the same
+pipelines, so only the module that owns a digest says what it covers.
 """
 
 import linecache
@@ -179,17 +178,19 @@ def _packed_constants(width: int) -> tuple:
 def run_levels(*pipelines: Generator) -> None:
     """Run the pipelines to their ends on one sponge.
 
-    A pipeline is a generator that yields a level, a list of messages as
-    `keccak256_many` takes them, and is sent the level's digests, memo
-    hits included. A level's messages are queued as soon as it is
-    yielded; before each permutation every queued message, the longest
-    first, takes the lowest free slot up to _MAX_WIDTH, and each occupied
-    slot absorbs its message's next block. A message whose last block
-    went in is squeezed after the permutation, memoized and carried to
-    its level, and frees its slot. A free slot is still permuted, so a
-    message that takes one zeroes it first, and the slots above the width
-    are zeroed when it drops. The width is the least power of two that
-    holds the highest occupied slot; at width 1 the scalar kernel runs.
+    A pipeline is a generator that yields a level, a list of messages, and
+    is sent the level's digests, memo hits included. A message that is a
+    tuple of byte strings is digested as their concatenation and memoized
+    under the tuple, so a tree node keeps no joined copy of its children's
+    digests. A level's messages are queued as soon as it is yielded; before
+    each permutation every queued message, the longest first, takes the
+    lowest free slot up to _MAX_WIDTH, and each occupied slot absorbs its
+    message's next block. A message whose last block went in is squeezed
+    after the permutation, memoized and carried to its level, and frees its
+    slot. A free slot is still permuted, so a message that takes one zeroes
+    it first, and the slots above the width are zeroed when it drops. The
+    width is the least power of two that holds the highest occupied slot;
+    at width 1 the scalar kernel runs.
     """
     queued: list = []  # [data, offset, message, level], longest last
 
@@ -275,20 +276,3 @@ def run_levels(*pipelines: Generator) -> None:
         for found, messages, pipeline, _ in finished:
             advance(pipeline, [found[m] for m in messages])
 
-
-def keccak256_many(messages: list[bytes | tuple[bytes, ...]]) -> list[bytes]:
-    """Digest every message; equal to [keccak256(m) for m in messages].
-
-    A message may also be a tuple of byte strings. It is digested as their
-    concatenation and memoized under the tuple, so a caller whose parts
-    are held anyway (the child digests of a tree node) keeps no joined
-    copy. Digests not in the memo are computed as one level of
-    `run_levels` and memoized.
-    """
-    digests: list = []
-
-    def level() -> Generator:
-        digests.extend((yield messages))
-
-    run_levels(level())
-    return digests

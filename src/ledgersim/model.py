@@ -21,9 +21,10 @@ identity when it is re-proposed and sealed in a later round. The nodes
 of many blocks are hashed together, level by level, as one
 `keccak.run_levels` pipeline: `tx_levels` hashes the transactions not
 yet hashed, `group_levels` then their groups, and `hash_levels` then the
-views; `block_hashes` runs it alone. An unchanged group is a memo hit,
-so a block built beside its state root (`node.ValidatorNode.build_block`)
-finds its groups digested when its view is hashed.
+views; `block_hash` runs it for one block. An unchanged group is a memo
+hit, so a block built beside its state root
+(`node.ValidatorNode.build_block`) finds its groups digested when its
+view is hashed.
 
 The six payload kinds are declared once, in `PAYLOAD_KINDS`: a kind's
 position is its tag, its name is its JSON type and scenario action, and
@@ -371,18 +372,10 @@ def hash_levels(blocks: list[Block]) -> Generator:
         object.__setattr__(b, "_hash", Hash256(h))
 
 
-def block_hashes(blocks: list[Block]) -> list[Hash256]:
-    """The hash of every block, filling its slot; blocks already hashed are
-    slot reads."""
-    run_levels(hash_levels(blocks))
-    return [b._hash for b in blocks]
-
-
 def block_hash(block: Block) -> Hash256:
-    h = block._hash
-    if h is None:
-        h = block_hashes([block])[0]
-    return h
+    if block._hash is None:
+        run_levels(hash_levels([block]))
+    return block._hash
 
 
 def extends(block: Block, parent: Block) -> bool:

@@ -130,7 +130,7 @@ class ValidatorNode:
     # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> StepResult:
-        return self._wrap(self.engine.start_height(1))
+        return self.handle_height_start()
 
     # -- block assembly and validation ------------------------------------------
 

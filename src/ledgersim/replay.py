@@ -9,17 +9,17 @@ to localize.
 
 The dump is processed in windows of blocks. Before a window's checks run
 in chain order, every Keccak digest they will ask for (block, transaction
-and bank-account hashes, state roots) is hashed by `keccak.run_levels`,
-once before the window's execution and once after it, so each check
-finds its digest memoized. Signature checks need no batch: signatures
-are keyed BLAKE2b, not Keccak.
+and bank-account hashes, state roots) is hashed by `keccak.run_levels`
+over the pipelines of `model` and `contract`, once before the window's
+execution and once after it, so each check finds its digest memoized.
+Signature checks need no batch: signatures are keyed BLAKE2b, not Keccak.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Optional
 
 from . import contract
 from .config import GenesisConfig
@@ -27,8 +27,8 @@ from .consensus import validate_finalized_block
 from .errors import CorruptDump
 from .keccak import run_levels
 from .model import (
-    Block, RegisterBankAccount, block_from_json, block_hash, hash_levels, hx,
-    receipt_to_json, serialize_block, tx_hash, tx_levels,
+    Block, block_from_json, block_hash, hash_levels, hx, receipt_to_json,
+    serialize_block, tx_hash, tx_levels,
 )
 from .simulation import genesis_setup, make_genesis_block
 
@@ -84,20 +84,14 @@ def _execute_window(window: list[tuple[Block, object, list]],
     one at a time.
     """
     blocks = [block for block, _, _ in window]
-    run_levels(tx_levels([tx for block in blocks for tx in block.txs]), _accounts(blocks))
+    txs = [tx for block in blocks for tx in block.txs]
+    run_levels(tx_levels(txs), contract.account_levels([tx.payload for tx in txs]))
     executed = []
     for block in blocks:
         ledger, receipts = contract.execute_block_txs(ledger, block.txs)
         executed.append((ledger, receipts))
     run_levels(hash_levels(blocks), contract.root_levels([after.contract for after, _ in executed]))
     return executed
-
-
-def _accounts(blocks: list[Block]) -> Generator:
-    """One level: the bank-account strings the blocks register."""
-    yield [contract.account_hash_input(tx.payload.account)
-           for block in blocks for tx in block.txs
-           if isinstance(tx.payload, RegisterBankAccount)]
 
 
 def _replay(genesis_cfg: GenesisConfig, dump: bytes,

@@ -185,7 +185,6 @@ def _evaluate_expectations(sim: Simulation,
     ref = sim.reference_node()
     state = ref.chain.head_ledger.contract
     honest = sim.honest_addresses()
-    heights = [sim.finalized_height(a) for a in honest]  # empty if every node is faulty
 
     def evaluate(kind: str, exp: dict) -> tuple[bool, str]:
         if kind == "orgBalance":
@@ -195,10 +194,10 @@ def _evaluate_expectations(sim: Simulation,
             got = int(state.balances.get(exp["address"], 0))
             return got == exp["value"], f"balance[{hx(exp['address'])}] = {got}"
         if kind == "minFinalizedHeight":
-            got = min(heights, default=0)
+            got = sim.min_honest_height()
             return got >= exp["value"], f"min honest height {got}"
         if kind == "noFinalization":
-            got = max(heights, default=0)
+            got = max((sim.finalized_height(a) for a in honest), default=0)
             return got == 0, f"max honest height {got}"
         if kind == "events":
             got = [event_to_json(event) for *_, event in ref.chain.events()]
@@ -228,7 +227,7 @@ def _evaluate_expectations(sim: Simulation,
         # blocks at the cutoff instant, but their contract state must
         # agree, as must every block up to the common finalized height
         roots = {sim.nodes[a].chain.head.state_root for a in honest}
-        common = min(heights, default=0)
+        common = sim.min_honest_height()
         prefix_ok = all(
             sim.nodes[a].chain.blocks[h].state_root ==
             sim.nodes[honest[0]].chain.blocks[h].state_root

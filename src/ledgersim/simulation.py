@@ -18,11 +18,10 @@ from .config import GenesisConfig, check_seed
 from .consensus import ConsensusConfig, StepResult
 from .crypto import KeyPair, Registry, sign
 from .errors import NotDeployed
-from .keccak import keccak256_many
+from .keccak import run_levels
 from .model import (
-    Address, AllowanceSent, Block, FundsAdded, RegisterBankAccount, Transaction,
-    TxPayload, Signature, ZERO_ADDRESS, ZERO_HASH, block_hash, hx, replace_unhashed,
-    serialize_tx, tx_hash,
+    Address, AllowanceSent, Block, FundsAdded, Transaction, TxPayload, Signature,
+    ZERO_ADDRESS, ZERO_HASH, block_hash, hx, replace_unhashed, tx_hash, tx_levels,
 )
 from .netsim import ByzantineSpec, EventQueue, Network, byzantine_transform, payload_kind
 from .node import ValidatorNode
@@ -223,22 +222,16 @@ class Simulation:
         return replace_unhashed(unsigned, signature=sign(key, tx_hash(unsigned)))
 
     def _prehash_client_txs(self) -> None:
-        """Hash in one batch every Keccak input the scheduled client
-        transactions will ask for, so `build_tx` and the contract find it
-        memoized. The nonces are guessed in queue order, as `build_tx` will
-        give them. A transaction scheduled after start() ahead of these, or
-        built out of band (`deploy.migrate_deploy`), makes the guess wrong,
-        which is only a memo miss."""
+        """Hash ahead, by the pipelines of `model` and `contract`, the
+        scheduled client transactions' unsigned hashes and account strings,
+        so `build_tx` and the contract find them memoized. The nonces are
+        guessed in queue order, as `build_tx` will give them. A transaction
+        scheduled after start() ahead of these, or built out of band
+        (`deploy.migrate_deploy`), makes the guess wrong: a memo miss."""
         nonces = dict(self.client_nonces)
-        inputs = []
-        for ev in self.queue.pending():
-            command = ev.payload
-            if isinstance(command, ClientTx):
-                unsigned = self._unsigned_tx(command.key, command.payload, nonces)
-                inputs.append(serialize_tx(unsigned, with_signature=False))
-                if isinstance(command.payload, RegisterBankAccount):
-                    inputs.append(contract.account_hash_input(command.payload.account))
-        keccak256_many(inputs)
+        commands = [ev.payload for ev in self.queue.pending() if isinstance(ev.payload, ClientTx)]
+        unsigned = [self._unsigned_tx(c.key, c.payload, nonces) for c in commands]
+        run_levels(tx_levels(unsigned), contract.account_levels([c.payload for c in commands]))
 
     def submit_to_all(self, tx: Transaction, label: int = -1) -> dict:
         record = {"label": label, "txHash": hx(tx_hash(tx)), "accepted": []}
@@ -330,7 +323,8 @@ class Simulation:
         return self.nodes[address].chain.head_height
 
     def min_honest_height(self) -> int:
-        return min(self.finalized_height(a) for a in self.honest_addresses())
+        """The lowest head height of the honest nodes; 0 if every node is faulty."""
+        return min((self.finalized_height(a) for a in self.honest_addresses()), default=0)
 
     def conservation_ok(self, address: Address) -> bool:
         chain = self.nodes[address].chain

@@ -1,5 +1,5 @@
 """State roots: the two-level Keccak tree over address buckets, its
-batched entry point and its slot; and pinned golden values of both
+level pipeline and its slot; and pinned golden values of both
 commitments. Block-hash trees are tested in test_model.py."""
 
 import hashlib
@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from ledgersim import contract, keccak
 from ledgersim.config import parse_genesis
-from ledgersim.contract import ContractState, LedgerState, state_root, state_roots
+from ledgersim.contract import ContractState, LedgerState, root_levels, state_root
 from ledgersim.keccak import keccak256
 from ledgersim.model import (
     AMOUNT_MAX, Address, AddFunds, AddRecipient, Amount, Deploy, Hash256,
@@ -150,7 +150,8 @@ class TestStateRoot:
     @given(batch=st.lists(states, max_size=20))
     def test_batched_and_singular_agree_on_a_cold_memo(self, batch):
         keccak._memo.clear()
-        together = state_roots(batch)
+        keccak.run_levels(root_levels(batch))
+        together = [state._root for state in batch]
         for state, root in zip(batch, together):
             keccak._memo.clear()
             assert state_root(_copy(state)) == root
@@ -246,7 +247,8 @@ class TestCommittedRoots:
         tables = (dict(parent.recipients), dict(parent.bank_accounts), dict(parent.balances))
         children = [contract.execute_block_txs(start, tuple(_transactions(start, drawn)))[0]
                     for drawn in (first, second)]
-        assert state_roots([c.contract for c in children]) == [
+        keccak.run_levels(root_levels([c.contract for c in children]))
+        assert [c.contract._root for c in children] == [
             _root_oracle(c.contract) for c in children]
         assert (parent.recipients, parent.bank_accounts, parent.balances) == tables
         assert state_root(parent) == _root_oracle(parent)

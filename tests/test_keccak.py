@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ledgersim import keccak
-from ledgersim.keccak import keccak256, keccak256_many
+from ledgersim.keccak import keccak256
 from keccak_reference import W, _permute, keccak256_reference
 
 # The first two are the widely published Keccak-256 anchors; the rest
@@ -80,40 +80,51 @@ def _scalar(messages):
     return [keccak256(m) for m in messages]
 
 
+def one_level(messages):
+    """The digests of `messages`, hashed as one level of `run_levels`."""
+    digests = []
+
+    def level():
+        digests.extend((yield messages))
+
+    keccak.run_levels(level())
+    return digests
+
+
 def test_many_matches_oracle_across_rate_boundaries(cold_memo):
     rng = random.Random(7)
     messages = [rng.randbytes(n) for n in BATCH_LENGTHS]
-    assert keccak256_many(messages) == [keccak256_reference(m) for m in messages]
+    assert one_level(messages) == [keccak256_reference(m) for m in messages]
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 255, 256, 257])
 def test_many_matches_scalar_on_mixed_lengths(cold_memo, count):
     rng = random.Random(count)
     messages = [rng.randbytes(rng.choice(BATCH_LENGTHS)) for _ in range(count)]
-    assert keccak256_many(messages) == _scalar(messages)
+    assert one_level(messages) == _scalar(messages)
 
 
 def test_many_keeps_order_and_duplicates(cold_memo):
     rng = random.Random(3)
     distinct = [rng.randbytes(n) for n in BATCH_LENGTHS]
     messages = [distinct[i % 3] for i in range(300)] + distinct + distinct[::-1]
-    digests = keccak256_many(messages)
+    digests = one_level(messages)
     assert digests == _scalar(messages)
     assert len(set(digests)) == len(distinct)
 
 
 def test_many_memoizes_what_it_computes(cold_memo):
     messages = [bytes([i]) * i for i in range(40)]
-    digests = keccak256_many(messages)
+    digests = one_level(messages)
     assert all(keccak._memo[m] == d for m, d in zip(messages, digests))
-    assert keccak256_many(messages) == digests
+    assert one_level(messages) == digests
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.binary(max_size=300), max_size=40))
 def test_many_equals_keccak256_per_message(messages):
     keccak._memo.clear()
-    digests = keccak256_many(messages)
+    digests = one_level(messages)
     assert digests == _scalar(messages)
 
 
@@ -122,7 +133,7 @@ def test_many_digests_a_tuple_as_its_concatenation(cold_memo):
     parts = [tuple(rng.randbytes(rng.choice(BATCH_LENGTHS)) for _ in range(k))
              for k in range(5)]
     messages = parts + [b"".join(p) for p in parts] + parts[::-1]
-    digests = keccak256_many(messages)
+    digests = one_level(messages)
     assert all(keccak._memo[p] == d for p, d in zip(parts, digests))
     assert digests == _scalar([b"".join(m) if type(m) is tuple else m for m in messages])
 
@@ -149,7 +160,7 @@ def test_memo_is_cleared_at_its_limit(bounded_memo):
         assert [keccak256(m) for m in singles] == [keccak256_reference(m) for m in singles]
         batch = [rng.randbytes(n) for n in BATCH_LENGTHS] + [(rng.randbytes(90), b"", b"xy")]
         joined = [b"".join(m) if type(m) is tuple else m for m in batch]
-        assert keccak256_many(batch) == [keccak256_reference(m) for m in joined]
+        assert one_level(batch) == [keccak256_reference(m) for m in joined]
         assert len(keccak._memo) <= MEMO_BOUND
 
 

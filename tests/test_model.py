@@ -12,7 +12,7 @@ from ledgersim.model import (
     Address, AddFunds, AddRecipient, Amount, Block, Deploy, ErrorCode,
     FundsAdded, Hash256, Receipt, RegisterBankAccount, RemoveRecipient,
     SendAllowance, Signature, Transaction, TxStatus, ZERO_HASH,
-    PAYLOAD_KINDS, block_from_json, block_hash, block_hashes, block_to_json, hx,
+    PAYLOAD_KINDS, block_from_json, block_hash, block_to_json, hash_levels, hx,
     payload_from_json, payload_to_json, replace_unhashed, serialize_block,
     serialize_payload, serialize_tx, tx_from_json, tx_hash, tx_to_json, unhx,
     _CODECS, _u,
@@ -353,7 +353,7 @@ class TestDigestSlots:
 
 
 class TestBlockHashes:
-    """The batched entry point and the 16-transaction groups of the tree."""
+    """The level pipeline and the 16-transaction groups of the tree."""
 
     @pytest.mark.parametrize("n_txs", [0, 1, 16, 17, 257])
     def test_batched_and_singular_agree_on_a_cold_memo(self, n_txs):
@@ -362,7 +362,8 @@ class TestBlockHashes:
         blocks = [Block(h, 0, Hash256(rng.randbytes(32)), Address(rng.randbytes(20)),
                         txs[h % 2:], Hash256(rng.randbytes(32)), ()) for h in range(1, 4)]
         keccak._memo.clear()
-        together = block_hashes(blocks)
+        keccak.run_levels(hash_levels(blocks))
+        together = [block._hash for block in blocks]
         for block, h in zip(blocks, together):
             keccak._memo.clear()
             assert block_hash(_cold(block)) == h == keccak256(_hashing_view(block, keccak256))

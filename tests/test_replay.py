@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ledgersim import contract, replay
+from ledgersim import contract, keccak, model, replay
 from ledgersim.config import parse_genesis
 from ledgersim.consensus import MsgKind, make_message
 from ledgersim.errors import CorruptDump
@@ -147,6 +147,22 @@ def verdict(dump):
 
 def test_the_edited_chain_is_intact(chain):
     assert replay_chain(GENESIS, emit(chain)).ok
+
+
+def test_a_window_hashes_ahead_every_digest_its_checks_ask_for(paper_blocks, monkeypatch):
+    """On a cold memo, each scalar Keccak call of `model` and `contract`
+    during an audit finds its digest memoized by the window's pipelines:
+    here, the hash of the bank account that paper_flow registers."""
+    dump, calls = emit(paper_blocks), []
+    for module in (model, contract):
+        def spy(data, name=module.__name__):
+            calls.append((name, data in keccak._memo))
+            return keccak.keccak256(data)
+
+        monkeypatch.setattr(module, "keccak256", spy)
+    keccak._memo.clear()
+    assert replay_chain(GENESIS, dump).ok
+    assert calls and all(hit for _, hit in calls)
 
 
 @pytest.mark.parametrize("window", [1, 3, 64])

@@ -171,7 +171,7 @@ class TestPrehashMechanism:
         for label, (at, key, payload) in enumerate(org_commands(sim)):
             sim.schedule_tx(at, key, payload, label=label)
         sim.run()
-        accounts = {contract.account_hash_input(p.account)
+        accounts = {p.account.encode("utf-8")
                     for _, _, p in org_commands(sim)
                     if isinstance(p, RegisterBankAccount) and p.account}
         assert len(sim.submissions) == 10
@@ -295,6 +295,15 @@ class TestRunUntilMinHeight:
         assert len(fast.queue) == len(slow.queue)
         assert fast.min_honest_height() == slow.min_honest_height()
         assert steps > 100
+
+    def test_a_run_with_every_validator_faulty_reads_height_0(self):
+        """With no honest node the minimum is 0, so no height is reached."""
+        sim = new_sim()
+        for address in sim.config.validators:
+            sim.inject_fault(ByzantineSpec(address, Behavior.SILENT))
+        assert sim.honest_addresses() == []
+        assert sim.min_honest_height() == 0
+        assert sim.run_until_min_height(1, cap=300) is False
 
 
 class TestSafetyChecker:
