@@ -14,9 +14,9 @@ to it, `apply_transaction` applies each transaction to the draft in
 place, and every operation writes through `Draft.write`, which records
 the address written. The block then commits one new `ContractState`,
 which shares the tables it did not write with its parent, or the
-parent's own object if nothing was written. A committed state is never mutated, apart from
-filling its slots. The public operations (`deploy`, `add_funds`, ...)
-are pure functions that run their operation on a draft of its own.
+parent's own object if nothing was written. A committed state is never
+mutated, apart from filling its slots. An operation returns the
+`ErrorCode` of its first failing guard, or the tuple of events it emits.
 
 The state root is a two-level Keccak tree. Each account is one record:
 its address, a flags byte saying which of recipient, recipient-active,
@@ -141,50 +141,41 @@ class Draft:
         return LedgerState(state, self.nonces)
 
 
-@dataclass(frozen=True, slots=True)
-class OpResult:
-    error: Optional[ErrorCode]
-    events: tuple[Event, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-
-_OK = OpResult(None)
-
-
 # --- the operations, each writing a draft in place ---------------------------
 
-def _deploy(draft: Draft, sender: Address) -> OpResult:
+# an operation's first failing guard, or the events it emits
+Outcome = ErrorCode | tuple[Event, ...]
+
+
+def _deploy(draft: Draft, sender: Address) -> Outcome:
     if draft.deployed:
-        return OpResult(ErrorCode.ALREADY_DEPLOYED)
+        return ErrorCode.ALREADY_DEPLOYED
     # a fresh contract holds no accounts
     draft.written += [*draft.recipients, *draft.bank_accounts, *draft.balances, None]
     draft.recipients, draft.bank_accounts, draft.balances = {}, {}, {}
     draft.organization, draft.deployed = sender, True
-    return _OK
+    return ()
 
 
-def _organization_only(op: Callable[..., OpResult]):
+def _organization_only(op: Callable[..., Outcome]):
     """The guard modifier, as a Solidity contract would write it: `op` runs
     only on a deployed contract, NOT_DEPLOYED otherwise, and only for its
     organization, UNAUTHORIZED otherwise. Called as op(draft, sender, *fields)."""
-    def guarded(draft: Draft, sender: Address, *fields) -> OpResult:
+    def guarded(draft: Draft, sender: Address, *fields) -> Outcome:
         if not draft.deployed:
-            return OpResult(ErrorCode.NOT_DEPLOYED)
+            return ErrorCode.NOT_DEPLOYED
         if sender != draft.organization:
-            return OpResult(ErrorCode.UNAUTHORIZED)
+            return ErrorCode.UNAUTHORIZED
         return op(draft, sender, *fields)
     return guarded
 
 
 def _recipient_setter(active: bool):
-    """The one body of add_recipient (True) and remove_recipient (False)."""
+    """The one body of AddRecipient (True) and RemoveRecipient (False)."""
     @_organization_only
-    def set_recipient(draft: Draft, sender: Address, recipient: Address) -> OpResult:
+    def set_recipient(draft: Draft, sender: Address, recipient: Address) -> Outcome:
         draft.write("recipients", recipient, active)
-        return _OK
+        return ()
     return set_recipient
 
 
@@ -196,40 +187,40 @@ def account_levels(payloads: list[TxPayload]) -> Generator:
 
 @_organization_only
 def _register_bank_account(draft: Draft, sender: Address, recipient: Address,
-                           account: str) -> OpResult:
+                           account: str) -> Outcome:
     if not draft.recipients.get(recipient, False):
-        return OpResult(ErrorCode.UNKNOWN_RECIPIENT)
+        return ErrorCode.UNKNOWN_RECIPIENT
     raw = account.encode("utf-8")
     if len(raw) == 0:
-        return OpResult(ErrorCode.EMPTY_ACCOUNT_STRING)
+        return ErrorCode.EMPTY_ACCOUNT_STRING
     account_hash = Hash256(keccak256(raw))
     draft.write("bank_accounts", recipient, account_hash)
-    return OpResult(None, (BankAccountRegistered(recipient, account_hash),))
+    return (BankAccountRegistered(recipient, account_hash),)
 
 
 @_organization_only
-def _add_funds(draft: Draft, sender: Address, amt: Amount) -> OpResult:
+def _add_funds(draft: Draft, sender: Address, amt: Amount) -> Outcome:
     try:
         balance = draft.balances.get(draft.organization, Amount(0)) + amt
     except OverflowError:
-        return OpResult(ErrorCode.OVERFLOW)
+        return ErrorCode.OVERFLOW
     draft.write("balances", draft.organization, balance)
     # the event reports the amount actually credited
-    return OpResult(None, (FundsAdded(amt),))
+    return (FundsAdded(amt),)
 
 
 @_organization_only
 def _send_allowance(draft: Draft, sender: Address, recipient: Address,
-                    amount: Amount) -> OpResult:
+                    amount: Amount) -> Outcome:
     if not draft.recipients.get(recipient, False):
-        return OpResult(ErrorCode.UNKNOWN_RECIPIENT)
+        return ErrorCode.UNKNOWN_RECIPIENT
     balance = draft.balances.get(draft.organization, Amount(0))
     if not balance >= amount:
-        return OpResult(ErrorCode.INSUFFICIENT_FUNDS)
+        return ErrorCode.INSUFFICIENT_FUNDS
     draft.write("balances", draft.organization, balance - amount)
     # the payout itself is off-ledger: the recipient is notified by the
     # event and is never credited on-chain
-    return OpResult(None, (AllowanceSent(recipient, amount),))
+    return (AllowanceSent(recipient, amount),)
 
 
 # each called as op(draft, sender, *the payload's fields in declaration order)
@@ -237,22 +228,6 @@ _OPS = {Deploy: _deploy, AddRecipient: _recipient_setter(True),
         RemoveRecipient: _recipient_setter(False),
         RegisterBankAccount: _register_bank_account, AddFunds: _add_funds,
         SendAllowance: _send_allowance}
-
-
-def _on_state(op: Callable[..., OpResult]):
-    """`op` as a pure function of a ContractState, run on a draft of its
-    own: op(state, sender, *fields) returns (new state, OpResult)."""
-    def run(state: ContractState, sender: Address, *fields
-            ) -> tuple[ContractState, OpResult]:
-        draft = Draft(LedgerState(state, {}))
-        result = op(draft, sender, *fields)
-        return draft.commit().contract, result
-    return run
-
-
-# in _OPS order
-deploy, add_recipient, remove_recipient, register_bank_account, add_funds, send_allowance = (
-    _on_state(op) for op in _OPS.values())
 
 
 def get_balance(state: ContractState, caller: Address) -> Amount:
@@ -278,11 +253,11 @@ def apply_transaction(draft: Draft, tx: Transaction) -> Receipt:
         return Receipt(tx_hash(tx), TxStatus.FAILED, ErrorCode.BAD_NONCE, gas, ())
 
     cls = type(tx.payload)
-    result = _OPS[cls](draft, tx.sender, *KIND_BY_TYPE[cls].values(tx.payload))
+    outcome = _OPS[cls](draft, tx.sender, *KIND_BY_TYPE[cls].values(tx.payload))
     draft.nonces[tx.sender] = expected + 1
-    if result.ok:
-        return Receipt(tx_hash(tx), TxStatus.SUCCESS, None, gas, result.events)
-    return Receipt(tx_hash(tx), TxStatus.FAILED, result.error, gas, ())
+    if type(outcome) is ErrorCode:
+        return Receipt(tx_hash(tx), TxStatus.FAILED, outcome, gas, ())
+    return Receipt(tx_hash(tx), TxStatus.SUCCESS, None, gas, outcome)
 
 
 # --- state commitment --------------------------------------------------------

@@ -102,9 +102,13 @@ def hx(data: bytes) -> str:
 
 
 def unhx(text: str) -> bytes:
+    """The bytes of `0x` followed by hex digit pairs and nothing else."""
     if not isinstance(text, str) or not text.startswith("0x"):
         raise ValueError(f"expected 0x prefix: {text!r}")
-    return bytes.fromhex(text[2:])
+    raw = bytes.fromhex(text[2:])
+    if len(text) != 2 + 2 * len(raw):  # fromhex skips whitespace
+        raise ValueError(f"expected only hex digit pairs after 0x: {text!r}")
+    return raw
 
 
 class Signature(bytes):

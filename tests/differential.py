@@ -8,8 +8,13 @@ sender. States and results are normalized to plain dicts/tuples before
 comparison so neither implementation's types leak into the other.
 """
 
+import functools
+
 from ledgersim import contract
-from ledgersim.model import Address, Amount
+from ledgersim.model import (
+    Address, AddFunds, AddRecipient, Amount, Deploy, RegisterBankAccount, RemoveRecipient,
+    SendAllowance, Signature, Transaction, TxStatus,
+)
 
 from contract_reference import RefContract
 
@@ -33,31 +38,46 @@ def alphabet(senders, recipients):
 
 # --- production side -------------------------------------------------------
 
+@functools.cache
+def _tx(sender, payload) -> Transaction:
+    """One unsigned transaction per (sender, payload), so its hash is
+    computed once; block execution checks no signature."""
+    return Transaction(sender, 0, payload, contract.gas_for(payload), 0, Signature(b""))
+
+
+def run_op(state, sender, payload):
+    """Run one operation as the product does: a transaction from `sender`,
+    whose nonce is 0, executed as a block on `state` with no nonces yet.
+    Returns (contract state, receipt)."""
+    ledger, (receipt,) = contract.execute_block_txs(contract.LedgerState(state, {}),
+                                                    (_tx(sender, payload),))
+    return ledger.contract, receipt
+
+
 def impl_initial(org) -> contract.ContractState:
-    state, result = contract.deploy(contract.fresh_state(), Address(org))
-    assert result.ok
+    state, receipt = run_op(contract.fresh_state(), Address(org), Deploy())
+    assert receipt.status is TxStatus.SUCCESS
     return state
 
 
 def impl_apply(state, sym):
     op = sym[0]
-    sender = Address(sym[1])
     if op == "addRecipient":
-        new, res = contract.add_recipient(state, sender, Address(sym[2]))
+        payload = AddRecipient(Address(sym[2]))
     elif op == "removeRecipient":
-        new, res = contract.remove_recipient(state, sender, Address(sym[2]))
+        payload = RemoveRecipient(Address(sym[2]))
     elif op == "registerBankAccount":
-        new, res = contract.register_bank_account(state, sender,
-                                                  Address(sym[2]), sym[3])
+        payload = RegisterBankAccount(Address(sym[2]), sym[3])
     elif op == "sendAllowance":
-        new, res = contract.send_allowance(state, sender, Address(sym[2]),
-                                           Amount(sym[3]))
+        payload = SendAllowance(Address(sym[2]), Amount(sym[3]))
     elif op == "addFunds":
-        new, res = contract.add_funds(state, sender, Amount(sym[2]))
+        payload = AddFunds(Amount(sym[2]))
     else:
         raise ValueError(op)
-    error = None if res.error is None else res.error.value
-    return new, (res.ok, error, _normalize_impl_events(res.events))
+    new, receipt = run_op(state, Address(sym[1]), payload)
+    error = None if receipt.error is None else receipt.error.value
+    return new, (receipt.status is TxStatus.SUCCESS, error,
+                 _normalize_impl_events(receipt.events))
 
 
 def _normalize_impl_events(events):

@@ -262,10 +262,10 @@ class TestCriterion7Conservation:
                 checked += 1
         ok = ok and checked >= 5
 
-        from ledgersim.model import Address, Amount
-        bad_state, result = contract.add_funds(
-            ledger.contract, Address(b"\x99" * 20), Amount(1))
-        ok = ok and not result.ok and bad_state is ledger.contract
+        from ledgersim.model import AddFunds, Address, Amount
+        bad_state, receipt = differential.run_op(ledger.contract, Address(b"\x99" * 20),
+                                                 AddFunds(Amount(1)))
+        ok = ok and receipt.status is TxStatus.FAILED and bad_state is ledger.contract
         _verdict(7, ok,
                  f"org balance == sum(AddFunds) - sum(AllowanceSent) across "
                  f"{runs} runs; FAILED receipts leave state untouched")

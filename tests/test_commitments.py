@@ -20,6 +20,7 @@ from ledgersim.model import (
 )
 from ledgersim.scenario import parse_scenario, run_scenario
 
+from differential import run_op
 from keccak_reference import keccak256_reference
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -162,9 +163,8 @@ class TestStateRoot:
         assert state._root is None
         root = state_root(state)
         assert state._root == root
-        changed, _ = contract.add_funds(_copy(state, deployed=True,
-                                              organization=Address(b"\x01" * 20)),
-                                        Address(b"\x01" * 20), Amount(2))
+        changed, _ = run_op(_copy(state, deployed=True, organization=Address(b"\x01" * 20)),
+                            Address(b"\x01" * 20), AddFunds(Amount(2)))
         assert changed._root is None
         assert state_root(changed) == _root_oracle(changed)
 

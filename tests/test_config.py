@@ -40,6 +40,12 @@ def dumps(obj) -> bytes:
     return json.dumps(obj).encode()
 
 
+# hex that `bytes.fromhex` reads, as it skips whitespace, but no dump or
+# genesis file holds: a space after 0x, or between each digit pair
+KEY_SPACED = "0x " + SEEDS[0].hex()
+SEED_PAIRS_SPACED = "0x" + " ".join(f"{b:02x}" for b in SEEDS[0])
+
+
 class TestParse:
     def test_paper_faithful_file_parses_with_quorum_3(self):
         cfg = parse_genesis(dumps(paper_faithful_obj()))
@@ -107,13 +113,35 @@ class TestParse:
         ("validators", [5], "bad validator 5"),
         ("validators", ["0x" + "aa" * 20, "0xzz"],
          "validator address 0x" + "aa" * 20 + " has no key"),
+        ("validators", [hx(SEEDS[0]), "0x" + "ab" * 31],
+         "validator entries must be 32-byte seeds or 20-byte addresses"),
+        ("validators", [hx(SEEDS[0]), hx(KeyPair.from_seed(SEEDS[0]).address)],
+         "validator addresses must be distinct"),
+        ("privateKeys", [KEY_SPACED],
+         f"bad private key {KEY_SPACED!r}: expected only hex digit pairs after 0x"),
+        ("validators", [SEED_PAIRS_SPACED],
+         f"bad validator {SEED_PAIRS_SPACED!r}: expected only hex digit pairs after 0x"),
     ], ids=["keys_empty", "keys_no_0x", "keys_null", "keys_short_first",
-            "validators_string", "validators_int", "validators_stranger_first"])
+            "validators_string", "validators_int", "validators_stranger_first",
+            "validators_31_bytes", "validators_seed_and_its_address",
+            "keys_space_after_0x", "validators_spaced_pairs"])
     def test_hex_list_refusals_name_their_field(self, field, value, message):
         """Each entry is refused in list order, so the first bad entry is the
         one the message names."""
         obj = paper_faithful_obj()
         (obj["keyProvider"] if field == "privateKeys" else obj)[field] = value
+        with pytest.raises(MalformedConfig, match=re.escape(message)):
+            parse_genesis(dumps(obj))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("rpcUrl", "", "rpcUrl must be a non-empty string"),
+        ("rpcUrl", 8545, "rpcUrl must be a non-empty string"),
+        ("preGstLossProb", "0.1", "preGstLossProb must be a number"),
+        ("preGstLossProb", True, "preGstLossProb must be a number"),
+    ], ids=["rpc_url_empty", "rpc_url_int", "loss_prob_string", "loss_prob_bool"])
+    def test_a_value_of_the_wrong_type_is_refused(self, field, value, message):
+        obj = paper_faithful_obj()
+        (obj["keyProvider"] if field == "rpcUrl" else obj)[field] = value
         with pytest.raises(MalformedConfig, match=re.escape(message)):
             parse_genesis(dumps(obj))
 

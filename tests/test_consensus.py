@@ -407,6 +407,16 @@ class TestDiscards:
         step = engine.handle_message(msg)
         assert "NotValidator" in step.discards
 
+    @pytest.mark.parametrize("height", [0, 2])
+    def test_a_message_for_another_height_discarded(self, keys, registry, height):
+        config = ConsensusConfig(tuple(k.address for k in keys[:4]), 30)
+        engine = _make_engine(keys[0], config, registry)
+        engine.start_height(1)
+        bh = Hash256(b"\x09" * 32)
+        step = engine.handle_message(make_message(keys[2], MsgKind.PREPARE, height, 0, bh))
+        assert step.discards == ["WrongHeight"] and not step.outbound
+        assert (0, bh) not in engine._prepares
+
 
 class TestLocking:
     def test_prepared_node_only_commits_locked_hash(self, keys, registry):

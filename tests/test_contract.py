@@ -17,6 +17,7 @@ from ledgersim.model import (
 )
 
 import differential
+from differential import run_op
 from keccak_reference import keccak256_reference
 
 ORG = Address(b"\x01" * 20)
@@ -26,161 +27,161 @@ R2 = Address(b"\x04" * 20)
 
 
 def deployed():
-    state, result = contract.deploy(contract.fresh_state(), ORG)
-    assert result.ok
+    state, receipt = run_op(contract.fresh_state(), ORG, Deploy())
+    assert receipt.status is TxStatus.SUCCESS
     return state
 
 
 class TestDeploy:
     def test_first_deploy_sets_organization(self):
-        state, result = contract.deploy(contract.fresh_state(), ORG)
-        assert result.ok
+        state, receipt = run_op(contract.fresh_state(), ORG, Deploy())
+        assert receipt.status is TxStatus.SUCCESS
         assert state.deployed and state.organization == ORG
         assert state.recipients == {} and state.balances == {}
 
     def test_second_deploy_fails_and_keeps_owner(self):
         state = deployed()
-        after, result = contract.deploy(state, OTHER)
-        assert result.error is ErrorCode.ALREADY_DEPLOYED
+        after, receipt = run_op(state, OTHER, Deploy())
+        assert receipt.error is ErrorCode.ALREADY_DEPLOYED
         assert after is state and after.organization == ORG
 
     def test_deployer_passes_the_organization_check(self):
         state = deployed()
-        _, result = contract.add_recipient(state, ORG, R1)
-        assert result.ok
+        _, receipt = run_op(state, ORG, AddRecipient(R1))
+        assert receipt.status is TxStatus.SUCCESS
 
 
 class TestAddRemoveRecipient:
     def test_org_adds_recipient(self):
-        state, result = contract.add_recipient(deployed(), ORG, R1)
-        assert result.ok and state.recipients[R1] is True
-        assert result.events == ()  # no event for recipient management
+        state, receipt = run_op(deployed(), ORG, AddRecipient(R1))
+        assert receipt.status is TxStatus.SUCCESS and state.recipients[R1] is True
+        assert receipt.events == ()  # no event for recipient management
 
     def test_non_org_is_unauthorized(self):
         state = deployed()
-        after, result = contract.add_recipient(state, OTHER, R1)
-        assert result.error is ErrorCode.UNAUTHORIZED
+        after, receipt = run_op(state, OTHER, AddRecipient(R1))
+        assert receipt.error is ErrorCode.UNAUTHORIZED
         assert after is state
 
     def test_double_add_is_idempotent(self):
-        state, _ = contract.add_recipient(deployed(), ORG, R1)
-        again, result = contract.add_recipient(state, ORG, R1)
-        assert result.ok and again.recipients == state.recipients
+        state, _ = run_op(deployed(), ORG, AddRecipient(R1))
+        again, receipt = run_op(state, ORG, AddRecipient(R1))
+        assert receipt.status is TxStatus.SUCCESS and again.recipients == state.recipients
 
     def test_remove_after_add(self):
-        state, _ = contract.add_recipient(deployed(), ORG, R1)
-        state, result = contract.remove_recipient(state, ORG, R1)
-        assert result.ok and state.recipients[R1] is False
+        state, _ = run_op(deployed(), ORG, AddRecipient(R1))
+        state, receipt = run_op(state, ORG, RemoveRecipient(R1))
+        assert receipt.status is TxStatus.SUCCESS and state.recipients[R1] is False
 
     def test_remove_never_added_stores_false(self):
-        state, result = contract.remove_recipient(deployed(), ORG, R2)
-        assert result.ok and state.recipients[R2] is False
+        state, receipt = run_op(deployed(), ORG, RemoveRecipient(R2))
+        assert receipt.status is TxStatus.SUCCESS and state.recipients[R2] is False
 
     def test_remove_unauthorized(self):
-        _, result = contract.remove_recipient(deployed(), OTHER, R1)
-        assert result.error is ErrorCode.UNAUTHORIZED
+        _, receipt = run_op(deployed(), OTHER, RemoveRecipient(R1))
+        assert receipt.error is ErrorCode.UNAUTHORIZED
 
     def test_not_deployed(self):
-        _, result = contract.add_recipient(contract.fresh_state(), ORG, R1)
-        assert result.error is ErrorCode.NOT_DEPLOYED
+        _, receipt = run_op(contract.fresh_state(), ORG, AddRecipient(R1))
+        assert receipt.error is ErrorCode.NOT_DEPLOYED
 
 
 class TestRegisterBankAccount:
     def test_register_hashes_the_account(self):
-        state, _ = contract.add_recipient(deployed(), ORG, R1)
-        state, result = contract.register_bank_account(state, ORG, R1, "IBAN-001")
-        assert result.ok
+        state, _ = run_op(deployed(), ORG, AddRecipient(R1))
+        state, receipt = run_op(state, ORG, RegisterBankAccount(R1, "IBAN-001"))
+        assert receipt.status is TxStatus.SUCCESS
         assert state.bank_accounts[R1] == keccak256(b"IBAN-001")
-        assert result.events == (BankAccountRegistered(R1, state.bank_accounts[R1]),)
+        assert receipt.events == (BankAccountRegistered(R1, state.bank_accounts[R1]),)
 
     def test_empty_account_string_rejected(self):
-        state, _ = contract.add_recipient(deployed(), ORG, R1)
-        after, result = contract.register_bank_account(state, ORG, R1, "")
-        assert result.error is ErrorCode.EMPTY_ACCOUNT_STRING
+        state, _ = run_op(deployed(), ORG, AddRecipient(R1))
+        after, receipt = run_op(state, ORG, RegisterBankAccount(R1, ""))
+        assert receipt.error is ErrorCode.EMPTY_ACCOUNT_STRING
         assert after is state
 
     def test_unadded_recipient_rejected(self):
-        _, result = contract.register_bank_account(deployed(), ORG, R2, "IBAN")
-        assert result.error is ErrorCode.UNKNOWN_RECIPIENT
+        _, receipt = run_op(deployed(), ORG, RegisterBankAccount(R2, "IBAN"))
+        assert receipt.error is ErrorCode.UNKNOWN_RECIPIENT
 
     def test_guard_order_authorization_first(self):
         # non-org caller with an unknown recipient and empty account:
         # the authorization guard decides the error code
-        _, result = contract.register_bank_account(deployed(), OTHER, R2, "")
-        assert result.error is ErrorCode.UNAUTHORIZED
+        _, receipt = run_op(deployed(), OTHER, RegisterBankAccount(R2, ""))
+        assert receipt.error is ErrorCode.UNAUTHORIZED
 
     def test_guard_order_recipient_before_length(self):
-        _, result = contract.register_bank_account(deployed(), ORG, R2, "")
-        assert result.error is ErrorCode.UNKNOWN_RECIPIENT
+        _, receipt = run_op(deployed(), ORG, RegisterBankAccount(R2, ""))
+        assert receipt.error is ErrorCode.UNKNOWN_RECIPIENT
 
 
 class TestAddFunds:
     def test_org_adds_funds(self):
-        state, result = contract.add_funds(deployed(), ORG, Amount(1000))
-        assert result.ok
+        state, receipt = run_op(deployed(), ORG, AddFunds(Amount(1000)))
+        assert receipt.status is TxStatus.SUCCESS
         assert state.balances[ORG] == 1000
-        assert result.events == (FundsAdded(Amount(1000)),)
+        assert receipt.events == (FundsAdded(Amount(1000)),)
 
     def test_non_org_unauthorized(self):
-        _, result = contract.add_funds(deployed(), OTHER, Amount(1))
-        assert result.error is ErrorCode.UNAUTHORIZED
+        _, receipt = run_op(deployed(), OTHER, AddFunds(Amount(1)))
+        assert receipt.error is ErrorCode.UNAUTHORIZED
 
     def test_adding_zero_succeeds_and_emits(self):
-        state, result = contract.add_funds(deployed(), ORG, Amount(0))
-        assert result.ok and state.balances[ORG] == 0
-        assert result.events == (FundsAdded(Amount(0)),)
+        state, receipt = run_op(deployed(), ORG, AddFunds(Amount(0)))
+        assert receipt.status is TxStatus.SUCCESS and state.balances[ORG] == 0
+        assert receipt.events == (FundsAdded(Amount(0)),)
 
     def test_overflow_rejected(self):
         top = Amount((1 << 128) - 1)
-        state, result = contract.add_funds(deployed(), ORG, top)
-        assert result.ok
-        after, result = contract.add_funds(state, ORG, Amount(1))
-        assert result.error is ErrorCode.OVERFLOW
+        state, receipt = run_op(deployed(), ORG, AddFunds(top))
+        assert receipt.status is TxStatus.SUCCESS
+        after, receipt = run_op(state, ORG, AddFunds(Amount(1)))
+        assert receipt.error is ErrorCode.OVERFLOW
         assert after is state
 
 
 class TestSendAllowance:
     def _funded(self, balance=1000):
-        state, _ = contract.add_recipient(deployed(), ORG, R1)
-        state, _ = contract.add_funds(state, ORG, Amount(balance))
+        state, _ = run_op(deployed(), ORG, AddRecipient(R1))
+        state, _ = run_op(state, ORG, AddFunds(Amount(balance)))
         return state
 
     def test_send_debits_org_without_crediting_recipient(self):
-        state, result = contract.send_allowance(self._funded(), ORG, R1, Amount(300))
-        assert result.ok
+        state, receipt = run_op(self._funded(), ORG, SendAllowance(R1, Amount(300)))
+        assert receipt.status is TxStatus.SUCCESS
         assert state.balances[ORG] == 700
         assert state.balances.get(R1, Amount(0)) == 0
-        assert result.events == (AllowanceSent(R1, Amount(300)),)
+        assert receipt.events == (AllowanceSent(R1, Amount(300)),)
 
     def test_insufficient_funds(self):
         state = self._funded(balance=100)
-        after, result = contract.send_allowance(state, ORG, R1, Amount(300))
-        assert result.error is ErrorCode.INSUFFICIENT_FUNDS
+        after, receipt = run_op(state, ORG, SendAllowance(R1, Amount(300)))
+        assert receipt.error is ErrorCode.INSUFFICIENT_FUNDS
         assert after is state and after.balances[ORG] == 100
 
     def test_removed_recipient_rejected(self):
         state = self._funded()
-        state, _ = contract.remove_recipient(state, ORG, R1)
-        _, result = contract.send_allowance(state, ORG, R1, Amount(1))
-        assert result.error is ErrorCode.UNKNOWN_RECIPIENT
+        state, _ = run_op(state, ORG, RemoveRecipient(R1))
+        _, receipt = run_op(state, ORG, SendAllowance(R1, Amount(1)))
+        assert receipt.error is ErrorCode.UNKNOWN_RECIPIENT
 
     def test_exact_balance_spendable(self):
-        state, result = contract.send_allowance(self._funded(100), ORG, R1, Amount(100))
-        assert result.ok and state.balances[ORG] == 0
+        state, receipt = run_op(self._funded(100), ORG, SendAllowance(R1, Amount(100)))
+        assert receipt.status is TxStatus.SUCCESS and state.balances[ORG] == 0
 
 
 class TestGetBalance:
     def test_balance_after_funding(self):
-        state, _ = contract.add_funds(deployed(), ORG, Amount(1000))
+        state, _ = run_op(deployed(), ORG, AddFunds(Amount(1000)))
         assert contract.get_balance(state, ORG) == 1000
 
     def test_unknown_address_reads_zero(self):
         assert contract.get_balance(deployed(), OTHER) == 0
 
     def test_fund_then_send_arithmetic(self):
-        state, _ = contract.add_recipient(deployed(), ORG, R1)
-        state, _ = contract.add_funds(state, ORG, Amount(1000))
-        state, _ = contract.send_allowance(state, ORG, R1, Amount(300))
+        state, _ = run_op(deployed(), ORG, AddRecipient(R1))
+        state, _ = run_op(state, ORG, AddFunds(Amount(1000)))
+        state, _ = run_op(state, ORG, SendAllowance(R1, Amount(300)))
         assert contract.get_balance(state, ORG) == 700
 
     def test_not_deployed_raises(self):
@@ -274,7 +275,7 @@ class TestBlockDraft:
     def test_an_op_that_writes_and_reports_failure_raises(self, monkeypatch):
         def leaky(draft, sender, amt):
             draft.write("balances", sender, amt)
-            return contract.OpResult(ErrorCode.UNAUTHORIZED)
+            return ErrorCode.UNAUTHORIZED
 
         monkeypatch.setitem(contract._OPS, AddFunds, leaky)
         ledger = contract.LedgerState(deployed(), {})
@@ -355,14 +356,14 @@ class TestStateEncoding:
     def test_failed_ops_keep_state_root(self):
         state = deployed()
         root = contract.state_root(state)
-        after, result = contract.add_recipient(state, OTHER, R1)
-        assert not result.ok
+        after, receipt = run_op(state, OTHER, AddRecipient(R1))
+        assert receipt.status is TxStatus.FAILED
         assert contract.state_root(after) == root
 
     def test_state_json_shape(self):
-        state, _ = contract.add_recipient(deployed(), ORG, R1)
-        state, _ = contract.register_bank_account(state, ORG, R1, "acct")
-        state, _ = contract.add_funds(state, ORG, Amount(7))
+        state, _ = run_op(deployed(), ORG, AddRecipient(R1))
+        state, _ = run_op(state, ORG, RegisterBankAccount(R1, "acct"))
+        state, _ = run_op(state, ORG, AddFunds(Amount(7)))
         obj = contract.state_to_json(state)
         assert set(obj) == {"organization", "recipients", "bankAccounts", "balances"}
         assert obj["organization"] == "0x" + "01" * 20
@@ -429,9 +430,9 @@ class TestDifferential:
                     assert result[0] is False
 
     def test_bank_account_values_are_keccak_of_submitted_strings(self):
-        state, _ = contract.add_recipient(deployed(), ORG, R1)
-        state, result = contract.register_bank_account(state, ORG, R1, "acct-9")
-        assert result.ok
+        state, _ = run_op(deployed(), ORG, AddRecipient(R1))
+        state, receipt = run_op(state, ORG, RegisterBankAccount(R1, "acct-9"))
+        assert receipt.status is TxStatus.SUCCESS
         assert state.bank_accounts[R1] == keccak256_reference(b"acct-9")
         assert len(state.bank_accounts[R1]) == 32
 

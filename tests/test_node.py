@@ -66,6 +66,16 @@ class TestMempool:
         accepted, reason = node.submit_transaction(forged)
         assert not accepted and reason == "InvalidSignature"
 
+    def test_a_nonce_the_head_has_used_is_stale(self, node, keys):
+        """Once the head has executed keys[0]'s nonce 0, another transaction
+        with that nonce never enters the pool."""
+        block, _ = TestAnnounceRefusals.announce(keys, node, lambda b: b)
+        assert node.chain.head == block
+        accepted, reason = node.submit_transaction(_tx(keys[0], 0, AddFunds(Amount(1))))
+        assert not accepted and reason == "StaleNonce"
+        assert node.mempool.pending == {}
+        assert node.submit_transaction(_tx(keys[0], 1, AddFunds(Amount(1)))) == (True, None)
+
 
 class TestBuildBlock:
     def test_three_small_txs_all_included(self, node, keys):
@@ -200,6 +210,13 @@ class TestAnnounceRefusals:
             return replace(block, commit_seals=tuple(seals))
 
         _, result = self.announce(keys, node, forge)
+        assert result.finalized is None and not result.outbound
+        assert node.chain.head_height == 0
+
+    def test_a_quorum_over_a_wrong_state_root_is_refused(self, node, keys):
+        """Every seal is genuine, but the block fails the content check."""
+        _, result = self.announce(keys, node, lambda b: _sealed(
+            replace(b, state_root=Hash256(b"\x13" * 32)), keys[1:4]))
         assert result.finalized is None and not result.outbound
         assert node.chain.head_height == 0
 

@@ -149,6 +149,11 @@ def test_the_edited_chain_is_intact(chain):
     assert replay_chain(GENESIS, emit(chain)).ok
 
 
+def test_a_wrong_declared_genesis_hash_is_named_at_height_0(chain):
+    dump = rewrite_line(emit(chain), 0, lambda obj: obj.update(hash="0x" + "00" * 32))
+    assert verdict(dump) == (False, 0, "declared genesis hash mismatch")
+
+
 def test_a_window_hashes_ahead_every_digest_its_checks_ask_for(paper_blocks, monkeypatch):
     """On a cold memo, each scalar Keccak call of `model` and `contract`
     during an audit finds its digest memoized by the window's pipelines:

@@ -25,6 +25,11 @@ SILENT = ROOT / "scenarios" / "silent_majority.json"
 NESTED = "[" * 1000 + "]" * 1000
 
 
+def spaced_pairs(text):
+    """`text`, 0x and hex digit pairs, with a space between each pair."""
+    return "0x" + " ".join(text[i:i + 2] for i in range(2, len(text), 2))
+
+
 def cli(*args, env=None):
     full_env = dict(os.environ)
     full_env.pop("SIM_SEED", None)
@@ -478,6 +483,41 @@ class TestCli:
                    "--tx", "abab")
         assert proc.returncode == 2
         assert proc.stderr == "config error: expected 0x prefix: 'abab'\n"
+
+    @pytest.mark.parametrize("spell", [lambda h: "0x " + h[2:], spaced_pairs],
+                             ids=["space_after_0x", "spaced_pairs"])
+    def test_a_tx_hash_with_spaces_exits_2(self, paper_dump, spell):
+        """`bytes.fromhex` alone skips the spaces and would find the receipt."""
+        chain, tx = paper_dump
+        proc = cli("receipt", "--chain", str(chain), "--genesis", str(GENESIS),
+                   "--tx", spell(tx))
+        assert proc.returncode == 2
+        assert proc.stderr == (f"config error: expected only hex digit pairs after 0x: "
+                               f"{spell(tx)!r}\n")
+
+    def test_a_dump_hash_with_spaces_replays_corrupt(self, tmp_path, paper_dump):
+        chain, _ = paper_dump
+        lines = chain.read_text().splitlines()
+        obj = json.loads(lines[2])
+        obj["parentHash"] = spaced_pairs(obj["parentHash"])
+        lines[2] = json.dumps(obj, sort_keys=True)
+        bad = tmp_path / "spaced.jsonl"
+        bad.write_text("\n".join(lines))
+        proc = cli("replay", "--chain", str(bad), "--genesis", str(GENESIS))
+        assert proc.returncode == 4
+        assert proc.stdout.startswith("CORRUPT: line 3: ")
+
+    def test_a_genesis_key_with_a_space_exits_2(self, tmp_path):
+        obj = json.loads(GENESIS.read_text())
+        key = obj["keyProvider"]["privateKeys"][0]
+        obj["keyProvider"]["privateKeys"][0] = "0x " + key[2:]
+        spaced = tmp_path / "genesis.json"
+        spaced.write_text(json.dumps(obj))
+        proc = cli("run", "--genesis", str(spaced), "--scenario", str(PAPER_FLOW),
+                   "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: bad private key '0x ")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["replay", "receipt"])
     def test_a_missing_chain_exits_2(self, tmp_path, command):
